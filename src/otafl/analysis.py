@@ -217,7 +217,8 @@ def clip_survival_report(
     skipped; thresholds whose asymptote exceeds 0.1 are marked
     ``outside_asymptotic_regime`` and excluded from the slope fit. At
     alpha = 2 each row also carries the absolute gap to the closed-form
-    Gaussian value.
+    Gaussian value. All thresholds of one tail index are scored on one
+    shared draw, so its clip probability never rises with C.
     """
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
@@ -226,15 +227,20 @@ def clip_survival_report(
         params = StableParams(alpha, tau)
         fit_c: list[float] = []
         fit_p: list[float] = []
-        for ci, c in enumerate(c_grid):
+        estimated = [float(c) for c in c_grid if c > sqrt2_g]
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 3, ai]))
+        p_hats = iter(
+            estimate_unclipped_prob(params, estimated, g, n_samples, rng, difference_law)
+            if estimated else []
+        )
+        for c in c_grid:
             asymptote = tail_prob_simplified(params, c)
             if c <= sqrt2_g:
                 rows.append(
                     SurvivalRow(alpha, float(c), math.nan, asymptote, None, "regime_violation")
                 )
                 continue
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 3, ai, ci]))
-            p_hat = estimate_unclipped_prob(params, c, g, n_samples, rng, difference_law)
+            p_hat = float(next(p_hats))
             clip_prob = 1.0 - p_hat
             oracle_err = None
             if alpha == 2.0:

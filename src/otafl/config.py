@@ -7,6 +7,7 @@ errors surface with the parser's line/column marker.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -75,7 +76,14 @@ def _check_choice(name: str, value: str, choices) -> None:
         raise ConfigError(f"field {name!r} must be one of {choices}, got {value!r}")
 
 
+def _check_number(name: str, value) -> None:
+    # bool is an int subclass, but `true` in a config is a typo, not a 1
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+
+
 def _check_positive(name: str, value, strict=True) -> None:
+    _check_number(name, value)
     ok = value > 0 if strict else value >= 0
     if not ok:
         raise ConfigError(f"field {name!r} must be {'positive' if strict else '>= 0'}, got {value}")
@@ -90,7 +98,12 @@ def validate(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"missing required field {key!r}")
     if "methods" in raw:
         raw = dict(raw)
-        raw["methods"] = tuple(raw["methods"])
+        methods = raw["methods"]
+        if isinstance(methods, str):
+            methods = [methods]
+        if not isinstance(methods, (list, tuple)):
+            raise ConfigError(f"field 'methods' must be a method name or a list of them, got {methods!r}")
+        raw["methods"] = tuple(methods)
     try:
         cfg = ExperimentConfig(**raw)
     except TypeError as exc:
@@ -105,18 +118,20 @@ def validate(raw: dict) -> ExperimentConfig:
     _check_choice("fading", cfg.fading, _FADINGS)
     _check_choice("activation", cfg.activation, _ACTIVATIONS)
     _check_choice("mlp_loss", cfg.mlp_loss, _MLP_LOSSES)
-    for name in ("rounds", "n_clients", "local_epochs", "batch_size", "eval_every",
-                 "hidden_units", "quadratic_dim", "feature_dim", "n_samples", "n_seeds"):
+    for name in ("seed", "rounds", "n_clients", "local_epochs", "batch_size", "eval_every",
+                 "hidden_units", "quadratic_dim", "feature_dim", "n_classes", "n_samples", "n_seeds"):
         value = getattr(cfg, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-        _check_positive(name, value)
+        _check_positive(name, value, strict=name != "seed")
     for name in ("learning_rate", "tau", "mac_threshold", "gnc_threshold",
                  "dirichlet_concentration", "fading_gain"):
         _check_positive(name, getattr(cfg, name))
     _check_positive("class_separation", cfg.class_separation, strict=False)
+    _check_number("alpha", cfg.alpha)
     if not 0.0 < cfg.alpha <= 2.0:
         raise ConfigError(f"field 'alpha' must lie in (0, 2], got {cfg.alpha}")
+    _check_number("test_fraction", cfg.test_fraction)
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(f"field 'test_fraction' must lie in (0, 1), got {cfg.test_fraction}")
     if cfg.n_classes < 2:
@@ -125,7 +140,12 @@ def validate(raw: dict) -> ExperimentConfig:
         _check_positive("projection_radius", cfg.projection_radius)
     if cfg.c_grid is not None:
         grid = cfg.c_grid
-        entries = [v for vs in grid.values() for v in vs] if isinstance(grid, dict) else list(grid)
+        lists = list(grid.values()) if isinstance(grid, dict) else [grid]
+        if not all(isinstance(vs, list) for vs in lists):
+            raise ConfigError(
+                f"field 'c_grid' must be a list of thresholds or a mapping of method to list, got {grid!r}"
+            )
+        entries = [v for vs in lists for v in vs]
         if not entries:
             raise ConfigError("field 'c_grid' must not be empty")
         for v in entries:
@@ -181,11 +201,15 @@ def resolved_summary(cfg: ExperimentConfig) -> str:
     ``output_dir`` is left out: it says where a run writes, not what it
     computes, and keeping it would make two runs of one config and seed
     written to different directories differ in their provenance line.
+    Lists and mappings are written as compact JSON, so the line splits on
+    whitespace into ``key=value`` tokens.
     """
     parts = []
     for f in sorted(_FIELD_NAMES - {"output_dir"}):
         value = getattr(cfg, f)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
+        elif isinstance(value, (list, dict)):
+            value = json.dumps(value, separators=(",", ":"))
         parts.append(f"{f}={value}")
     return " ".join(parts)

@@ -172,8 +172,8 @@ def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
     """Read a numeric CSV with a header row into a dataset.
 
     All non-label columns are parsed as floats in file order; the label
-    column must hold integers. Parse failures report the offending data row
-    (1-based) and column name.
+    column must hold non-negative integers. Parse failures report the
+    offending data row (1-based) and column name.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -204,10 +204,15 @@ def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
                             f"{path}: row {row_num}, column {name!r}: "
                             f"non-numeric label {cell!r}"
                         ) from None
-                    if label_f != int(label_f):
+                    if not label_f.is_integer():
                         raise ValueError(
                             f"{path}: row {row_num}, column {name!r}: "
                             f"label {cell!r} is not an integer"
+                        )
+                    if label_f < 0:
+                        raise ValueError(
+                            f"{path}: row {row_num}, column {name!r}: "
+                            f"label {cell!r} is negative"
                         )
                     ys.append(int(label_f))
                 else:

@@ -9,6 +9,7 @@ survival function P(|X| > x) decays like x**(-alpha).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ __all__ = [
     "estimate_unclipped_prob",
     "fit_tail_exponent",
 ]
+
+
+# Samples drawn per pass of estimate_unclipped_prob: large enough that the
+# per-chunk overhead is negligible, small enough that the temporaries stay a
+# few tens of MB whatever the sample count.
+_CHUNK = 2**20
 
 
 class RegimeError(ValueError):
@@ -81,18 +88,22 @@ def tail_prob_simplified(params: StableParams, threshold: float) -> float:
 
 def estimate_unclipped_prob(
     params: StableParams,
-    c: float,
+    c: float | Sequence[float],
     g: float,
     n_samples: int,
     rng: np.random.Generator,
     difference_law: str = "exact",
-) -> float:
+) -> float | np.ndarray:
     """Monte Carlo probability that a noisy entry stays inside the clip window.
 
     The deviation between an entry's noise and the median entry's noise is
     compared against the worst-case margin c - sqrt(2)*g, where g bounds the
-    per-client gradient norms. ``difference_law`` selects how the deviation is
-    modeled:
+    per-client gradient norms. ``c`` is one threshold, giving a float, or a
+    1-D sequence of thresholds, giving one probability per threshold; every
+    threshold is scored on the same draws, so the estimate never falls as C
+    grows. The deviation is drawn from ``rng`` in chunks of ``_CHUNK``
+    samples, which bounds memory by the chunk rather than by ``n_samples``.
+    ``difference_law`` selects how the deviation is modeled:
 
     * ``"exact"``: the difference of two independent SaS(alpha, tau) draws,
       which by the stability property has scale 2**(1/alpha) * tau;
@@ -101,20 +112,31 @@ def estimate_unclipped_prob(
     """
     if g < 0.0:
         raise ValueError(f"gradient bound g must be >= 0, got {g}")
-    if c <= math.sqrt(2.0) * g:
-        raise RegimeError(
-            f"clip threshold must exceed sqrt(2)*G: C={c}, sqrt(2)*G={math.sqrt(2.0) * g}"
-        )
+    thresholds = np.asarray(c, dtype=float)
+    if thresholds.ndim > 1 or thresholds.size == 0:
+        raise ValueError(f"c must be a threshold or a non-empty 1-D sequence of them, got {c!r}")
+    sqrt2_g = math.sqrt(2.0) * g
+    for threshold in np.atleast_1d(thresholds):
+        if threshold <= sqrt2_g:
+            raise RegimeError(
+                f"clip threshold must exceed sqrt(2)*G: C={threshold}, sqrt(2)*G={sqrt2_g}"
+            )
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    margin = c - math.sqrt(2.0) * g
-    if difference_law == "exact":
-        deviation = sample_sas(params, n_samples, rng) - sample_sas(params, n_samples, rng)
-    elif difference_law == "sqrt2":
-        deviation = sample_sas(params.scaled(math.sqrt(2.0)), n_samples, rng)
-    else:
+    if difference_law not in ("exact", "sqrt2"):
         raise ValueError(f"unknown difference_law {difference_law!r}")
-    return float(np.mean(np.abs(deviation) <= margin))
+    margins = np.atleast_1d(thresholds) - sqrt2_g
+    inside = np.zeros(margins.size, dtype=np.int64)
+    for start in range(0, n_samples, _CHUNK):
+        size = min(_CHUNK, n_samples - start)
+        if difference_law == "exact":
+            deviation = sample_sas(params, size, rng) - sample_sas(params, size, rng)
+        else:
+            deviation = sample_sas(params.scaled(math.sqrt(2.0)), size, rng)
+        np.abs(deviation, out=deviation)
+        inside += [np.count_nonzero(deviation <= m) for m in margins]
+    probs = inside / n_samples
+    return float(probs[0]) if thresholds.ndim == 0 else probs
 
 
 def fit_tail_exponent(

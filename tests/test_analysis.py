@@ -135,6 +135,16 @@ def test_survival_report_flags_and_slope():
     assert report.slopes[1.5] == pytest.approx(-1.5, abs=0.3)
 
 
+def test_survival_report_clip_prob_non_increasing_in_c():
+    # thresholds 1% apart: independent draws per threshold would cross
+    c_grid = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05]
+    report = clip_survival_report([1.1, 1.5, 1.9], 0.1, c_grid, 0.0, 10**4, seed=0)
+    for alpha in (1.1, 1.5, 1.9):
+        probs = [r.empirical_clip_prob for r in report.rows_for(alpha)]
+        assert [r.threshold for r in report.rows_for(alpha)] == c_grid
+        assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
 def test_survival_report_regime_violation_rows():
     report = clip_survival_report([1.5], 0.1, [0.5, 2.0], 1.0, 10**4, seed=0)
     rows = report.rows_for(1.5)

@@ -98,14 +98,17 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_output_dir_stays_out_of_provenance(tmp_path):
-    cfg = minimal_config(tmp_path)
+    cfg = minimal_config(tmp_path, c_grid="{mac: [0.5, 1.0], gnc: [2.0]}")
     for out in ("a", "b"):
         assert main(["train", str(cfg), "--set", f"output_dir={tmp_path / out}"]) == 0
     for name in ("mini_mac.csv", "mini_none.csv", "mini_summary.csv"):
         comment_a, _, _ = read_csv(tmp_path / "a" / name)
         comment_b, _, _ = read_csv(tmp_path / "b" / name)
         assert comment_a == comment_b
-        settings = dict(tok.split("=", 1) for tok in comment_a.split()[2:])
+        tokens = comment_a.split()[2:]
+        assert all("=" in tok for tok in tokens)
+        settings = dict(tok.split("=", 1) for tok in tokens)
+        assert settings["c_grid"] == '{"mac":[0.5,1.0],"gnc":[2.0]}'
         method = name[len("mini_"):-len(".csv")]
         if method != "summary":
             assert settings.pop("method") == method
@@ -257,6 +260,48 @@ def test_load_config_validation(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.yaml")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", "abc"),
+    ("learning_rate", "true"),
+    ("alpha", '"x"'),
+    ("test_fraction", "x"),
+    ("n_classes", "x"),
+    ("seed", "true"),
+    ("c_grid", "[a]"),
+    ("c_grid", "[true]"),
+    ("c_grid", "{mac: 3}"),
+    ("methods", "3"),
+])
+def test_wrong_typed_field_is_named(tmp_path, capsys, key, value):
+    cfg = minimal_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    assert main(["train", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_methods_bare_string(tmp_path, capsys):
+    cfg = minimal_config(tmp_path, methods="mac")
+    assert main(["train", str(cfg)]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / "mini_summary.csv")
+    assert [r[0] for r in rows] == ["mac"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["mini_mac.csv", "mini_summary.csv"]
+    cfg = minimal_config(tmp_path, methods="bogus")
+    assert main(["train", str(cfg)]) == 2
+    assert "got 'bogus'" in capsys.readouterr().err
+
+
+def test_csv_negative_label_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(10)) + "3.0,-1\n")
+    cfg = minimal_config(
+        tmp_path, model="logistic", n_clients=2, dataset_csv=str(data), methods="[ideal]",
+    )
+    assert main(["train", str(cfg)]) == 2
+    assert "row 11, column 'label'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_dataset_config(tmp_path):

@@ -162,9 +162,15 @@ def test_load_csv_errors(tmp_path):
         load_csv_dataset(missing, "label")
 
     bad_label = tmp_path / "badlabel.csv"
-    bad_label.write_text("x1,label\n1.0,0.5\n")
-    with pytest.raises(ValueError, match="not an integer"):
-        load_csv_dataset(bad_label, "label")
+    for cell in ("0.5", "inf", "nan"):
+        bad_label.write_text(f"x1,label\n1.0,{cell}\n")
+        with pytest.raises(ValueError, match="row 1, column 'label': .* is not an integer"):
+            load_csv_dataset(bad_label, "label")
+
+    negative = tmp_path / "negative.csv"
+    negative.write_text("x1,label\n1.0,0\n2.0,-1\n")
+    with pytest.raises(ValueError, match=r"row 2, column 'label': label '-1' is negative"):
+        load_csv_dataset(negative, "label")
 
 
 def test_dataset_validation():

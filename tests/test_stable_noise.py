@@ -123,6 +123,47 @@ def test_unclipped_prob_regime_violation():
         estimate_unclipped_prob(StableParams(1.5, 0.1), 1.0, 1.0, 1000, np.random.default_rng(0))
     with pytest.raises(ValueError):
         estimate_unclipped_prob(StableParams(1.5, 0.1), 1.0, -0.5, 1000, np.random.default_rng(0))
+    # one threshold at sqrt(2)*g fails the whole vector call
+    with pytest.raises(RegimeError, match="C=1.414"):
+        estimate_unclipped_prob(
+            StableParams(1.5, 0.1), [2.0, math.sqrt(2.0), 4.0], 1.0, 1000, np.random.default_rng(0)
+        )
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            estimate_unclipped_prob(StableParams(1.5, 0.1), bad, 0.0, 1000, np.random.default_rng(0))
+
+
+def test_unclipped_prob_vector_matches_scalar_calls():
+    params = StableParams(1.5, 0.1)
+    cs = [0.3, 0.5, 1.0, 2.0]
+    for law in ("exact", "sqrt2"):
+        vec = estimate_unclipped_prob(params, cs, 0.1, 10**5, np.random.default_rng(21), law)
+        scalar = [
+            estimate_unclipped_prob(params, c, 0.1, 10**5, np.random.default_rng(21), law)
+            for c in cs
+        ]
+        assert all(isinstance(p, float) for p in scalar)
+        assert vec.tolist() == scalar
+        assert np.all(np.diff(vec) >= 0.0)
+
+
+def _reference_unclipped_prob(params, c, g, chunk_sizes, rng):
+    """Draw the chunks estimate_unclipped_prob draws, keep them all, take the mean."""
+    deviation = np.concatenate(
+        [sample_sas(params, k, rng) - sample_sas(params, k, rng) for k in chunk_sizes]
+    )
+    return float(np.mean(np.abs(deviation) <= c - math.sqrt(2.0) * g))
+
+
+def test_unclipped_prob_streams_chunks_like_reference():
+    params = StableParams(1.5, 0.1)
+    cs = [0.5, 1.0, 2.0]
+    got = estimate_unclipped_prob(params, cs, 0.1, 2**20 + 7, np.random.default_rng(8))
+    want = [
+        _reference_unclipped_prob(params, c, 0.1, (2**20, 7), np.random.default_rng(8))
+        for c in cs
+    ]
+    assert got.tolist() == want
 
 
 def test_difference_laws():
