@@ -19,7 +19,7 @@ from .analysis import (
     make_quadratic_testbed,
     verify_convergence_bound,
 )
-from .channel import ChannelConfig, FadingModel, aggregate, measure_snr, sample_fading, transmit
+from .channel import ChannelConfig, FadingModel, measure_snr, sample_fading, transmit
 from .clipping import (
     ClipMethod,
     apply_blockwise,
@@ -57,7 +57,6 @@ from .models import (
     QuadraticModel,
     SmoothnessInfo,
     compute_smoothness,
-    local_update,
 )
 from .stable_noise import (
     RegimeError,

@@ -299,7 +299,7 @@ def make_quadratic_testbed(
     w0 = rng.normal(size=dim)
     w0 *= w0_norm / np.linalg.norm(w0)
     model = QuadraticModel(dim)
-    info = compute_smoothness(model, datas, radius=w0_norm)
+    info = compute_smoothness(datas, radius=w0_norm)
     return QuadraticTestbed(model=model, client_datas=datas, w0=w0, info=info)
 
 
@@ -395,38 +395,15 @@ def verify_convergence_bound(
     info = testbed.info
     if eta is None:
         eta = 1.0 / info.l
-    if eta > 2.0 / info.l:
-        raise RegimeError(f"learning rate condition violated: eta <= 2/L = {2.0 / info.l}")
     if c is None:
         c = 2.0 * math.sqrt(2.0) * info.g
+    if not ideal and c <= math.sqrt(2.0) * info.g:
+        raise RegimeError(
+            f"clip threshold outside the theorem's regime: C = {c} <= sqrt(2)*G = "
+            f"{math.sqrt(2.0) * info.g}"
+        )
     f0 = global_loss(testbed.model, testbed.w0, testbed.client_datas)
     k_max = k_grid[-1]
-
-    fading_model = FadingModel.rayleigh_unit_mean() if fading == "rayleigh" else FadingModel.no_fading()
-    if ideal:
-        cfg = FLConfig(
-            n_clients=n_clients,
-            rounds=k_max,
-            learning_rate=eta,
-            clip=ClipMethod.none(),
-            channel=ChannelConfig.ideal(),
-            seed=seed,
-            projection_radius=info.radius,
-        )
-    else:
-        cfg = FLConfig(
-            n_clients=n_clients,
-            rounds=k_max,
-            learning_rate=eta,
-            clip=ClipMethod.mac(c),
-            channel=ChannelConfig(fading_model, StableParams(alpha, tau)),
-            seed=seed,
-            projection_radius=info.radius,
-            theorem_mode=True,
-            smoothness=info,
-        )
-
-    gns, p_empirical, gap = _grad_norm_matrix(cfg, testbed, n_seeds)
 
     def bound_at(k: int, eta_val: float) -> float:
         if ideal:
@@ -437,19 +414,34 @@ def verify_convergence_bound(
         )
         return convergence_bound(params)
 
+    # Every bound is evaluated before the first round, so a learning rate at
+    # or beyond 2/L, in eta or in eta_grid, fails before any run starts.
+    rhs = [bound_at(k, eta) for k in k_grid]
+    eta_rhs = [bound_at(k_max, float(eta_val)) for eta_val in eta_grid]
+
+    fading_model = FadingModel.rayleigh_unit_mean() if fading == "rayleigh" else FadingModel.no_fading()
+    cfg = FLConfig(
+        n_clients=n_clients,
+        rounds=k_max,
+        learning_rate=eta,
+        clip=ClipMethod.none() if ideal else ClipMethod.mac(c),
+        channel=ChannelConfig.ideal() if ideal else ChannelConfig(fading_model, StableParams(alpha, tau)),
+        seed=seed,
+        projection_radius=info.radius,
+    )
+
+    gns, p_empirical, gap = _grad_norm_matrix(cfg, testbed, n_seeds)
     rows = []
-    for k in k_grid:
+    for k, bound in zip(k_grid, rhs):
         empirical = float(np.mean(gns[:, :k]))
-        rhs = bound_at(k, eta)
-        rows.append(BoundCheckRow(k, empirical, rhs, empirical / rhs))
+        rows.append(BoundCheckRow(k, empirical, bound, empirical / bound))
 
     eta_rows = []
-    for eta_val in eta_grid:
+    for eta_val, bound in zip(eta_grid, eta_rhs):
         sweep_cfg = replace(cfg, learning_rate=float(eta_val))
         sweep_gns, _, _ = _grad_norm_matrix(sweep_cfg, testbed, n_seeds)
         empirical = float(np.mean(sweep_gns))
-        rhs = bound_at(k_max, float(eta_val))
-        eta_rows.append(EtaRow(float(eta_val), empirical, rhs, empirical / rhs))
+        eta_rows.append(EtaRow(float(eta_val), empirical, bound, empirical / bound))
 
     if ideal or tau == 0.0:
         p_used = 1.0

@@ -19,7 +19,6 @@ __all__ = [
     "FadingModel",
     "ChannelConfig",
     "sample_fading",
-    "aggregate",
     "transmit",
     "measure_snr",
 ]
@@ -109,17 +108,6 @@ def transmit(
         return faded_mean, None
     noise = sample_sas(cfg.noise, grads.shape[1], rng)
     return faded_mean + noise, noise
-
-
-def aggregate(
-    client_grads: np.ndarray | list[np.ndarray],
-    gains: np.ndarray,
-    cfg: ChannelConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Aggregated gradient seen by the server for one round."""
-    out, _ = transmit(client_grads, gains, cfg, rng)
-    return out
 
 
 def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray | None) -> float:

@@ -72,7 +72,7 @@ def build_task_factory(cfg: ExperimentConfig):
             testbed = make_quadratic_testbed(
                 dim=cfg.quadratic_dim, n_clients=cfg.n_clients, seed=seed, b_scale=1.0
             )
-            return testbed.model, testbed.client_datas, testbed.client_datas
+            return testbed.model, testbed.client_datas, None
 
         return factory
 

@@ -109,6 +109,10 @@ def validate(raw: dict) -> ExperimentConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
 
+    for name in ("name", "output_dir", "label_column", "dataset_csv"):
+        value = getattr(cfg, name)
+        if not isinstance(value, str) and not (name == "dataset_csv" and value is None):
+            raise ConfigError(f"field {name!r} must be a string, got {value!r}")
     for method in cfg.methods:
         _check_choice("methods", method, _METHODS)
     if not cfg.methods:

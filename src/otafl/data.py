@@ -8,6 +8,7 @@ uniform ("iid") or class-skewed via per-class Dirichlet proportions.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,8 +172,8 @@ def train_test_split(
 def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
     """Read a numeric CSV with a header row into a dataset.
 
-    All non-label columns are parsed as floats in file order; the label
-    column must hold non-negative integers. Parse failures report the
+    All non-label columns are parsed as finite floats in file order; the
+    label column must hold non-negative integers. Parse failures report the
     offending data row (1-based) and column name.
     """
     path = Path(path)
@@ -217,12 +218,18 @@ def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
                     ys.append(int(label_f))
                 else:
                     try:
-                        features.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ValueError(
                             f"{path}: row {row_num}, column {name!r}: "
                             f"non-numeric value {cell!r}"
                         ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}: row {row_num}, column {name!r}: "
+                            f"non-finite value {cell!r}"
+                        )
+                    features.append(value)
             xs.append(features)
     if not xs:
         raise ValueError(f"{path}: no rows (header only)")

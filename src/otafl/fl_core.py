@@ -17,13 +17,10 @@ import numpy as np
 
 from .channel import ChannelConfig, measure_snr, sample_fading, transmit
 from .clipping import ClipMethod, apply_blockwise, clip_statistics, merge_blocks, split_blocks, vector_median
-from .models import QuadraticClientData, SmoothnessInfo
-from .stable_noise import RegimeError
 
 __all__ = [
     "FLConfig",
     "RoundRecord",
-    "TrainState",
     "TrainResult",
     "client_rng",
     "channel_rng",
@@ -73,8 +70,6 @@ class FLConfig:
     seed: int = 0
     eval_every: int = 10
     projection_radius: float | None = None
-    theorem_mode: bool = False
-    smoothness: SmoothnessInfo | None = None
 
     def __post_init__(self) -> None:
         if self.n_clients < 1 or self.rounds < 1:
@@ -85,20 +80,6 @@ class FLConfig:
             raise ValueError("local_epochs, batch_size and eval_every must be >= 1")
         if self.projection_radius is not None and not self.projection_radius > 0.0:
             raise ValueError("projection_radius must be positive when set")
-        if self.theorem_mode:
-            if self.smoothness is None:
-                raise RegimeError("theorem mode requires smoothness constants")
-            if self.learning_rate > 2.0 / self.smoothness.l:
-                raise RegimeError(
-                    f"theorem mode requires learning_rate <= 2/L = {2.0 / self.smoothness.l}"
-                )
-            if self.clip.kind != "mac":
-                raise RegimeError("theorem mode requires median-anchored clipping")
-            if self.clip.threshold <= np.sqrt(2.0) * self.smoothness.g:
-                raise RegimeError(
-                    f"theorem mode requires C > sqrt(2)*G = "
-                    f"{np.sqrt(2.0) * self.smoothness.g}"
-                )
 
 
 @dataclass(frozen=True)
@@ -122,12 +103,6 @@ class RoundRecord:
 
 
 @dataclass(frozen=True)
-class TrainState:
-    w: np.ndarray
-    round_idx: int
-
-
-@dataclass(frozen=True)
 class TrainResult:
     records: list[RoundRecord]
     final_w: np.ndarray
@@ -138,127 +113,112 @@ class TrainResult:
 
 
 @dataclass(frozen=True)
+class _Step:
+    """One local minibatch step of every client: the columns it reads, the
+    clients that still have samples there (a slice when all do), and their
+    sample weights (None when no column is padding)."""
+
+    cols: slice
+    active: np.ndarray | slice
+    weight: np.ndarray | None
+
+
+@dataclass(frozen=True)
 class _PreparedTask:
-    """Clients stacked into padded tensors for vectorized rounds."""
+    """Client payloads stacked into tensors padded to the largest client,
+    plus the plan of local steps, for vectorized rounds."""
 
     model: object
     n_clients: int
-    quadratic: bool
-    eval_data: object | None = None
-    # quadratic payloads
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
-    # sample payloads, padded to the largest client
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    sizes: np.ndarray | None = None
+    eval_data: object | None
+    x: np.ndarray
+    y: np.ndarray
+    mask: np.ndarray | None  # None when no client is padded
+    steps: tuple[_Step, ...]
+    shuffled: tuple[tuple[int, int], ...]  # (client, size) where a batch is smaller than the data
 
 
-def prepare_task(model, client_datas, eval_data=None) -> _PreparedTask:
-    """Stack client payloads once so every round is a handful of array ops."""
+def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _PreparedTask:
+    """Stack client payloads and plan the local steps of `cfg` once, so every
+    round is a handful of array ops."""
     n = len(client_datas)
     if n < 1:
         raise ValueError("need at least one client")
-    if isinstance(client_datas[0], QuadraticClientData):
-        return _PreparedTask(
-            model=model,
-            n_clients=n,
-            quadratic=True,
-            eval_data=eval_data,
-            a=np.stack([d.a for d in client_datas]),
-            b=np.stack([d.b for d in client_datas]),
-        )
     sizes = np.array([len(d.y) for d in client_datas])
     if sizes.min() < 1:
         raise ValueError("every client needs at least one sample")
     m_max = int(sizes.max())
-    p = client_datas[0].x.shape[1]
-    x = np.zeros((n, m_max, p))
-    y = np.zeros((n, m_max), dtype=int)
+    first = client_datas[0]
+    x = np.zeros((n, m_max) + first.x.shape[1:])
+    y = np.zeros((n, m_max) + first.y.shape[1:], dtype=first.y.dtype)
     mask = np.zeros((n, m_max))
     for i, d in enumerate(client_datas):
         m = len(d.y)
         x[i, :m] = d.x
         y[i, :m] = d.y
         mask[i, :m] = 1.0
+
+    # weight[n, j] = 1 while t*b + j is a real sample of client n; clients
+    # whose samples are exhausted at step t are skipped entirely (their
+    # gradient would be zero)
+    b = int(min(cfg.batch_size, m_max))
+    steps = []
+    for start in range(0, m_max, b):
+        cols = slice(start, min(start + b, m_max))
+        active = np.flatnonzero(sizes > start)
+        weight = mask[active, cols]
+        steps.append(_Step(
+            cols=cols,
+            active=active if active.size < n else slice(None),
+            weight=None if weight.all() else weight,
+        ))
     return _PreparedTask(
         model=model,
         n_clients=n,
-        quadratic=False,
         eval_data=eval_data,
         x=x,
         y=y,
-        mask=mask,
-        sizes=sizes,
+        mask=None if mask.all() else mask,
+        steps=tuple(steps),
+        shuffled=tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m),
     )
 
 
 def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_idx: int) -> np.ndarray:
     """Pseudo-gradient of every client, stacked to (N, d).
 
-    Row n reproduces models.local_update for client n driven by
-    client_rng(cfg.seed, round_idx, n): same batch order, same step count,
-    vectorized across clients with zero-weight padding. The per-client
-    windows [t*min(batch, m_n), ...) coincide with the global windows
-    [t*batch, (t+1)*batch) over each client's shuffled list, so every step
-    is an aligned slice of one per-epoch gather.
+    Row n reproduces the naive per-client oracle `local_update` of
+    tests/conftest.py for client n driven by client_rng(cfg.seed, round_idx, n):
+    same batch order, same step count, vectorized across clients with
+    zero-weight padding. The per-client windows [t*min(batch, m_n), ...)
+    coincide with the global windows [t*batch, (t+1)*batch) over each
+    client's shuffled list, so every step is an aligned slice of one
+    per-epoch gather. A one-sample client takes `local_epochs` full-gradient
+    steps.
     """
     model, lr = task.model, cfg.learning_rate
     n = task.n_clients
-    if task.quadratic:
-        grad_sum = np.zeros((n, w.size))
-        w_local = np.tile(w, (n, 1))
-        for _ in range(cfg.local_epochs):
-            g = model.gradient(w_local, task.a, task.b)
-            grad_sum += g
-            w_local -= lr * g
-        return grad_sum
-
-    sizes = task.sizes
-    m_max = task.y.shape[1]
-    b = int(min(cfg.batch_size, m_max))
-    steps = -(-m_max // b)
-    rows = np.arange(n)[:, None]
-    rngs = [
-        client_rng(cfg.seed, round_idx, i) if cfg.batch_size < sizes[i] else None
-        for i in range(n)
-    ]
-    # weight[t][n, j] = 1 while t*b + j is a real sample of client n; clients
-    # whose samples are exhausted at step t are skipped entirely (their
-    # gradient would be zero)
-    step_weights = []
-    step_active = []
-    for t in range(steps):
-        active = np.flatnonzero(sizes > t * b)
-        cols = np.arange(t * b, min((t + 1) * b, m_max))
-        step_active.append(active if active.size < n else slice(None))
-        step_weights.append((cols[None, :] < sizes[active, None]).astype(float))
-    base_order = np.tile(np.arange(m_max), (n, 1))
+    rngs = [(i, m, client_rng(cfg.seed, round_idx, i)) for i, m in task.shuffled]
+    xr, yr = task.x, task.y
     grad_sum = np.zeros((n, w.size))
-    w_local = np.tile(w, (n, 1))
+    w_local = np.repeat(w[None], n, axis=0)
     for _ in range(cfg.local_epochs):
-        order = base_order.copy()
-        for i in range(n):
-            if rngs[i] is not None:
-                order[i, : sizes[i]] = rngs[i].permutation(sizes[i])
-        xr = task.x[rows, order]
-        yr = task.y[rows, order]
-        for t in range(steps):
-            sl = slice(t * b, min((t + 1) * b, m_max))
-            active = step_active[t]
+        if rngs:
+            order = np.repeat(np.arange(task.y.shape[1])[None], n, axis=0)
+            for i, m, rng in rngs:
+                order[i, :m] = rng.permutation(m)
+            rows = np.arange(n)[:, None]
+            xr = task.x[rows, order]
+            yr = task.y[rows, order]
+        for step in task.steps:
+            active = step.active
             g = model.gradient(
-                w_local[active], xr[active, sl], yr[active, sl], sample_weight=step_weights[t]
+                w_local[active], xr[active, step.cols], yr[active, step.cols],
+                sample_weight=step.weight,
             )
             grad_sum[active] += g
             w_local[active] -= lr * g
     return grad_sum
-
-
-def _stacked_loss(task: _PreparedTask, w: np.ndarray) -> float:
-    if task.quadratic:
-        return float(np.mean(task.model.loss(w, task.a, task.b)))
-    return float(np.mean(task.model.loss(w, task.x, task.y, sample_weight=task.mask)))
 
 
 def _block_clip_fractions(blocks, method: ClipMethod) -> tuple[float, ...]:
@@ -269,22 +229,20 @@ def _block_clip_fractions(blocks, method: ClipMethod) -> tuple[float, ...]:
     return tuple(0.0 for _ in blocks)
 
 
-def run_round(state: TrainState, cfg: FLConfig, task: _PreparedTask) -> tuple[TrainState, RoundRecord]:
-    """One communication round: local compute, noisy aggregation, server-side
-    clipping, global step.
+def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, RoundRecord]:
+    """Round k from parameters w: local compute, noisy aggregation,
+    server-side clipping, global step. Returns the next parameters and the
+    round's record.
 
     Arithmetic overflow is silenced: an exploding unclipped baseline is a
     measured outcome, handled by the divergence policy in run_training.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _run_round_inner(state, cfg, task)
+        return _run_round_inner(w, k, cfg, task)
 
 
-def _run_round_inner(state: TrainState, cfg: FLConfig, task: _PreparedTask) -> tuple[TrainState, RoundRecord]:
+def _run_round_inner(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, RoundRecord]:
     t0 = time.perf_counter()
-    k = state.round_idx
-    w = state.w
-
     pseudo = _pseudo_gradients(task, w, cfg, k)
     true_mean = pseudo.mean(axis=0)
 
@@ -306,7 +264,7 @@ def _run_round_inner(state: TrainState, cfg: FLConfig, task: _PreparedTask) -> t
         if norm > cfg.projection_radius:
             w_next = w_next * (cfg.projection_radius / norm)
 
-    loss = _stacked_loss(task, w)
+    loss = float(np.mean(task.model.loss(w, task.x, task.y, sample_weight=task.mask)))
     record = RoundRecord(
         round=k,
         global_loss=loss,
@@ -318,7 +276,7 @@ def _run_round_inner(state: TrainState, cfg: FLConfig, task: _PreparedTask) -> t
         eval_accuracy=_maybe_eval(task, w_next, cfg, k),
         wall_time=time.perf_counter() - t0,
     )
-    return TrainState(w=w_next, round_idx=k + 1), record
+    return w_next, record
 
 
 def _maybe_eval(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> float | None:
@@ -342,38 +300,37 @@ def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) ->
         raise ValueError(
             f"config expects {cfg.n_clients} clients, got {len(client_datas)} datasets"
         )
-    task = prepare_task(model, client_datas, eval_data)
+    task = prepare_task(model, client_datas, cfg, eval_data)
     w = np.asarray(w0, dtype=float).copy() if w0 is not None else model.init_params(init_rng(cfg.seed))
     if w.shape != (model.dim,):
         raise ValueError(f"initial parameters must have shape ({model.dim},), got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("initial parameters must be finite")
 
-    state = TrainState(w=w, round_idx=0)
     records: list[RoundRecord] = []
     loss_ceiling = None
     diverged = False
     diverged_round = None
-    final_w = state.w
+    final_w = w
     for k in range(cfg.rounds):
-        w_before = state.w
-        state, record = run_round(state, cfg, task)
+        w_before = w
+        w, record = run_round(w, k, cfg, task)
         if loss_ceiling is None and np.isfinite(record.global_loss):
             loss_ceiling = _DIVERGENCE_FACTOR * max(1.0, abs(record.global_loss))
         blew_up = (
             not np.isfinite(record.global_loss)
             or (loss_ceiling is not None and record.global_loss > loss_ceiling)
-            or not np.all(np.isfinite(state.w))
+            or not np.all(np.isfinite(w))
         )
         if blew_up:
             records.append(replace(record, diverged=True))
             diverged = True
             diverged_round = k
             # keep the last finite iterate for downstream evaluation
-            final_w = state.w if np.all(np.isfinite(state.w)) else w_before
+            final_w = w if np.all(np.isfinite(w)) else w_before
             break
         records.append(record)
-        final_w = state.w
+        final_w = w
 
     final_eval_loss = None
     final_eval_accuracy = None
@@ -391,10 +348,6 @@ def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) ->
 
 def evaluate(model, w, data) -> tuple[float, float | None]:
     """(loss, accuracy) on held-out data; accuracy is None for non-classifiers."""
-    if isinstance(data, (list, tuple)) and data and isinstance(data[0], QuadraticClientData):
-        from .models import global_loss
-
-        return global_loss(model, w, data), None
     loss = float(model.loss(w, data.x, data.y))
     if not model.is_classifier:
         return loss, None

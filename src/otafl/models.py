@@ -2,9 +2,12 @@
 
 Three model families cover the simulator's needs: quadratic objectives with
 exact curvature constants, (multinomial) logistic regression, and a one
-hidden layer MLP. Loss and gradient evaluations broadcast over leading axes
-so that all clients of a round can be processed in one vectorized call:
-parameters of shape (..., d) combine with features of shape (..., m, p).
+hidden layer MLP. Every model takes one client payload protocol: features x
+and targets y with a leading sample axis, plus optional per-sample weights.
+A quadratic client is a one-sample payload (x = A[None], y = b[None]).
+Loss and gradient evaluations broadcast over leading axes so that all
+clients of a round can be processed in one vectorized call: parameters of
+shape (..., d) combine with payloads of shape (..., m, ...).
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ __all__ = [
     "LogisticModel",
     "MlpModel",
     "SmoothnessInfo",
-    "local_update",
     "compute_smoothness",
     "global_loss",
-    "global_gradient",
 ]
 
 
@@ -32,7 +33,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadraticClientData:
-    """One client's quadratic objective 0.5 * w'Aw - b'w (A symmetric PSD)."""
+    """One client's quadratic objective 0.5 * w'Aw - b'w (A symmetric PSD),
+    seen by the models as the one-sample payload x = A[None], y = b[None]."""
 
     a: np.ndarray
     b: np.ndarray
@@ -47,9 +49,18 @@ class QuadraticClientData:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @property
+    def x(self) -> np.ndarray:
+        return self.a[None]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.b[None]
+
 
 class QuadraticModel:
-    """f(w) = 0.5 * w'Aw - b'w with client-specific (A, b) payloads."""
+    """Weighted mean over samples j of 0.5 * w'A_j w - b_j'w, with x holding
+    the A_j (..., m, d, d) and y the b_j (..., m, d)."""
 
     is_classifier = False
 
@@ -61,15 +72,22 @@ class QuadraticModel:
         if sum(self.block_layout) != dim:
             raise ValueError(f"block layout {self.block_layout} does not sum to {dim}")
 
-    def loss(self, w, a, b):
-        w = np.asarray(w, dtype=float)
-        aw = (np.asarray(a, dtype=float) @ w[..., None])[..., 0]
-        value = 0.5 * np.sum(w * aw, axis=-1) - np.sum(np.asarray(b, dtype=float) * w, axis=-1)
-        return float(value) if np.ndim(value) == 0 else value
+    def loss(self, w, x, y, sample_weight=None):
+        w = np.asarray(w, dtype=float)[..., None, :]
+        y = np.asarray(y, dtype=float)
+        wn = _normalized_weights(y.shape[:-1], sample_weight)
+        aw = (np.asarray(x, dtype=float) @ w[..., None])[..., 0]
+        # np.add.reduce is np.sum without its Python wrapper: small quadratic
+        # runs are overhead-bound
+        per_sample = 0.5 * np.add.reduce(w * aw, axis=-1) - np.add.reduce(y * w, axis=-1)
+        return _scalar_or_array(np.add.reduce(per_sample * wn, axis=-1))
 
-    def gradient(self, w, a, b):
+    def gradient(self, w, x, y, sample_weight=None):
         w = np.asarray(w, dtype=float)
-        return (np.asarray(a, dtype=float) @ w[..., None])[..., 0] - b
+        y = np.asarray(y, dtype=float)
+        wn = _normalized_weights(y.shape[:-1], sample_weight)
+        per_sample = (np.asarray(x, dtype=float) @ w[..., None, :, None])[..., 0] - y
+        return (wn[..., None, :] @ per_sample)[..., 0, :]
 
     def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.zeros(self.dim)
@@ -94,15 +112,14 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _normalized_weights(y: np.ndarray, sample_weight) -> np.ndarray:
-    """Per-sample weights that sum to one along the sample axis (or to zero
-    for an all-padding batch)."""
+def _normalized_weights(shape: tuple[int, ...], sample_weight) -> np.ndarray:
+    """Per-sample weights over a batch of the given shape (samples on the
+    last axis) that sum to one along the sample axis (or to zero for an
+    all-padding batch). No weights means every sample counts equally."""
     if sample_weight is None:
-        m = y.shape[-1]
-        return np.full(y.shape, 1.0 / m)
+        return np.full(shape, 1.0 / shape[-1])
     sample_weight = np.asarray(sample_weight, dtype=float)
-    total = np.clip(np.sum(sample_weight, axis=-1, keepdims=True), 1.0, None)
-    return sample_weight / total
+    return sample_weight / np.maximum(np.sum(sample_weight, axis=-1, keepdims=True), 1.0)
 
 
 def _scalar_or_array(value: np.ndarray):
@@ -145,7 +162,7 @@ class LogisticModel:
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
-        wn = _normalized_weights(y, sample_weight)
+        wn = _normalized_weights(y.shape, sample_weight)
         if self.n_classes == 2:
             z = self._binary_logits(w, x)
             yf = y.astype(float)
@@ -159,7 +176,7 @@ class LogisticModel:
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
-        wn = _normalized_weights(y, sample_weight)
+        wn = _normalized_weights(y.shape, sample_weight)
         p = self.feature_dim
         if self.n_classes == 2:
             z = self._binary_logits(w, x)
@@ -247,7 +264,7 @@ class MlpModel:
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
-        wn = _normalized_weights(y, sample_weight)
+        wn = _normalized_weights(y.shape, sample_weight)
         _, _, logits = self._forward(w, x)
         if self.loss_kind == "squared_error":
             resid = logits - (y[..., None] == np.arange(self.n_classes))
@@ -261,7 +278,7 @@ class MlpModel:
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
-        wn = _normalized_weights(y, sample_weight)
+        wn = _normalized_weights(y.shape, sample_weight)
         p, h, c = self.feature_dim, self.hidden_units, self.n_classes
         _, b1, w2, _ = self._unpack(w)
         pre, hidden, logits = self._forward(w, x)
@@ -305,135 +322,42 @@ class MlpModel:
 
 
 # ---------------------------------------------------------------------------
-# local training and curvature constants
-
-
-def _client_gradient(model, w, data):
-    if isinstance(data, QuadraticClientData):
-        return model.gradient(w, data.a, data.b)
-    return model.gradient(w, data.x, data.y)
-
-
-def _client_loss(model, w, data):
-    if isinstance(data, QuadraticClientData):
-        return model.loss(w, data.a, data.b)
-    return model.loss(w, data.x, data.y)
-
-
-def local_update(model, w, data, epochs, batch_size, lr, rng) -> np.ndarray:
-    """Pseudo-gradient after `epochs` of local minibatch descent.
-
-    The returned vector is the running sum of the minibatch gradients along
-    the local trajectory, which equals (w - w_final) / lr by construction.
-    With one epoch and a full batch it is exactly the local gradient (the
-    shuffle is skipped whenever a batch covers the whole dataset), and a
-    quadratic payload takes `epochs` full-gradient steps.
-    """
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
-    w = np.asarray(w, dtype=float)
-    grad_sum = np.zeros_like(w)
-    w_local = w.copy()
-    if isinstance(data, QuadraticClientData):
-        for _ in range(epochs):
-            g = model.gradient(w_local, data.a, data.b)
-            grad_sum += g
-            w_local -= lr * g
-        return grad_sum
-    m = len(data.y)
-    if m == 0:
-        raise ValueError("client dataset is empty")
-    bs = min(batch_size, m)
-    for _ in range(epochs):
-        order = np.arange(m) if bs == m else rng.permutation(m)
-        for start in range(0, m, bs):
-            idx = order[start : start + bs]
-            g = model.gradient(w_local, data.x[idx], data.y[idx])
-            grad_sum += g
-            w_local -= lr * g
-    return grad_sum
+# client-averaged objective and curvature constants
 
 
 def global_loss(model, w, client_datas) -> float:
     """Mean of the per-client empirical risks (clients weighted equally)."""
-    return float(np.mean([_client_loss(model, w, d) for d in client_datas]))
-
-
-def global_gradient(model, w, client_datas) -> np.ndarray:
-    """Gradient of the client-averaged objective."""
-    return np.mean([_client_gradient(model, w, d) for d in client_datas], axis=0)
+    return float(np.mean([model.loss(w, d.x, d.y) for d in client_datas]))
 
 
 @dataclass(frozen=True)
 class SmoothnessInfo:
     """Smoothness constant L, gradient bound G (over a ball of the stated
-    radius), and a lower bound on the objective. `certified` marks constants
-    derived in closed form rather than sampled."""
+    radius), and a lower bound on the objective, all in closed form."""
 
     l: float
     g: float
     f_star: float
     radius: float
-    certified: bool
 
 
-def compute_smoothness(
-    model,
-    client_datas,
-    radius: float,
-    rng: np.random.Generator | None = None,
-    n_probes: int = 200,
-    f_star_steps: int = 500,
-) -> SmoothnessInfo:
-    """Curvature and gradient-bound constants over the ball ||w|| <= radius.
+def compute_smoothness(client_datas, radius: float) -> SmoothnessInfo:
+    """Exact curvature and gradient-bound constants of quadratic clients over
+    the ball ||w|| <= radius.
 
-    Quadratic payloads give exact values: L is the top eigenvalue of the
-    averaged A, G is bounded by max_n (lambda_max(A_n) * radius + ||b_n||),
-    and f_star is evaluated at the exact minimizer. Other models are probed
-    empirically: L from finite gradient differences at sampled points, G from
-    the largest per-client gradient norm seen, f_star from a noiseless
-    full-gradient descent run.
+    L is the top eigenvalue of the averaged A, G is bounded by
+    max_n (lambda_max(A_n) * radius + ||b_n||), and f_star is evaluated at
+    the exact minimizer.
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if isinstance(client_datas[0], QuadraticClientData):
-        a_mean = np.mean([d.a for d in client_datas], axis=0)
-        b_mean = np.mean([d.b for d in client_datas], axis=0)
-        l = float(np.linalg.eigvalsh(a_mean)[-1])
-        g = max(
-            float(np.linalg.eigvalsh(d.a)[-1]) * radius + float(np.linalg.norm(d.b))
-            for d in client_datas
-        )
-        w_star = np.linalg.solve(a_mean, b_mean)
-        f_star = 0.5 * float(w_star @ a_mean @ w_star) - float(b_mean @ w_star)
-        return SmoothnessInfo(l=l, g=g, f_star=f_star, radius=radius, certified=True)
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    d = model.dim
-    eps = 1e-4
-    l_hat = 0.0
-    g_hat = 0.0
-    centers = [np.zeros(d)]
-    for _ in range(n_probes - 1):
-        direction = rng.normal(size=d)
-        direction /= np.linalg.norm(direction)
-        centers.append(rng.uniform(0.0, radius) * direction)
-    for w in centers:
-        grad_here = global_gradient(model, w, client_datas)
-        step = rng.normal(size=d)
-        step *= eps / np.linalg.norm(step)
-        grad_there = global_gradient(model, w + step, client_datas)
-        l_hat = max(l_hat, float(np.linalg.norm(grad_there - grad_here)) / eps)
-        g_hat = max(
-            g_hat,
-            max(float(np.linalg.norm(_client_gradient(model, w, dd))) for dd in client_datas),
-        )
-    # Noiseless descent for an f_star estimate; step size backed off from 1/L.
-    lr = 1.0 / max(l_hat, 1e-12)
-    w = np.zeros(d)
-    best = global_loss(model, w, client_datas)
-    for _ in range(f_star_steps):
-        w = w - lr * global_gradient(model, w, client_datas)
-        best = min(best, global_loss(model, w, client_datas))
-    return SmoothnessInfo(l=l_hat, g=g_hat, f_star=best, radius=radius, certified=False)
+    a_mean = np.mean([d.a for d in client_datas], axis=0)
+    b_mean = np.mean([d.b for d in client_datas], axis=0)
+    l = float(np.linalg.eigvalsh(a_mean)[-1])
+    g = max(
+        float(np.linalg.eigvalsh(d.a)[-1]) * radius + float(np.linalg.norm(d.b))
+        for d in client_datas
+    )
+    w_star = np.linalg.solve(a_mean, b_mean)
+    f_star = 0.5 * float(w_star @ a_mean @ w_star) - float(b_mean @ w_star)
+    return SmoothnessInfo(l=l, g=g, f_star=f_star, radius=radius)

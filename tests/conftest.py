@@ -18,6 +18,36 @@ def finite_difference_gradient(loss_fn, w, step=1e-5):
     return grad
 
 
+def local_update(model, w, data, epochs, batch_size, lr, rng):
+    """One client's pseudo-gradient after `epochs` of local minibatch
+    descent, one step at a time.
+
+    The result is the running sum of the minibatch gradients along the local
+    trajectory, which equals (w - w_final) / lr. A batch that covers the
+    whole dataset skips the shuffle, so one full-batch epoch gives exactly
+    the local gradient and a one-sample payload (a quadratic objective)
+    takes `epochs` full-gradient steps.
+    """
+    w = np.asarray(w, dtype=float)
+    grad_sum = np.zeros_like(w)
+    w_local = w.copy()
+    m = len(data.y)
+    bs = min(batch_size, m)
+    for _ in range(epochs):
+        order = np.arange(m) if bs == m else rng.permutation(m)
+        for start in range(0, m, bs):
+            idx = order[start : start + bs]
+            g = model.gradient(w_local, data.x[idx], data.y[idx])
+            grad_sum += g
+            w_local -= lr * g
+    return grad_sum
+
+
+def global_gradient(model, w, client_datas):
+    """Gradient of the client-averaged objective, one client at a time."""
+    return np.mean([model.gradient(w, d.x, d.y) for d in client_datas], axis=0)
+
+
 def ks_distance(samples, cdf):
     """Kolmogorov-Smirnov distance between a sample and a model CDF."""
     s = np.sort(np.asarray(samples, dtype=float))

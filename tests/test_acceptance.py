@@ -269,7 +269,8 @@ def test_criterion_8_gradient_correctness():
     quad = QuadraticModel(6)
     def quad_args():
         a = rng.normal(size=(6, 6))
-        return rng.normal(size=6), (a @ a.T + np.eye(6), rng.normal(size=6))
+        # a quadratic client is a one-sample payload: x = A[None], y = b[None]
+        return rng.normal(size=6), ((a @ a.T + np.eye(6))[None], rng.normal(size=6)[None])
     check(quad, quad_args)
 
     x = rng.normal(size=(25, 4))

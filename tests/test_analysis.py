@@ -15,6 +15,7 @@ from otafl import (
     make_quadratic_testbed,
     verify_convergence_bound,
 )
+from otafl import analysis
 from otafl.stable_noise import StableParams, sample_sas
 
 
@@ -164,7 +165,6 @@ def test_survival_report_gaussian_oracle_column():
 
 def test_quadratic_testbed_constants():
     tb = make_quadratic_testbed(dim=6, n_clients=3, seed=0, w0_norm=2.0)
-    assert tb.info.certified
     assert np.linalg.norm(tb.w0) == pytest.approx(2.0)
     a_mean = np.mean([d.a for d in tb.client_datas], axis=0)
     assert tb.info.l == pytest.approx(np.linalg.eigvalsh(a_mean)[-1])
@@ -204,6 +204,32 @@ def test_verify_bound_eta_sweep_rows():
     assert [round(r.eta, 3) for r in report.eta_rows] == [0.1, 0.05]
     for row in report.eta_rows:
         assert math.isfinite(row.empirical_avg)
+
+
+def _forbid_runs(monkeypatch):
+    def run_training(*args, **kwargs):
+        raise AssertionError("a training run started before the regime check")
+
+    monkeypatch.setattr(analysis, "run_training", run_training)
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.5])
+def test_verify_bound_rejects_c_at_and_below_regime_before_any_run(monkeypatch, factor):
+    g = make_quadratic_testbed(dim=3, n_clients=2, seed=4).info.g
+    _forbid_runs(monkeypatch)
+    with pytest.raises(RegimeError, match="sqrt"):
+        verify_convergence_bound(
+            dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, c=factor * math.sqrt(2.0) * g
+        )
+
+
+def test_verify_bound_rejects_eta_grid_entry_before_any_run(monkeypatch):
+    l = make_quadratic_testbed(dim=3, n_clients=2, seed=4).info.l
+    _forbid_runs(monkeypatch)
+    with pytest.raises(RegimeError, match="2/L"):
+        verify_convergence_bound(
+            dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=(0.5 / l, 2.5 / l)
+        )
 
 
 def test_verify_bound_rejects_bad_eta():

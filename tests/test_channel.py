@@ -7,7 +7,6 @@ from otafl import (
     ChannelConfig,
     FadingModel,
     StableParams,
-    aggregate,
     measure_snr,
     sample_fading,
     sample_sas,
@@ -49,13 +48,13 @@ def test_rayleigh_unit_mean_and_variance():
 
 def test_aggregate_plain_average():
     cfg = ChannelConfig.ideal()
-    out = aggregate([np.array([1.0, 1.0]), np.array([3.0, 3.0])], np.ones(2), cfg, np.random.default_rng(0))
+    out = transmit([np.array([1.0, 1.0]), np.array([3.0, 3.0])], np.ones(2), cfg, np.random.default_rng(0))[0]
     np.testing.assert_array_equal(out, [2.0, 2.0])
 
 
 def test_aggregate_applies_given_gains():
     cfg = ChannelConfig.ideal()
-    out = aggregate([np.array([2.0])], np.array([0.5]), cfg, np.random.default_rng(0))
+    out = transmit([np.array([2.0])], np.array([0.5]), cfg, np.random.default_rng(0))[0]
     np.testing.assert_array_equal(out, [1.0])
 
 
@@ -73,15 +72,15 @@ def test_aggregate_zero_signal_isolates_noise():
 def test_aggregate_shape_errors():
     cfg = ChannelConfig.ideal()
     with pytest.raises(ValueError):
-        aggregate([np.array([1.0, 2.0]), np.array([1.0])], np.ones(2), cfg, np.random.default_rng(0))
+        transmit([np.array([1.0, 2.0]), np.array([1.0])], np.ones(2), cfg, np.random.default_rng(0))[0]
     with pytest.raises(ValueError):
-        aggregate([np.array([1.0, 2.0])], np.ones(2), cfg, np.random.default_rng(0))
+        transmit([np.array([1.0, 2.0])], np.ones(2), cfg, np.random.default_rng(0))[0]
 
 
 def test_aggregate_linearity_matches_mean():
     rng = np.random.default_rng(3)
     grads = rng.normal(size=(7, 10**4))
-    out = aggregate(grads, np.ones(7), ChannelConfig.ideal(), np.random.default_rng(0))
+    out = transmit(grads, np.ones(7), ChannelConfig.ideal(), np.random.default_rng(0))[0]
     np.testing.assert_allclose(out, grads.mean(axis=0), atol=1e-12)
 
 
@@ -89,8 +88,8 @@ def test_fresh_noise_across_rounds():
     cfg = noisy_channel()
     rng = np.random.default_rng(4)
     grads = np.zeros((2, 50))
-    first = aggregate(grads, np.ones(2), cfg, rng)
-    second = aggregate(grads, np.ones(2), cfg, rng)
+    first = transmit(grads, np.ones(2), cfg, rng)[0]
+    second = transmit(grads, np.ones(2), cfg, rng)[0]
     assert not np.array_equal(first, second)
 
 

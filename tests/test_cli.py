@@ -273,6 +273,10 @@ def test_load_config_validation(tmp_path):
     ("c_grid", "[true]"),
     ("c_grid", "{mac: 3}"),
     ("methods", "3"),
+    ("name", "[a, b]"),
+    ("output_dir", "[a]"),
+    ("dataset_csv", "5"),
+    ("label_column", "[a]"),
 ])
 def test_wrong_typed_field_is_named(tmp_path, capsys, key, value):
     cfg = minimal_config(tmp_path, **{key: value})
@@ -302,6 +306,23 @@ def test_csv_negative_label_exits_2(tmp_path, capsys):
     assert main(["train", str(cfg)]) == 2
     assert "row 11, column 'label'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_csv_nonfinite_feature_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(10)) + "nan,1\n")
+    cfg = minimal_config(
+        tmp_path, model="logistic", n_clients=2, dataset_csv=str(data), methods="[ideal]",
+    )
+    assert main(["train", str(cfg)]) == 2
+    assert "row 11, column 'a': non-finite value 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_csv_null_means_synthetic_data(tmp_path):
+    cfg = minimal_config(tmp_path, model="logistic", dataset_csv="null", methods="[ideal]")
+    assert load_config(cfg).dataset_csv is None
+    assert main(["train", str(cfg)]) == 0
 
 
 def test_csv_dataset_config(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import global_gradient
 from otafl import (
     Dataset,
     LogisticModel,
@@ -10,7 +11,6 @@ from otafl import (
     partition,
     train_test_split,
 )
-from otafl.models import global_gradient
 
 
 def test_synthetic_high_separation_is_linearly_separable():
@@ -145,6 +145,11 @@ def test_load_csv_errors(tmp_path):
     bad_cell.write_text("x1,x2,label\n1.0,2.0,0\noops,2.0,1\n")
     with pytest.raises(ValueError, match=r"row 2, column 'x1'"):
         load_csv_dataset(bad_cell, "label")
+
+    for cell in ("nan", "inf", "-inf"):
+        bad_cell.write_text(f"x1,x2,label\n1.0,2.0,0\n1.0,{cell},1\n")
+        with pytest.raises(ValueError, match=rf"row 2, column 'x2': non-finite value '{cell}'"):
+            load_csv_dataset(bad_cell, "label")
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, global_gradient, local_update
 from otafl import (
     LogisticModel,
     MlpModel,
     QuadraticClientData,
     QuadraticModel,
     compute_smoothness,
-    local_update,
 )
-from otafl.models import global_gradient, global_loss
+from otafl.models import global_loss
 
 
 def make_logistic_data(rng, n=30, p=4, classes=2):
@@ -20,13 +19,17 @@ def make_logistic_data(rng, n=30, p=4, classes=2):
 
 
 def test_quadratic_loss_and_gradient_values():
+    # one-sample payload: x = A[None], y = b[None]
     model = QuadraticModel(2)
-    eye = np.eye(2)
-    assert model.loss(np.zeros(2), eye, np.zeros(2)) == 0.0
-    assert model.loss(np.array([3.0, 4.0]), eye, np.zeros(2)) == 12.5
+    eye = np.eye(2)[None]
+    assert model.loss(np.zeros(2), eye, np.zeros((1, 2))) == 0.0
+    assert model.loss(np.array([3.0, 4.0]), eye, np.zeros((1, 2))) == 12.5
     np.testing.assert_array_equal(
-        model.gradient(np.zeros(2), eye, np.array([1.0, 1.0])), [-1.0, -1.0]
+        model.gradient(np.zeros(2), eye, np.array([[1.0, 1.0]])), [-1.0, -1.0]
     )
+    data = QuadraticClientData(a=np.eye(2), b=np.ones(2))
+    assert data.x.shape == (1, 2, 2) and data.y.shape == (1, 2)
+    assert len(data.y) == 1
 
 
 def test_quadratic_gradient_broadcasts_over_clients():
@@ -36,9 +39,10 @@ def test_quadratic_gradient_broadcasts_over_clients():
     a = a @ a.transpose(0, 2, 1)
     b = rng.normal(size=(4, 3))
     w = rng.normal(size=3)
-    stacked = model.gradient(w, a, b)
+    stacked = model.gradient(w, a[:, None], b[:, None])
+    assert stacked.shape == (4, 3)
     for i in range(4):
-        np.testing.assert_allclose(stacked[i], model.gradient(w, a[i], b[i]), rtol=1e-12)
+        np.testing.assert_allclose(stacked[i], model.gradient(w, a[i][None], b[i][None]), rtol=1e-12)
 
 
 def test_logistic_uniform_prediction_loss():
@@ -86,8 +90,35 @@ def test_quadratic_gradient_matches_finite_differences():
     a = a @ a.T
     b = rng.normal(size=5)
     w = rng.normal(size=5)
-    numeric = finite_difference_gradient(lambda v: model.loss(v, a, b), w)
-    np.testing.assert_allclose(model.gradient(w, a, b), numeric, rtol=1e-4, atol=1e-8)
+    numeric = finite_difference_gradient(lambda v: model.loss(v, a[None], b[None]), w)
+    np.testing.assert_allclose(model.gradient(w, a[None], b[None]), numeric, rtol=1e-4, atol=1e-8)
+
+
+def test_quadratic_samples_are_a_weighted_mean():
+    # several (A_j, b_j) samples: the loss and gradient are the weighted mean
+    # of the one-sample values, and a zero-weight sample drops out
+    rng = np.random.default_rng(12)
+    model = QuadraticModel(3)
+    a = rng.normal(size=(4, 3, 3))
+    a = a @ a.transpose(0, 2, 1)
+    b = rng.normal(size=(4, 3))
+    w = rng.normal(size=3)
+    weight = np.array([1.0, 2.0, 0.0, 1.0])
+    share = weight / weight.sum()
+    singles = [model.gradient(w, a[j][None], b[j][None]) for j in range(4)]
+    losses = [model.loss(w, a[j][None], b[j][None]) for j in range(4)]
+    np.testing.assert_allclose(
+        model.gradient(w, a, b, sample_weight=weight), share @ np.array(singles), rtol=1e-12
+    )
+    assert model.loss(w, a, b, sample_weight=weight) == pytest.approx(share @ np.array(losses), rel=1e-12)
+    keep = [0, 1, 3]
+    np.testing.assert_allclose(
+        model.gradient(w, a, b, sample_weight=(weight > 0).astype(float)),
+        model.gradient(w, a[keep], b[keep]),
+        rtol=1e-12,
+    )
+    numeric = finite_difference_gradient(lambda v: model.loss(v, a, b, sample_weight=weight), w)
+    np.testing.assert_allclose(model.gradient(w, a, b, sample_weight=weight), numeric, rtol=1e-4, atol=1e-8)
 
 
 def test_gradient_sample_weights_match_subset():
@@ -142,29 +173,14 @@ def test_local_update_deterministic_replay():
 
 
 def test_smoothness_quadratic_exact():
-    model = QuadraticModel(2)
     shared = QuadraticClientData(a=np.diag([1.0, 4.0]), b=np.zeros(2))
-    info = compute_smoothness(model, [shared, shared], radius=3.0)
-    assert info.certified
+    info = compute_smoothness([shared, shared], radius=3.0)
     assert info.l == pytest.approx(4.0)
     assert info.f_star == pytest.approx(0.0)
 
     identity = QuadraticClientData(a=np.eye(2), b=np.zeros(2))
-    info = compute_smoothness(model, [identity], radius=2.5)
+    info = compute_smoothness([identity], radius=2.5)
     assert info.g == pytest.approx(2.5)  # ||grad|| = ||w|| on the ball
-
-
-def test_smoothness_logistic_estimate_near_analytic():
-    rng = np.random.default_rng(7)
-    from otafl import ClientDataset
-
-    x, y = make_logistic_data(rng, n=40, p=3)
-    datas = [ClientDataset(x=x, y=y, client_id=0)]
-    model = LogisticModel(3, 2, bias=False)
-    info = compute_smoothness(model, datas, radius=1.0, rng=np.random.default_rng(0), n_probes=300)
-    analytic = np.linalg.eigvalsh(x.T @ x / len(y))[-1] / 4.0
-    assert not info.certified
-    assert analytic / 2.0 <= info.l <= analytic * 2.0
 
 
 def test_quadratic_descent_reaches_minimizer():
