@@ -62,7 +62,6 @@ from .stable_noise import (
     RegimeError,
     StableParams,
     estimate_unclipped_prob,
-    fit_tail_exponent,
     sample_sas,
     tail_prob_simplified,
 )

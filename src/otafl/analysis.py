@@ -45,6 +45,11 @@ _P_FLOOR = 1e-9
 # probability is small; beyond this value rows are flagged.
 _ASYMPTOTE_LIMIT = 0.1
 
+# Quadratic testbed: client curvatures are drawn from [0.5, 1.5], and w0 sits
+# on the sphere of radius 3, which is also the projection ball.
+_EIG_LOW, _EIG_HIGH = 0.5, 1.5
+_W0_NORM = 3.0
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -274,9 +279,6 @@ def make_quadratic_testbed(
     dim: int = 10,
     n_clients: int = 5,
     seed: int = 0,
-    eig_low: float = 0.5,
-    eig_high: float = 1.5,
-    w0_norm: float = 3.0,
     b_scale: float = 0.0,
 ) -> QuadraticTestbed:
     """Random rotated-diagonal quadratic clients with certified constants.
@@ -291,15 +293,15 @@ def make_quadratic_testbed(
     datas = []
     for _ in range(n_clients):
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        eigs = rng.uniform(eig_low, eig_high, size=dim)
+        eigs = rng.uniform(_EIG_LOW, _EIG_HIGH, size=dim)
         a = (q * eigs) @ q.T
         a = 0.5 * (a + a.T)
         b = b_scale * rng.normal(size=dim) if b_scale else np.zeros(dim)
         datas.append(QuadraticClientData(a=a, b=b))
     w0 = rng.normal(size=dim)
-    w0 *= w0_norm / np.linalg.norm(w0)
+    w0 *= _W0_NORM / np.linalg.norm(w0)
     model = QuadraticModel(dim)
-    info = compute_smoothness(datas, radius=w0_norm)
+    info = compute_smoothness(datas, radius=_W0_NORM)
     return QuadraticTestbed(model=model, client_datas=datas, w0=w0, info=info)
 
 

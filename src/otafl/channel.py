@@ -2,8 +2,8 @@
 
 One simulated round receives g = (1/N) * sum_n h_n * grad_n + xi, where the
 h_n are i.i.d. unit-mean fades and xi has i.i.d. symmetric alpha-stable
-entries. Disabling the noise yields the ideal channel used as the
-upper-bound baseline (unit gains, no additive term).
+entries. A channel without a noise law and without fading is the ideal
+channel used as the upper-bound baseline (unit gains, no additive term).
 """
 
 from __future__ import annotations
@@ -57,19 +57,15 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Fading plus noise law for one simulated uplink.
-
-    With noise_enabled=False the channel is ideal: the orchestration layer
-    uses unit gains and no additive noise, regardless of the fading model.
-    """
+    """Fading plus noise law for one simulated uplink; noise=None adds no
+    noise term."""
 
     fading: FadingModel
-    noise: StableParams
-    noise_enabled: bool = True
+    noise: StableParams | None
 
     @classmethod
     def ideal(cls) -> "ChannelConfig":
-        return cls(FadingModel.no_fading(), StableParams(2.0, 1.0), noise_enabled=False)
+        return cls(FadingModel.no_fading(), None)
 
 
 def sample_fading(model: FadingModel, n_clients: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,8 +88,8 @@ def transmit(
     """Faded superposition average plus one fresh noise draw per entry.
 
     Returns (aggregated gradient, noise realization); the noise is None when
-    the channel is ideal. Gains are applied as given, so passing unit gains
-    with noise disabled yields the exact arithmetic mean.
+    the channel has no noise law. Gains are applied as given, so unit gains
+    without noise yield the exact arithmetic mean.
     """
     grads = np.asarray(client_grads, dtype=float)
     if grads.ndim != 2:
@@ -104,7 +100,7 @@ def transmit(
             f"got {gains.size} gains for {grads.shape[0]} client gradients"
         )
     faded_mean = np.mean(gains[:, None] * grads, axis=0)
-    if not cfg.noise_enabled:
+    if cfg.noise is None:
         return faded_mean, None
     noise = sample_sas(cfg.noise, grads.shape[1], rng)
     return faded_mean + noise, noise

@@ -19,6 +19,7 @@ __all__ = [
     "mac_clip",
     "gnc_clip",
     "apply_blockwise",
+    "block_clip_fractions",
     "clip_statistics",
     "split_blocks",
     "merge_blocks",
@@ -100,6 +101,17 @@ def apply_blockwise(blocks: list[np.ndarray], method: ClipMethod) -> list[np.nda
     if method.kind == "mac":
         return [mac_clip(b, method.threshold) for b in blocks]
     return [gnc_clip(b, method.threshold) for b in blocks]
+
+
+def block_clip_fractions(blocks: list[np.ndarray], method: ClipMethod) -> tuple[float, ...]:
+    """Share of each block that the clip method changes: the entries beyond
+    the median-anchored threshold for mac, 1 or 0 by the block norm for gnc,
+    and 0 for none."""
+    if method.kind == "mac":
+        return tuple(1.0 - clip_statistics(b, method.threshold)[1] for b in blocks)
+    if method.kind == "gnc":
+        return tuple(1.0 if np.linalg.norm(b) > method.threshold else 0.0 for b in blocks)
+    return tuple(0.0 for _ in blocks)
 
 
 def clip_statistics(g: np.ndarray, threshold: float) -> tuple[int, float]:

@@ -8,6 +8,7 @@ errors surface with the parser's line/column marker.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -80,6 +81,9 @@ def _check_number(name: str, value) -> None:
     # bool is an int subclass, but `true` in a config is a typo, not a 1
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+    # false for nan, +-inf and integers beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
 
 
 def _check_positive(name: str, value, strict=True) -> None:

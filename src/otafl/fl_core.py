@@ -11,12 +11,12 @@ the others.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelConfig, measure_snr, sample_fading, transmit
-from .clipping import ClipMethod, apply_blockwise, clip_statistics, merge_blocks, split_blocks, vector_median
+from .clipping import ClipMethod, apply_blockwise, block_clip_fractions, merge_blocks, split_blocks, vector_median
 
 __all__ = [
     "FLConfig",
@@ -108,7 +108,6 @@ class TrainResult:
     final_w: np.ndarray
     diverged: bool
     diverged_round: int | None = None
-    final_eval_loss: float | None = None
     final_eval_accuracy: float | None = None
 
 
@@ -221,14 +220,6 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_i
     return grad_sum
 
 
-def _block_clip_fractions(blocks, method: ClipMethod) -> tuple[float, ...]:
-    if method.kind == "mac":
-        return tuple(1.0 - clip_statistics(b, method.threshold)[1] for b in blocks)
-    if method.kind == "gnc":
-        return tuple(1.0 if np.linalg.norm(b) > method.threshold else 0.0 for b in blocks)
-    return tuple(0.0 for _ in blocks)
-
-
 def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, RoundRecord]:
     """Round k from parameters w: local compute, noisy aggregation,
     server-side clipping, global step. Returns the next parameters and the
@@ -247,15 +238,12 @@ def _run_round_inner(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) 
     true_mean = pseudo.mean(axis=0)
 
     rng_ch = channel_rng(cfg.seed, k)
-    if cfg.channel.noise_enabled:
-        gains = sample_fading(cfg.channel.fading, cfg.n_clients, rng_ch)
-    else:
-        gains = np.ones(cfg.n_clients)
+    gains = sample_fading(cfg.channel.fading, cfg.n_clients, rng_ch)
     received, noise = transmit(pseudo, gains, cfg.channel, rng_ch)
     snr_db = measure_snr(true_mean, noise)
 
     blocks = split_blocks(received, task.model.block_layout)
-    clipped_fraction = _block_clip_fractions(blocks, cfg.clip)
+    clipped_fraction = block_clip_fractions(blocks, cfg.clip)
     clipped = merge_blocks(apply_blockwise(blocks, cfg.clip))
 
     w_next = w - cfg.learning_rate * clipped
@@ -285,8 +273,7 @@ def _maybe_eval(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> fl
         return None
     if not np.all(np.isfinite(w)):
         return None
-    _, acc = evaluate(task.model, w, task.eval_data)
-    return acc
+    return evaluate(task.model, w, task.eval_data)
 
 
 def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) -> TrainResult:
@@ -332,27 +319,20 @@ def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) ->
         records.append(record)
         final_w = w
 
-    final_eval_loss = None
-    final_eval_accuracy = None
-    if eval_data is not None:
-        final_eval_loss, final_eval_accuracy = evaluate(model, final_w, eval_data)
     return TrainResult(
         records=records,
         final_w=final_w,
         diverged=diverged,
         diverged_round=diverged_round,
-        final_eval_loss=final_eval_loss,
-        final_eval_accuracy=final_eval_accuracy,
+        final_eval_accuracy=None if eval_data is None else evaluate(model, final_w, eval_data),
     )
 
 
-def evaluate(model, w, data) -> tuple[float, float | None]:
-    """(loss, accuracy) on held-out data; accuracy is None for non-classifiers."""
-    loss = float(model.loss(w, data.x, data.y))
+def evaluate(model, w, data) -> float | None:
+    """Accuracy on held-out data; None for non-classifiers."""
     if not model.is_classifier:
-        return loss, None
-    accuracy = float(np.mean(model.predict(w, data.x) == data.y))
-    return loss, accuracy
+        return None
+    return float(np.mean(model.predict(w, data.x) == data.y))
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +340,16 @@ def evaluate(model, w, data) -> tuple[float, float | None]:
 
 
 def method_variant(cfg: FLConfig, method: str, mac_threshold: float, gnc_threshold: float) -> FLConfig:
-    """Specialize a base config to one of ideal / mac / gnc / none."""
+    """Specialize a base config to one of ideal / mac / gnc / none; the
+    three noisy methods keep the base channel."""
     if method == "ideal":
-        return replace(cfg, clip=ClipMethod.none(), channel=replace(cfg.channel, noise_enabled=False))
-    noisy = replace(cfg.channel, noise_enabled=True)
+        return replace(cfg, clip=ClipMethod.none(), channel=ChannelConfig.ideal())
     if method == "mac":
-        return replace(cfg, clip=ClipMethod.mac(mac_threshold), channel=noisy)
+        return replace(cfg, clip=ClipMethod.mac(mac_threshold))
     if method == "gnc":
-        return replace(cfg, clip=ClipMethod.gnc(gnc_threshold), channel=noisy)
+        return replace(cfg, clip=ClipMethod.gnc(gnc_threshold))
     if method == "none":
-        return replace(cfg, clip=ClipMethod.none(), channel=noisy)
+        return replace(cfg, clip=ClipMethod.none())
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -403,7 +383,6 @@ class SweepRow:
     median_final_loss: float
     n_diverged: int
     best: bool = False
-    accuracies: tuple[float, ...] = field(default=(), repr=False)
 
 
 def _final_loss(result: TrainResult) -> float:
@@ -441,10 +420,10 @@ def run_threshold_sweep(
                 SweepRow(
                     method=method,
                     threshold=float(c),
-                    median_final_accuracy=float(np.nanmedian(accs)) if accs.size else np.nan,
+                    # all NaN for a non-classifier, where nanmedian would warn
+                    median_final_accuracy=float(np.nanmedian(accs)) if np.isfinite(accs).any() else np.nan,
                     median_final_loss=float(np.median(losses)),
                     n_diverged=sum(r.diverged for r in results),
-                    accuracies=tuple(float(a) for a in accs),
                 )
             )
     marked: list[SweepRow] = []

@@ -64,13 +64,11 @@ class QuadraticModel:
 
     is_classifier = False
 
-    def __init__(self, dim: int, block_layout: list[int] | None = None):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self.block_layout = list(block_layout) if block_layout else [dim]
-        if sum(self.block_layout) != dim:
-            raise ValueError(f"block layout {self.block_layout} does not sum to {dim}")
+        self.block_layout = [dim]
 
     def loss(self, w, x, y, sample_weight=None):
         w = np.asarray(w, dtype=float)[..., None, :]
@@ -89,7 +87,7 @@ class QuadraticModel:
         per_sample = (np.asarray(x, dtype=float) @ w[..., None, :, None])[..., 0] - y
         return (wn[..., None, :] @ per_sample)[..., 0, :]
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
 
@@ -127,36 +125,30 @@ def _scalar_or_array(value: np.ndarray):
 
 
 class LogisticModel:
-    """Logistic regression: sigmoid for two classes, softmax beyond."""
+    """Logistic regression with a bias: sigmoid for two classes, softmax
+    beyond. The weights come first, then one bias per logit."""
 
     is_classifier = True
 
-    def __init__(self, feature_dim: int, n_classes: int = 2, bias: bool = True):
+    def __init__(self, feature_dim: int, n_classes: int = 2):
         if feature_dim < 1 or n_classes < 2:
             raise ValueError("feature_dim must be >= 1 and n_classes >= 2")
         self.feature_dim = feature_dim
         self.n_classes = n_classes
-        self.bias = bias
         if n_classes == 2:
-            self.block_layout = [feature_dim] + ([1] if bias else [])
+            self.block_layout = [feature_dim, 1]
         else:
-            self.block_layout = [feature_dim * n_classes] + ([n_classes] if bias else [])
+            self.block_layout = [feature_dim * n_classes, n_classes]
         self.dim = sum(self.block_layout)
 
     def _binary_logits(self, w, x):
         p = self.feature_dim
-        z = (x @ w[..., :p, None])[..., 0]
-        if self.bias:
-            z = z + w[..., p:][..., None, 0]
-        return z
+        return (x @ w[..., :p, None])[..., 0] + w[..., p:][..., None, 0]
 
     def _softmax_logits(self, w, x):
         p, c = self.feature_dim, self.n_classes
         weights = w[..., : p * c].reshape(*w.shape[:-1], p, c)
-        z = x @ weights
-        if self.bias:
-            z = z + w[..., p * c :][..., None, :]
-        return z
+        return x @ weights + w[..., p * c :][..., None, :]
 
     def loss(self, w, x, y, sample_weight=None):
         w = np.asarray(w, dtype=float)
@@ -182,8 +174,6 @@ class LogisticModel:
             z = self._binary_logits(w, x)
             r = (_sigmoid(z) - y.astype(float)) * wn
             gw = (r[..., None, :] @ x)[..., 0, :]
-            if not self.bias:
-                return gw
             gb = np.sum(r, axis=-1)[..., None]
             return np.concatenate([gw, gb], axis=-1)
         c = self.n_classes
@@ -193,8 +183,6 @@ class LogisticModel:
         resid *= wn[..., None]
         gw = np.swapaxes(x, -1, -2) @ resid
         gw = gw.reshape(*gw.shape[:-2], p * c)
-        if not self.bias:
-            return gw
         gb = np.sum(resid, axis=-2)
         return np.concatenate([gw, gb], axis=-1)
 
@@ -203,7 +191,7 @@ class LogisticModel:
             return (self._binary_logits(np.asarray(w, dtype=float), x) > 0.0).astype(int)
         return np.argmax(self._softmax_logits(np.asarray(w, dtype=float), x), axis=-1)
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
 
@@ -312,9 +300,7 @@ class MlpModel:
         _, _, logits = self._forward(np.asarray(w, dtype=float), np.asarray(x, dtype=float))
         return np.argmax(logits, axis=-1)
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
         p, h, c = self.feature_dim, self.hidden_units, self.n_classes
         w1 = rng.normal(0.0, np.sqrt(2.0 / (p + h)), size=p * h)
         w2 = rng.normal(0.0, np.sqrt(2.0 / (h + c)), size=h * c)

@@ -20,7 +20,6 @@ __all__ = [
     "sample_sas",
     "tail_prob_simplified",
     "estimate_unclipped_prob",
-    "fit_tail_exponent",
 ]
 
 
@@ -46,9 +45,6 @@ class StableParams:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-
-    def scaled(self, factor: float) -> "StableParams":
-        return StableParams(self.alpha, self.tau * factor)
 
 
 def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,37 +128,8 @@ def estimate_unclipped_prob(
         if difference_law == "exact":
             deviation = sample_sas(params, size, rng) - sample_sas(params, size, rng)
         else:
-            deviation = sample_sas(params.scaled(math.sqrt(2.0)), size, rng)
+            deviation = sample_sas(StableParams(params.alpha, math.sqrt(2.0) * params.tau), size, rng)
         np.abs(deviation, out=deviation)
         inside += [np.count_nonzero(deviation <= m) for m in margins]
     probs = inside / n_samples
     return float(probs[0]) if thresholds.ndim == 0 else probs
-
-
-def fit_tail_exponent(
-    samples: np.ndarray,
-    start_quantile: float = 0.99,
-    decades: float = 1.0,
-    n_points: int = 20,
-    weighted: bool = True,
-) -> float:
-    """Least-squares slope of log P(|X| > x) against log x.
-
-    The grid spans `decades` decades upward from the `start_quantile` of |X|.
-    Grid points with no exceedances are dropped; with Poisson counting noise
-    the weighted fit uses sqrt(count) weights.
-    """
-    abs_sorted = np.sort(np.abs(np.asarray(samples, dtype=float)))
-    n = abs_sorted.size
-    if n < 100:
-        raise ValueError("too few samples for a tail fit")
-    x0 = abs_sorted[min(n - 1, int(start_quantile * n))]
-    xs = np.logspace(np.log10(x0), np.log10(x0) + decades, n_points)
-    counts = n - np.searchsorted(abs_sorted, xs, side="right")
-    keep = counts > 0
-    xs, counts = xs[keep], counts[keep]
-    if xs.size < 2:
-        raise ValueError("not enough tail mass above the start quantile")
-    weights = np.sqrt(counts) if weighted else None
-    slope = np.polyfit(np.log(xs), np.log(counts / n), 1, w=weights)[0]
-    return float(slope)

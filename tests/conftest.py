@@ -79,3 +79,25 @@ def mac_reference(g, threshold):
         else:
             out[i] = m + math.copysign(threshold, delta)
     return out
+
+
+def fit_tail_exponent(samples, start_quantile=0.99, decades=1.0, n_points=20):
+    """Least-squares slope of log P(|X| > x) against log x.
+
+    The grid spans `decades` decades upward from the `start_quantile` of |X|.
+    Grid points with no exceedances are dropped; with Poisson counting noise
+    the fit uses sqrt(count) weights.
+    """
+    abs_sorted = np.sort(np.abs(np.asarray(samples, dtype=float)))
+    n = abs_sorted.size
+    if n < 100:
+        raise ValueError("too few samples for a tail fit")
+    x0 = abs_sorted[min(n - 1, int(start_quantile * n))]
+    xs = np.logspace(np.log10(x0), np.log10(x0) + decades, n_points)
+    counts = n - np.searchsorted(abs_sorted, xs, side="right")
+    keep = counts > 0
+    xs, counts = xs[keep], counts[keep]
+    if xs.size < 2:
+        raise ValueError("not enough tail mass above the start quantile")
+    slope = np.polyfit(np.log(xs), np.log(counts / n), 1, w=np.sqrt(counts))[0]
+    return float(slope)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradient, gaussian_cdf, ks_distance, mac_reference
+from conftest import finite_difference_gradient, fit_tail_exponent, gaussian_cdf, ks_distance, mac_reference
 from otafl import (
     ChannelConfig,
     ClipMethod,
@@ -28,7 +28,6 @@ from otafl import (
     StableParams,
     clip_survival_report,
     decompose_clip_event,
-    fit_tail_exponent,
     mac_clip,
     make_synthetic_classification,
     partition,

@@ -164,13 +164,15 @@ def test_survival_report_gaussian_oracle_column():
 
 
 def test_quadratic_testbed_constants():
-    tb = make_quadratic_testbed(dim=6, n_clients=3, seed=0, w0_norm=2.0)
-    assert np.linalg.norm(tb.w0) == pytest.approx(2.0)
+    tb = make_quadratic_testbed(dim=6, n_clients=3, seed=0)
+    assert np.linalg.norm(tb.w0) == pytest.approx(3.0)
     a_mean = np.mean([d.a for d in tb.client_datas], axis=0)
     assert tb.info.l == pytest.approx(np.linalg.eigvalsh(a_mean)[-1])
     assert tb.info.f_star == 0.0
     top = max(np.linalg.eigvalsh(d.a)[-1] for d in tb.client_datas)
-    assert tb.info.g == pytest.approx(top * 2.0)
+    assert tb.info.g == pytest.approx(top * 3.0)
+    eigs = np.concatenate([np.linalg.eigvalsh(d.a) for d in tb.client_datas])
+    assert 0.5 - 1e-12 <= eigs.min() and eigs.max() <= 1.5 + 1e-12
 
 
 def test_verify_bound_small_run():

@@ -5,13 +5,17 @@ otafl layer module and every public method of the model classes, and its
 runner fails with a KeyError when a span that BENCHMARK.json lists is
 missing. This test reads BENCHMARK.json and checks each of those names
 against the package, so a rename or a deletion fails here instead of in a
-benchmark run.
+benchmark run. It also checks the bindings the benchmark's own tests pin and
+builds every workload's inputs, so a changed signature of the API the
+workloads call fails here too.
 """
 
 import importlib
 import inspect
 import json
 import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,38 @@ def test_benchmark_span_is_a_public_function(span):
     assert not name.startswith("_") and (defined_here or model_method), (
         f"{span} is neither a public function of otafl.{layer} nor a model method"
     )
+
+
+def test_vector_median_is_bound_where_the_tracer_looks():
+    # bench/test_bench.py asserts the tracer wraps each of these bindings
+    clipping = importlib.import_module("otafl.clipping")
+    for name in ("otafl", "otafl.clipping", "otafl.fl_core", "otafl.analysis"):
+        module = importlib.import_module(name)
+        assert vars(module).get("vector_median") is clipping.vector_median, name
+
+
+def _bench_workloads():
+    """bench/workloads.py as a module, executed from its source so that no
+    bytecode is written under bench/."""
+    path = ROOT / "bench" / "workloads.py"
+    module = types.ModuleType("_bench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def test_benchmark_workloads_build_their_inputs(tmp_path):
+    from otafl.config import load_config
+
+    workloads = _bench_workloads()
+    prepared = {name: w.prepare(0, tmp_path) for name, w in workloads.WORKLOADS.items()}
+    assert all(inputs["seed"] == 0 for inputs in prepared.values())
+    sweep_config = prepared["sweep_logistic_iid"]["config"]
+    assert load_config(sweep_config).c_grid == workloads.SweepLogisticIid.grid
+    model, clients, test = workloads.FlMlpIid.task(0)
+    assert len(clients) == 50 and model.dim == 20 * 32 + 32 + 32 * 2 + 2
+    assert test.x.shape[1] == 20

@@ -1,11 +1,16 @@
 import csv
-from dataclasses import fields
+import math
+import sys
+import time
+import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from otafl.cli import main
-from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides
+from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides, validate
 
 
 def minimal_config(tmp_path, **extra):
@@ -241,6 +246,17 @@ def test_sweep_single_threshold_is_best(tmp_path):
     assert all(r[5] == "True" for r in rows)
 
 
+def test_quadratic_sweep_warns_nothing(tmp_path):
+    # a non-classifier has no accuracy to take the median of
+    cfg = minimal_config(tmp_path, c_grid="[0.5, 1.0]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", str(cfg)]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / "mini_sweep.csv")
+    assert len(rows) == 4
+    assert all(r[2] == "" and math.isfinite(float(r[3])) for r in rows)
+
+
 def test_sweep_requires_grid(tmp_path, capsys):
     cfg = minimal_config(tmp_path, model="logistic", n_samples=40, feature_dim=2, n_clients=2)
     assert main(["sweep", str(cfg)]) == 2
@@ -277,6 +293,11 @@ def test_load_config_validation(tmp_path):
     ("output_dir", "[a]"),
     ("dataset_csv", "5"),
     ("label_column", "[a]"),
+    ("class_separation", ".inf"),
+    ("learning_rate", ".inf"),
+    ("tau", ".inf"),
+    ("projection_radius", ".nan"),
+    ("c_grid", "[1.0, -.inf]"),
 ])
 def test_wrong_typed_field_is_named(tmp_path, capsys, key, value):
     cfg = minimal_config(tmp_path, **{key: value})
@@ -342,3 +363,50 @@ def test_csv_dataset_config(tmp_path):
     )
     assert main(["train", str(cfg)]) == 0
     assert (tmp_path / "out" / "mini_ideal.csv").exists()
+
+
+# Values that a config field may wrongly hold: wrong types, booleans, lists,
+# mappings, null, non-finite floats and numbers outside every field's range.
+_FUZZ_VALUES = (
+    "x", "", True, False, [], [1.0, "a"], [0.5, 2.0], {}, {"mac": [1.0]}, {"a": 1}, None,
+    math.inf, -math.inf, math.nan, [math.nan], {"mac": [math.inf]},
+    -1, 0, 1, 3, 0.5, 2.5, -1e-300, 1e308, -1e308, 10**400,
+)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = [v for vs in value.values() for v in vs]
+    return value if isinstance(value, list) else [value]
+
+
+def test_validate_fuzz_yields_finite_config_or_config_error():
+    # seeded, in the style of acceptance criterion 1: every mutated config
+    # either validates to finite numbers or raises ConfigError, nothing else
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(20240601)
+    defaults = {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(ExperimentConfig(rounds=3)).items()}
+    defaults.update(c_grid=[0.5, 1.0], projection_radius=2.0)
+    names = sorted(defaults)
+    numeric = [k for k, v in defaults.items() if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    outcomes = {"valid": 0, "rejected": 0}
+    for _ in range(1000):
+        raw = dict(defaults)
+        for key in rng.choice(names, size=rng.integers(1, 3), replace=False):
+            raw[str(key)] = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
+        try:
+            cfg = validate(raw)
+        except ConfigError:
+            outcomes["rejected"] += 1
+            continue
+        outcomes["valid"] += 1
+        assert isinstance(cfg, ExperimentConfig)
+        for key in numeric + ["c_grid"]:
+            if getattr(cfg, key) is None and key in ("c_grid", "projection_radius"):
+                continue  # null means "no grid" and "no projection"
+            for v in _numbers(getattr(cfg, key)):
+                assert isinstance(v, (int, float)) and not isinstance(v, bool), (key, raw[key])
+                assert abs(v) <= sys.float_info.max, (key, raw[key])
+    assert min(outcomes.values()) >= 25, outcomes  # both branches are exercised
+    assert time.perf_counter() - t0 < 2.0

@@ -54,19 +54,20 @@ def test_logistic_uniform_prediction_loss():
 
 
 def test_logistic_boundary_gradient_is_half_feature():
-    # one sample on the decision boundary: sigmoid residual is exactly 0.5
-    model = LogisticModel(3, 2, bias=False)
+    # one sample on the decision boundary: sigmoid residual is exactly 0.5,
+    # on the weights (times the feature) and on the bias (times one)
+    model = LogisticModel(3, 2)
     x = np.array([[2.0, -1.0, 0.5]])
     for label, sign in [(0, 0.5), (1, -0.5)]:
-        g = model.gradient(np.zeros(3), x, np.array([label]))
-        np.testing.assert_allclose(g, sign * x[0], rtol=1e-15)
+        g = model.gradient(np.zeros(model.dim), x, np.array([label]))
+        np.testing.assert_allclose(g, sign * np.append(x[0], 1.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize(
     "model,classes",
     [
         (LogisticModel(4, 2), 2),
-        (LogisticModel(4, 2, bias=False), 2),
+        (MlpModel(4, 6, 2, activation="relu", loss_kind="squared_error"), 2),
         (LogisticModel(4, 3), 3),
         (MlpModel(4, 6, 3, activation="tanh"), 3),
         (MlpModel(4, 6, 2, activation="relu"), 2),

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian_cdf, ks_distance
+from conftest import fit_tail_exponent, gaussian_cdf, ks_distance
 from otafl import (
     RegimeError,
     StableParams,
     estimate_unclipped_prob,
-    fit_tail_exponent,
     sample_sas,
     tail_prob_simplified,
 )
