@@ -46,6 +46,7 @@ from .fl_core import (
     compare_methods,
     evaluate,
     method_variant,
+    run_replicas,
     run_round,
     run_threshold_sweep,
     run_training,

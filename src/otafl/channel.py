@@ -9,6 +9,7 @@ channel used as the upper-bound baseline (unit gains, no additive term).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,37 +84,38 @@ def transmit(
     client_grads: np.ndarray | list[np.ndarray],
     gains: np.ndarray,
     cfg: ChannelConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Faded superposition average plus one fresh noise draw per entry.
 
-    Returns (aggregated gradient, noise realization); the noise is None when
-    the channel has no noise law. Gains are applied as given, so unit gains
-    without noise yield the exact arithmetic mean.
+    Takes (N, d) gradients, N gains and one generator, or (R, N, d), (R, N)
+    and R generators for R replicas, each drawing its noise from its own.
+    Returns (aggregated gradient, noise realization), a row per replica; the
+    noise is None when the channel has no noise law. Gains are applied as
+    given, so unit gains without noise yield the exact arithmetic mean.
     """
     grads = np.asarray(client_grads, dtype=float)
-    if grads.ndim != 2:
+    if grads.ndim not in (2, 3):
         raise ValueError("client gradients must all share one dimension")
     gains = np.asarray(gains, dtype=float)
-    if gains.shape != (grads.shape[0],):
-        raise ValueError(
-            f"got {gains.size} gains for {grads.shape[0]} client gradients"
-        )
-    faded_mean = np.mean(gains[:, None] * grads, axis=0)
+    if gains.shape != grads.shape[:-1]:
+        raise ValueError(f"got gains of shape {gains.shape} for client gradients of shape {grads.shape}")
+    faded_mean = np.mean(gains[..., None] * grads, axis=-2)
     if cfg.noise is None:
         return faded_mean, None
-    noise = sample_sas(cfg.noise, grads.shape[1], rng)
+    rngs = [rng] if grads.ndim == 2 else rng
+    noise = np.stack([sample_sas(cfg.noise, grads.shape[-1], r) for r in rngs]).reshape(faded_mean.shape)
     return faded_mean + noise, noise
 
 
-def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray | None) -> float:
-    """10*log10(||signal||^2 / ||noise||^2); +inf on the ideal channel."""
-    if noise_realization is None:
-        return math.inf
-    noise_power = float(np.sum(np.square(noise_realization)))
-    if noise_power == 0.0:
-        return math.inf
-    signal_power = float(np.sum(np.square(np.asarray(true_grad, dtype=float))))
-    if signal_power == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(signal_power / noise_power)
+def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray | None) -> float | np.ndarray:
+    """10*log10(||signal||^2 / ||noise||^2) along the last axis; +inf on the
+    ideal channel and for zero noise, -inf for zero signal."""
+    signal = np.sum(np.square(np.asarray(true_grad, dtype=float)), axis=-1)
+    noise = np.zeros_like(signal) if noise_realization is None else np.sum(np.square(noise_realization), axis=-1)
+    # math.log10, not np.log10: numpy's SIMD log can differ in the last bit
+    snr = [
+        math.inf if n == 0.0 else -math.inf if s == 0.0 else 10.0 * math.log10(s / n)
+        for s, n in zip(np.ravel(signal).tolist(), np.ravel(noise).tolist())
+    ]
+    return snr[0] if signal.ndim == 0 else np.reshape(snr, signal.shape)

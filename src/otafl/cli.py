@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -279,11 +279,19 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
-def _float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """A finite number; argparse names the flag when this raises."""
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite_float(v) for v in text.split(",") if v != ""]
 
 
 def _int_list(text: str) -> list[int]:
@@ -309,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     l1 = sub.add_parser("lemma1", help="clip-survival probabilities and tail exponents")
     l1.add_argument("--alphas", type=_float_list, default=[1.1, 1.5, 1.9])
-    l1.add_argument("--tau", type=float, default=0.1)
+    l1.add_argument("--tau", type=_finite_float, default=0.1)
     l1.add_argument("--c-grid", type=_float_list, default=[float(c) for c in np.logspace(0, 1, 6)])
-    l1.add_argument("--g", type=float, default=0.0, help="per-client gradient norm bound")
+    l1.add_argument("--g", type=_finite_float, default=0.0, help="per-client gradient norm bound")
     l1.add_argument("--samples", type=int, default=10**6)
     l1.add_argument("--seed", type=int, default=0)
     l1.add_argument("--difference-law", choices=["exact", "sqrt2"], default="exact")
@@ -323,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--n-clients", type=int, default=5)
     t1.add_argument("--k-grid", type=_int_list, default=[10, 100, 1000])
     t1.add_argument("--seeds", type=int, default=20)
-    t1.add_argument("--alpha", type=float, default=1.5)
-    t1.add_argument("--tau", type=float, default=0.1)
-    t1.add_argument("--eta", type=float, default=None, help="defaults to 1/L")
-    t1.add_argument("--c", type=float, default=None, help="defaults to 2*sqrt(2)*G")
+    t1.add_argument("--alpha", type=_finite_float, default=1.5)
+    t1.add_argument("--tau", type=_finite_float, default=0.1)
+    t1.add_argument("--eta", type=_finite_float, default=None, help="defaults to 1/L")
+    t1.add_argument("--c", type=_finite_float, default=None, help="defaults to 2*sqrt(2)*G")
     t1.add_argument("--seed", type=int, default=0)
     t1.add_argument("--fading", choices=["none", "rayleigh"], default="none")
     t1.add_argument("--ideal", action="store_true", help="noiseless channel, classical bound")

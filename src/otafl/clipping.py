@@ -5,6 +5,10 @@ entry, clips each deviation to a threshold C, and adds the median back, so
 extreme entries are pulled to within C of the median while typical entries
 pass through untouched. Gradient norm clipping ("gnc") rescales the whole
 vector so its Euclidean norm does not exceed C.
+
+Every function works along the last axis, so a stack of vectors, one per row,
+is clipped row by row in one call; each row comes out exactly as it would
+alone.
 """
 
 from __future__ import annotations
@@ -57,14 +61,23 @@ class ClipMethod:
         return cls("none")
 
 
-def vector_median(v: np.ndarray) -> float:
+def vector_median(v: np.ndarray) -> float | np.ndarray:
     """Median of a vector's entries; the mean of the two middle order
-    statistics when the length is even."""
+    statistics when the length is even. A float for a vector, one median per
+    row for a stack of them; a row holding nan has a nan median."""
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("vector_median of an empty vector")
-    # np.median selects via introspective partition, expected linear time.
-    return float(np.median(v))
+    # np.median bit for bit without its wrapper's overhead: the same
+    # partition (introspective select, expected linear time) of the middle
+    # order statistics and of the last entry, where any nan of a row lands,
+    # and the same mean, whose sum starts from +0.0
+    n = v.shape[-1]
+    h = n // 2
+    part = np.partition(v, [h, -1] if n % 2 else [h - 1, h, -1], axis=-1)
+    m = 0.0 + part[..., h] if n % 2 else (0.0 + part[..., h - 1] + part[..., h]) / 2.0
+    m = np.where(np.isnan(part[..., -1]), part[..., -1], m)
+    return float(m) if m.ndim == 0 else m
 
 
 def mac_clip(g: np.ndarray, threshold: float) -> np.ndarray:
@@ -77,7 +90,7 @@ def mac_clip(g: np.ndarray, threshold: float) -> np.ndarray:
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     g = np.asarray(g, dtype=float)
-    m = vector_median(g)
+    m = np.asarray(vector_median(g))[..., None]
     deviation = g - m
     inside = np.abs(deviation) <= threshold
     return np.where(inside, g, m + np.sign(deviation) * threshold)
@@ -88,10 +101,10 @@ def gnc_clip(g: np.ndarray, threshold: float) -> np.ndarray:
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
-    if norm <= threshold:
-        return g.copy()
-    return g * (threshold / norm)
+    # sqrt(vecdot) is np.linalg.norm bit for bit; the factor is exactly 1
+    # wherever the norm is within the threshold
+    with np.errstate(divide="ignore"):
+        return g * np.minimum(1.0, threshold / np.sqrt(np.vecdot(g, g)))[..., None]
 
 
 def apply_blockwise(blocks: list[np.ndarray], method: ClipMethod) -> list[np.ndarray]:
@@ -103,39 +116,43 @@ def apply_blockwise(blocks: list[np.ndarray], method: ClipMethod) -> list[np.nda
     return [gnc_clip(b, method.threshold) for b in blocks]
 
 
-def block_clip_fractions(blocks: list[np.ndarray], method: ClipMethod) -> tuple[float, ...]:
-    """Share of each block that the clip method changes: the entries beyond
-    the median-anchored threshold for mac, 1 or 0 by the block norm for gnc,
-    and 0 for none."""
+def block_clip_fractions(blocks: list[np.ndarray], method: ClipMethod) -> np.ndarray:
+    """Share of each block that the clip method changes, blocks on the last
+    axis: the entries beyond the median-anchored threshold for mac, 1 or 0 by
+    the block norm for gnc, and 0 for none."""
     if method.kind == "mac":
-        return tuple(1.0 - clip_statistics(b, method.threshold)[1] for b in blocks)
-    if method.kind == "gnc":
-        return tuple(1.0 if np.linalg.norm(b) > method.threshold else 0.0 for b in blocks)
-    return tuple(0.0 for _ in blocks)
+        shares = [1.0 - clip_statistics(b, method.threshold)[1] for b in blocks]
+    elif method.kind == "gnc":
+        shares = [(np.sqrt(np.vecdot(b, b)) > method.threshold) * 1.0 for b in blocks]
+    else:
+        shares = [np.zeros(np.shape(b)[:-1]) for b in blocks]
+    return np.stack(shares, axis=-1)
 
 
-def clip_statistics(g: np.ndarray, threshold: float) -> tuple[int, float]:
-    """(number of entries beyond the median-anchored threshold, unclipped fraction).
+def clip_statistics(g: np.ndarray, threshold: float) -> tuple[int | np.ndarray, float | np.ndarray]:
+    """(number of entries beyond the median-anchored threshold, unclipped
+    fraction), per row for a stack of vectors.
 
     A deviation exactly equal to the threshold counts as unclipped.
     """
     g = np.asarray(g, dtype=float)
     if g.size == 0:
         raise ValueError("clip_statistics of an empty vector")
-    deviation = np.abs(g - vector_median(g))
-    clipped = int(np.count_nonzero(deviation > threshold))
-    return clipped, 1.0 - clipped / g.size
+    deviation = np.abs(g - np.asarray(vector_median(g))[..., None])
+    clipped = np.count_nonzero(deviation > threshold, axis=-1)
+    return clipped, 1.0 - clipped / g.shape[-1]
 
 
 def split_blocks(flat: np.ndarray, layout: list[int]) -> list[np.ndarray]:
-    """Split a flat parameter vector into consecutive blocks of given lengths."""
+    """Split a flat parameter vector (the last axis) into consecutive blocks
+    of given lengths."""
     flat = np.asarray(flat)
-    if sum(layout) != flat.size:
-        raise ValueError(f"block layout {layout} does not sum to vector length {flat.size}")
+    if sum(layout) != flat.shape[-1]:
+        raise ValueError(f"block layout {layout} does not sum to vector length {flat.shape[-1]}")
     bounds = np.cumsum(layout)[:-1]
-    return np.split(flat, bounds)
+    return np.split(flat, bounds, axis=-1)
 
 
 def merge_blocks(blocks: list[np.ndarray]) -> np.ndarray:
     """Concatenate parameter blocks back into one flat vector."""
-    return np.concatenate([np.asarray(b) for b in blocks])
+    return np.concatenate([np.asarray(b) for b in blocks], axis=-1)

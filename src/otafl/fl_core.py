@@ -6,17 +6,22 @@ average, the server clips the received vector block-wise, takes a gradient
 step, and broadcasts again. Client, channel, and init randomness derive from
 independent, round-keyed child seeds, so changing one stream never perturbs
 the others.
+
+One round loop can carry R replicas of a run: replica r is the run at seed
+`cfg.seed + r`, row r of the (R, d) parameters, and it draws from its own
+streams, so it comes out bit for bit as that run alone would.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelConfig, measure_snr, sample_fading, transmit
-from .clipping import ClipMethod, apply_blockwise, block_clip_fractions, merge_blocks, split_blocks, vector_median
+from .clipping import ClipMethod, apply_blockwise, block_clip_fractions, gnc_clip, merge_blocks, split_blocks, vector_median
 
 __all__ = [
     "FLConfig",
@@ -27,6 +32,7 @@ __all__ = [
     "init_rng",
     "prepare_task",
     "run_round",
+    "run_replicas",
     "run_training",
     "evaluate",
     "compare_methods",
@@ -82,7 +88,7 @@ class FLConfig:
             raise ValueError("projection_radius must be positive when set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """Per-round telemetry."""
 
@@ -125,32 +131,45 @@ class _Step:
 @dataclass(frozen=True)
 class _PreparedTask:
     """Client payloads stacked into tensors padded to the largest client,
-    plus the plan of local steps, for vectorized rounds."""
+    once per replica, plus the plan of local steps, for vectorized rounds."""
 
     model: object
     n_clients: int
+    n_replicas: int
     eval_data: object | None
-    x: np.ndarray
+    x: np.ndarray  # (n_replicas * n_clients, samples, ...); replica r's clients are rows r*N ... r*N+N-1
     y: np.ndarray
     mask: np.ndarray | None  # None when no client is padded
     steps: tuple[_Step, ...]
     shuffled: tuple[tuple[int, int], ...]  # (client, size) where a batch is smaller than the data
 
 
-def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _PreparedTask:
+def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None, n_replicas: int = 1) -> _PreparedTask:
     """Stack client payloads and plan the local steps of `cfg` once, so every
-    round is a handful of array ops."""
+    round is a handful of array ops. The payloads are stacked once per
+    replica; replicas share the step plan, so more than one replica needs
+    clients that never shuffle (batch_size at least the client's size).
+    """
     n = len(client_datas)
     if n < 1:
         raise ValueError("need at least one client")
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     sizes = np.array([len(d.y) for d in client_datas])
     if sizes.min() < 1:
         raise ValueError("every client needs at least one sample")
+    shuffled = tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m)
+    if shuffled and n_replicas > 1:
+        i, m = shuffled[0]
+        raise ValueError(f"replicas need clients that never shuffle; client {i} has {m} samples, batch_size is {cfg.batch_size}")
+    client_datas = list(client_datas) * n_replicas
+    sizes = np.tile(sizes, n_replicas)
+    rows = n * n_replicas
     m_max = int(sizes.max())
     first = client_datas[0]
-    x = np.zeros((n, m_max) + first.x.shape[1:])
-    y = np.zeros((n, m_max) + first.y.shape[1:], dtype=first.y.dtype)
-    mask = np.zeros((n, m_max))
+    x = np.zeros((rows, m_max) + first.x.shape[1:])
+    y = np.zeros((rows, m_max) + first.y.shape[1:], dtype=first.y.dtype)
+    mask = np.zeros((rows, m_max))
     for i, d in enumerate(client_datas):
         m = len(d.y)
         x[i, :m] = d.x
@@ -168,23 +187,25 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _Prepare
         weight = mask[active, cols]
         steps.append(_Step(
             cols=cols,
-            active=active if active.size < n else slice(None),
+            active=active if active.size < rows else slice(None),
             weight=None if weight.all() else weight,
         ))
     return _PreparedTask(
         model=model,
         n_clients=n,
+        n_replicas=n_replicas,
         eval_data=eval_data,
         x=x,
         y=y,
         mask=None if mask.all() else mask,
         steps=tuple(steps),
-        shuffled=tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m),
+        shuffled=shuffled,
     )
 
 
 def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_idx: int) -> np.ndarray:
-    """Pseudo-gradient of every client, stacked to (N, d).
+    """Pseudo-gradient of every client of every replica, stacked to
+    (R*N, d) for parameters w of shape (R, d).
 
     Row n reproduces the naive per-client oracle `local_update` of
     tests/conftest.py for client n driven by client_rng(cfg.seed, round_idx, n):
@@ -193,22 +214,22 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_i
     coincide with the global windows [t*batch, (t+1)*batch) over each
     client's shuffled list, so every step is an aligned slice of one
     per-epoch gather. A one-sample client takes `local_epochs` full-gradient
-    steps.
+    steps. Only single-replica tasks shuffle.
     """
     model, lr = task.model, cfg.learning_rate
-    n = task.n_clients
+    rows = task.x.shape[0]
     rngs = [(i, m, client_rng(cfg.seed, round_idx, i)) for i, m in task.shuffled]
     xr, yr = task.x, task.y
-    grad_sum = np.zeros((n, w.size))
-    w_local = np.repeat(w[None], n, axis=0)
+    grad_sum = np.zeros((rows, w.shape[-1]))
+    w_local = np.repeat(w, task.n_clients, axis=0)
     for _ in range(cfg.local_epochs):
         if rngs:
-            order = np.repeat(np.arange(task.y.shape[1])[None], n, axis=0)
+            order = np.repeat(np.arange(task.y.shape[1])[None], rows, axis=0)
             for i, m, rng in rngs:
                 order[i, :m] = rng.permutation(m)
-            rows = np.arange(n)[:, None]
-            xr = task.x[rows, order]
-            yr = task.y[rows, order]
+            row_idx = np.arange(rows)[:, None]
+            xr = task.x[row_idx, order]
+            yr = task.y[row_idx, order]
         for step in task.steps:
             active = step.active
             g = model.gradient(
@@ -220,26 +241,35 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_i
     return grad_sum
 
 
-def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, RoundRecord]:
-    """Round k from parameters w: local compute, noisy aggregation,
-    server-side clipping, global step. Returns the next parameters and the
-    round's record.
+def _by_replica(a: np.ndarray | None, n_replicas: int) -> np.ndarray | None:
+    """View of a stacked (R*N, ...) client array as (R, N, ...)."""
+    return None if a is None else a.reshape((n_replicas, -1) + a.shape[1:])
+
+
+def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, list[RoundRecord]]:
+    """Round k from parameters w of shape (R, d), one row per replica: local
+    compute, noisy aggregation, server-side clipping, global step. Returns
+    the next parameters and one record per replica.
 
     Arithmetic overflow is silenced: an exploding unclipped baseline is a
-    measured outcome, handled by the divergence policy in run_training.
+    measured outcome, handled by the divergence policy in run_replicas.
     """
+    if w.shape != (task.n_replicas, task.model.dim):
+        raise ValueError(f"parameters must have shape ({task.n_replicas}, {task.model.dim}), got {w.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         return _run_round_inner(w, k, cfg, task)
 
 
-def _run_round_inner(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, RoundRecord]:
+def _run_round_inner(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, list[RoundRecord]]:
     t0 = time.perf_counter()
-    pseudo = _pseudo_gradients(task, w, cfg, k)
-    true_mean = pseudo.mean(axis=0)
+    n_rep = task.n_replicas
+    pseudo = _by_replica(_pseudo_gradients(task, w, cfg, k), n_rep)
+    true_mean = pseudo.mean(axis=1)
 
-    rng_ch = channel_rng(cfg.seed, k)
-    gains = sample_fading(cfg.channel.fading, cfg.n_clients, rng_ch)
-    received, noise = transmit(pseudo, gains, cfg.channel, rng_ch)
+    # each replica draws its fades, then its noise, from its own stream
+    rngs = [channel_rng(cfg.seed + r, k) for r in range(n_rep)]
+    gains = np.stack([sample_fading(cfg.channel.fading, cfg.n_clients, rng) for rng in rngs])
+    received, noise = transmit(pseudo, gains, cfg.channel, rngs)
     snr_db = measure_snr(true_mean, noise)
 
     blocks = split_blocks(received, task.model.block_layout)
@@ -248,84 +278,107 @@ def _run_round_inner(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) 
 
     w_next = w - cfg.learning_rate * clipped
     if cfg.projection_radius is not None:
-        norm = float(np.linalg.norm(w_next))
-        if norm > cfg.projection_radius:
-            w_next = w_next * (cfg.projection_radius / norm)
+        # projection onto the ball is norm clipping at its radius
+        w_next = gnc_clip(w_next, cfg.projection_radius)
 
-    loss = float(np.mean(task.model.loss(w, task.x, task.y, sample_weight=task.mask)))
-    record = RoundRecord(
-        round=k,
-        global_loss=loss,
-        grad_norm_sq=float(np.sum(true_mean**2)),
-        snr_db=snr_db,
-        clipped_fraction=clipped_fraction,
-        update_norm=float(np.linalg.norm(w_next - w)),
-        median_mean_gap=abs(vector_median(received) - float(np.mean(received))),
-        eval_accuracy=_maybe_eval(task, w_next, cfg, k),
-        wall_time=time.perf_counter() - t0,
-    )
-    return w_next, record
+    loss = task.model.loss(
+        w[:, None], _by_replica(task.x, n_rep), _by_replica(task.y, n_rep),
+        sample_weight=_by_replica(task.mask, n_rep),
+    ).mean(axis=-1)
+    step = w_next - w
+    per_replica = {
+        "global_loss": loss.tolist(),
+        "grad_norm_sq": np.sum(true_mean**2, axis=-1).tolist(),
+        "snr_db": snr_db.tolist(),
+        "clipped_fraction": [tuple(f) for f in clipped_fraction.tolist()],
+        "update_norm": np.sqrt(np.vecdot(step, step)).tolist(),
+        "median_mean_gap": np.abs(vector_median(received) - np.mean(received, axis=-1)).tolist(),
+        "eval_accuracy": _eval_accuracies(task, w_next, cfg, k),
+    }
+    wall_time = time.perf_counter() - t0
+    return w_next, [
+        RoundRecord(round=k, wall_time=wall_time, **dict(zip(per_replica, values)))
+        for values in zip(*per_replica.values())
+    ]
 
 
-def _maybe_eval(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> float | None:
+def _eval_accuracies(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> list[float | None]:
     due = (k + 1) % cfg.eval_every == 0 or k == cfg.rounds - 1
     if task.eval_data is None or not task.model.is_classifier or not due:
-        return None
-    if not np.all(np.isfinite(w)):
-        return None
-    return evaluate(task.model, w, task.eval_data)
+        return [None] * len(w)
+    return [
+        evaluate(task.model, row, task.eval_data) if np.all(np.isfinite(row)) else None
+        for row in w
+    ]
 
 
-def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) -> TrainResult:
-    """Run `cfg.rounds` rounds; stops early once the run diverges.
+def run_replicas(cfg: FLConfig, model, client_datas, n_replicas: int, eval_data=None, w0=None) -> list[TrainResult]:
+    """Run `cfg.rounds` rounds of `n_replicas` replicas in one round loop.
+
+    Replica r is the run at seed `cfg.seed + r`, started from `w0` or else
+    from `init_params(init_rng(cfg.seed + r))`; its result equals
+    `run_training` at that seed bit for bit, but for `wall_time`, which is
+    the batched round's. More than one replica needs clients that never
+    shuffle (see `prepare_task`).
 
     Divergence (loss beyond 1e6 times the initial loss, or any non-finite
     value) is recorded on the terminal round record rather than raised: the
-    unclipped baseline is expected to blow up under heavy-tailed noise.
+    unclipped baseline is expected to blow up under heavy-tailed noise. A
+    diverged replica gets no further records and keeps its last finite
+    iterate; the loop stops once every replica has diverged.
     """
     if len(client_datas) != cfg.n_clients:
         raise ValueError(
             f"config expects {cfg.n_clients} clients, got {len(client_datas)} datasets"
         )
-    task = prepare_task(model, client_datas, cfg, eval_data)
-    w = np.asarray(w0, dtype=float).copy() if w0 is not None else model.init_params(init_rng(cfg.seed))
-    if w.shape != (model.dim,):
-        raise ValueError(f"initial parameters must have shape ({model.dim},), got {w.shape}")
+    task = prepare_task(model, client_datas, cfg, eval_data, n_replicas)
+    starts = [model.init_params(init_rng(cfg.seed + r)) if w0 is None else w0 for r in range(n_replicas)]
+    w = np.array(starts, dtype=float)
+    if w.shape[1:] != (model.dim,):
+        raise ValueError(f"initial parameters must have shape ({model.dim},), got {w.shape[1:]}")
     if not np.all(np.isfinite(w)):
         raise ValueError("initial parameters must be finite")
 
-    records: list[RoundRecord] = []
-    loss_ceiling = None
-    diverged = False
-    diverged_round = None
-    final_w = w
+    records: list[list[RoundRecord]] = [[] for _ in range(n_replicas)]
+    loss_ceiling: list[float | None] = [None] * n_replicas
+    diverged_round: list[int | None] = [None] * n_replicas
+    final_w = list(w)
     for k in range(cfg.rounds):
         w_before = w
-        w, record = run_round(w, k, cfg, task)
-        if loss_ceiling is None and np.isfinite(record.global_loss):
-            loss_ceiling = _DIVERGENCE_FACTOR * max(1.0, abs(record.global_loss))
-        blew_up = (
-            not np.isfinite(record.global_loss)
-            or (loss_ceiling is not None and record.global_loss > loss_ceiling)
-            or not np.all(np.isfinite(w))
-        )
-        if blew_up:
-            records.append(replace(record, diverged=True))
-            diverged = True
-            diverged_round = k
-            # keep the last finite iterate for downstream evaluation
-            final_w = w if np.all(np.isfinite(w)) else w_before
+        w, round_records = run_round(w, k, cfg, task)
+        finite = np.isfinite(w).all(axis=-1).tolist()
+        for r, record in enumerate(round_records):
+            if diverged_round[r] is not None:
+                continue
+            loss = record.global_loss
+            if loss_ceiling[r] is None and math.isfinite(loss):
+                loss_ceiling[r] = _DIVERGENCE_FACTOR * max(1.0, abs(loss))
+            ceiling = loss_ceiling[r]
+            if not math.isfinite(loss) or (ceiling is not None and loss > ceiling) or not finite[r]:
+                record = replace(record, diverged=True)
+                diverged_round[r] = k
+            records[r].append(record)
+            # a diverged replica keeps its last finite iterate for downstream evaluation
+            final_w[r] = w[r] if finite[r] else w_before[r]
+        if None not in diverged_round:
             break
-        records.append(record)
-        final_w = w
 
-    return TrainResult(
-        records=records,
-        final_w=final_w,
-        diverged=diverged,
-        diverged_round=diverged_round,
-        final_eval_accuracy=None if eval_data is None else evaluate(model, final_w, eval_data),
-    )
+    return [
+        TrainResult(
+            records=records[r],
+            final_w=final_w[r],
+            diverged=diverged_round[r] is not None,
+            diverged_round=diverged_round[r],
+            final_eval_accuracy=None if eval_data is None else evaluate(model, final_w[r], eval_data),
+        )
+        for r in range(n_replicas)
+    ]
+
+
+def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) -> TrainResult:
+    """Run `cfg.rounds` rounds of one run; stops early once it diverges (see
+    run_replicas)."""
+    return run_replicas(cfg, model, client_datas, 1, eval_data, w0)[0]
 
 
 def evaluate(model, w, data) -> float | None:

@@ -43,8 +43,8 @@ class StableParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
 def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.ndarray:

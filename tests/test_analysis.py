@@ -15,7 +15,7 @@ from otafl import (
     make_quadratic_testbed,
     verify_convergence_bound,
 )
-from otafl import analysis
+from otafl import analysis, fl_core
 from otafl.stable_noise import StableParams, sample_sas
 
 
@@ -208,11 +208,54 @@ def test_verify_bound_eta_sweep_rows():
         assert math.isfinite(row.empirical_avg)
 
 
-def _forbid_runs(monkeypatch):
-    def run_training(*args, **kwargs):
-        raise AssertionError("a training run started before the regime check")
+def test_bound_check_batches_its_seeds(monkeypatch):
+    # the seeds run as replicas of one round loop: one run_round call per
+    # round, not one per round and seed
+    calls = []
+    run_round = fl_core.run_round
 
-    monkeypatch.setattr(analysis, "run_training", run_training)
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(fl_core, "run_round", counting)
+    verify_convergence_bound(dim=3, n_clients=2, k_grid=(7,), n_seeds=4)
+    assert calls == list(range(7))
+
+
+def test_bound_check_batches_change_no_number(monkeypatch):
+    # batches of 2 seeds (14 round records at 7 rounds) report exactly what
+    # one batch of all 5 seeds reports
+    kwargs = dict(dim=3, n_clients=2, k_grid=(3, 7), n_seeds=5, seed=2, fading="rayleigh")
+    whole = verify_convergence_bound(**kwargs)
+    monkeypatch.setattr(analysis, "_RECORDS_PER_BATCH", 14)
+    batched = verify_convergence_bound(**kwargs)
+    assert batched.rows == whole.rows
+    assert batched.p_unclipped_empirical == whole.p_unclipped_empirical
+    assert batched.median_mean_gap == whole.median_mean_gap
+
+
+class _RunStarted(AssertionError):
+    pass
+
+
+def _forbid_runs(monkeypatch):
+    # Patches the engine entry point that _grad_norm_matrix calls. A name it
+    # does not call would let the "before any run" tests pass vacuously, so
+    # the positive control below checks that this one is reached.
+    def run_replicas(*args, **kwargs):
+        raise _RunStarted("a training run started before the regime check")
+
+    monkeypatch.setattr(analysis, "run_replicas", run_replicas)
+
+
+def test_forbid_runs_reaches_the_engine_on_valid_input(monkeypatch):
+    l = make_quadratic_testbed(dim=3, n_clients=2, seed=4).info.l
+    _forbid_runs(monkeypatch)
+    with pytest.raises(_RunStarted):
+        verify_convergence_bound(
+            dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=(0.5 / l,)
+        )
 
 
 @pytest.mark.parametrize("factor", [1.0, 0.5])

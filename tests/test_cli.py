@@ -195,6 +195,25 @@ def test_theorem1_refuses_bad_eta(tmp_path, capsys):
     assert "2/L" in capsys.readouterr().err
 
 
+_LEMMA1_SMALL = ["lemma1", "--alphas", "1.5", "--c-grid", "1,2", "--samples", "1000"]
+_THEOREM1_SMALL = ["theorem1", "--dim", "3", "--n-clients", "2", "--k-grid", "5", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_LEMMA1_SMALL + ["--g", "nan"], "--g"),  # was a StopIteration traceback
+    (_THEOREM1_SMALL + ["--c", "inf"], "--c"),  # was exit 0 with nan bounds
+    (_LEMMA1_SMALL + ["--tau", "inf"], "--tau"),  # was exit 0, every clip probability 1
+    (["lemma1", "--alphas", "1.5", "--c-grid", "1,nan", "--samples", "1000"], "--c-grid"),
+])
+def test_nonfinite_float_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theorem1_ideal_flag(tmp_path):
     out = tmp_path / "t1.csv"
     assert main([

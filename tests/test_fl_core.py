@@ -10,18 +10,21 @@ from otafl import (
     FadingModel,
     FLConfig,
     LogisticModel,
+    MlpModel,
     PartitionSpec,
     QuadraticClientData,
     QuadraticModel,
     StableParams,
     evaluate,
     make_synthetic_classification,
+    method_variant,
     partition,
     run_threshold_sweep,
     run_training,
     train_test_split,
 )
-from otafl.fl_core import _pseudo_gradients, client_rng, compare_methods, prepare_task, run_round
+from otafl.analysis import make_quadratic_testbed
+from otafl.fl_core import _pseudo_gradients, client_rng, compare_methods, prepare_task, run_replicas, run_round
 
 
 def quadratic_clients(rng, dim=4, n_clients=3, with_b=True):
@@ -91,7 +94,8 @@ def test_mac_with_huge_threshold_matches_unclipped():
 
 
 def test_mac_update_bound_per_block():
-    # every update entry stays within eta * (|block median| + C) of zero
+    # every update entry stays within eta * (|block median| + C) of zero, in
+    # every replica of a batched round
     model, clients, _ = classification_task(seed=3)
     c = 0.05
     cfg = base_config(
@@ -101,25 +105,27 @@ def test_mac_update_bound_per_block():
         clip=ClipMethod.mac(c),
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
     )
-    task = prepare_task(model, clients, cfg)
-    w = np.zeros(model.dim)
+    n_replicas = 3
+    task = prepare_task(model, clients, cfg, n_replicas=n_replicas)
+    w = np.zeros((n_replicas, model.dim))
     from otafl.clipping import split_blocks, vector_median
     from otafl.channel import sample_fading, transmit
     from otafl.fl_core import channel_rng
 
     for k in range(10):
-        # recompute the received vector with the round's own streams to get
-        # the block medians the server saw
-        pseudo = _pseudo_gradients(task, w, cfg, k)
-        rng_ch = channel_rng(cfg.seed, k)
-        gains = sample_fading(cfg.channel.fading, cfg.n_clients, rng_ch)
-        received, _ = transmit(pseudo, gains, cfg.channel, rng_ch)
-        w_next, record = run_round(w, k, cfg, task)
-        assert record.round == k
-        delta_blocks = split_blocks(w_next - w, model.block_layout)
-        for blk, dblk in zip(split_blocks(received, model.block_layout), delta_blocks):
-            bound = cfg.learning_rate * (abs(vector_median(blk)) + c) * (1 + 1e-9)
-            assert np.max(np.abs(dblk)) <= bound
+        # recompute each replica's received vector with its own streams to
+        # get the block medians the server saw
+        pseudo = _pseudo_gradients(task, w, cfg, k).reshape(n_replicas, 4, model.dim)
+        w_next, records = run_round(w, k, cfg, task)
+        assert [r.round for r in records] == [k] * n_replicas
+        for r in range(n_replicas):
+            rng_ch = channel_rng(cfg.seed + r, k)
+            gains = sample_fading(cfg.channel.fading, cfg.n_clients, rng_ch)
+            received, _ = transmit(pseudo[r], gains, cfg.channel, rng_ch)
+            delta_blocks = split_blocks(w_next[r] - w[r], model.block_layout)
+            for blk, dblk in zip(split_blocks(received, model.block_layout), delta_blocks):
+                bound = cfg.learning_rate * (abs(vector_median(blk)) + c) * (1 + 1e-9)
+                assert np.max(np.abs(dblk)) <= bound
         w = w_next
 
 
@@ -139,7 +145,7 @@ def test_engine_matches_per_client_reference():
     task = prepare_task(model, clients, cfg)
     w = rng.normal(size=model.dim)
     round_idx = 5
-    stacked = _pseudo_gradients(task, w, cfg, round_idx)
+    stacked = _pseudo_gradients(task, w[None], cfg, round_idx)
     for n, data in enumerate(clients):
         reference = local_update(
             model, w, data, epochs=3, batch_size=4, lr=0.05,
@@ -154,7 +160,7 @@ def test_engine_matches_reference_quadratic():
     cfg = base_config(3, 1, learning_rate=0.1, local_epochs=4)
     task = prepare_task(model, datas, cfg)
     w = rng.normal(size=model.dim)
-    stacked = _pseudo_gradients(task, w, cfg, 0)
+    stacked = _pseudo_gradients(task, w[None], cfg, 0)
     for n, data in enumerate(datas):
         reference = local_update(model, w, data, epochs=4, batch_size=1, lr=0.1,
                                  rng=client_rng(cfg.seed, 0, n))
@@ -269,6 +275,86 @@ def test_client_count_mismatch():
     model, datas = quadratic_clients(rng)
     with pytest.raises(ValueError):
         run_training(base_config(5, 1), model, datas)
+
+
+def assert_same_run(batched, alone):
+    """Bit-for-bit equality of two TrainResults, wall_time aside."""
+    assert batched.final_w.tobytes() == alone.final_w.tobytes()
+    assert (batched.diverged, batched.diverged_round) == (alone.diverged, alone.diverged_round)
+    assert batched.final_eval_accuracy == alone.final_eval_accuracy
+    assert len(batched.records) == len(alone.records)
+    for rb, ra in zip(batched.records, alone.records):
+        fb, fa = dataclasses.asdict(rb), dataclasses.asdict(ra)
+        fb.pop("wall_time")
+        fa.pop("wall_time")
+        # repr: nan == nan is false, and the types must match too
+        assert repr(fb) == repr(fa)
+
+
+@pytest.mark.parametrize("fading", [FadingModel.no_fading(), FadingModel.rayleigh_unit_mean()])
+@pytest.mark.parametrize("method", ["mac", "gnc", "none", "ideal"])
+def test_replicas_equal_standalone_runs(method, fading):
+    bed = make_quadratic_testbed(dim=4, n_clients=3, seed=1, b_scale=1.0)
+    base = base_config(
+        3, 25, learning_rate=0.3, local_epochs=2, seed=11, projection_radius=3.0,
+        channel=ChannelConfig(fading, StableParams(1.5, 0.1)),
+    )
+    cfg = method_variant(base, method, 0.5, 2.0)
+    batched = run_replicas(cfg, bed.model, bed.client_datas, 3, w0=bed.w0)
+    assert len(batched) == 3
+    for r, result in enumerate(batched):
+        alone = run_training(dataclasses.replace(cfg, seed=cfg.seed + r), bed.model, bed.client_datas, w0=bed.w0)
+        assert_same_run(result, alone)
+    if method != "ideal":  # the ideal channel draws nothing, so its replicas coincide
+        assert batched[0].final_w.tobytes() != batched[1].final_w.tobytes()
+
+
+def test_replicas_diverge_one_by_one():
+    # heavy noise without clipping: two replicas blow up, at different
+    # rounds, while the third runs to the end
+    bed = make_quadratic_testbed(dim=4, n_clients=3, seed=1, b_scale=1.0)
+    cfg = base_config(
+        3, 60, learning_rate=0.2, seed=2,
+        channel=ChannelConfig(FadingModel.no_fading(), StableParams(0.6, 0.05)),
+    )
+    batched = run_replicas(cfg, bed.model, bed.client_datas, 3, w0=bed.w0)
+    assert [r.diverged for r in batched] == [True, True, False]
+    assert batched[0].diverged_round != batched[1].diverged_round
+    assert len(batched[2].records) == 60
+    for r, result in enumerate(batched):
+        alone = run_training(dataclasses.replace(cfg, seed=cfg.seed + r), bed.model, bed.client_datas, w0=bed.w0)
+        assert_same_run(result, alone)
+        assert np.all(np.isfinite(result.final_w))
+
+
+def test_replicas_draw_their_own_initial_parameters():
+    # without w0, replica r starts from init_params(init_rng(seed + r)); a
+    # full-batch MLP task with held-out evaluation
+    rng = np.random.default_rng(12)
+    full = make_synthetic_classification(90, 3, 2, 3.0, rng)
+    train, test = train_test_split(full, 0.2, rng)
+    clients = partition(train, PartitionSpec("iid", 3, seed=12))
+    model = MlpModel(3, 4, 2)
+    cfg = base_config(
+        3, 6, seed=5, eval_every=2, clip=ClipMethod.mac(0.5),
+        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
+    )
+    batched = run_replicas(cfg, model, clients, 2, eval_data=test)
+    for r, result in enumerate(batched):
+        alone = run_training(dataclasses.replace(cfg, seed=cfg.seed + r), model, clients, eval_data=test)
+        assert_same_run(result, alone)
+    assert batched[0].final_w.tobytes() != batched[1].final_w.tobytes()
+
+
+def test_replica_count_validation():
+    model, clients, _ = classification_task(seed=13)
+    with pytest.raises(ValueError, match="n_replicas"):
+        run_replicas(base_config(4, 1), model, clients, 0)
+    # replicas share one step plan, so clients that shuffle are refused
+    shuffling = base_config(4, 1, batch_size=5)
+    with pytest.raises(ValueError, match="never shuffle"):
+        run_replicas(shuffling, model, clients, 2)
+    assert len(run_replicas(shuffling, model, clients, 1)) == 1
 
 
 def test_compare_methods_matched_seeds():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from otafl import (
 
 
 def test_invalid_params_rejected():
-    for alpha, tau in [(0.0, 1.0), (-1.0, 1.0), (2.5, 1.0), (1.5, 0.0), (1.5, -0.1)]:
+    for alpha, tau in [(0.0, 1.0), (-1.0, 1.0), (2.5, 1.0), (1.5, 0.0), (1.5, -0.1), (1.5, math.inf), (1.5, math.nan)]:
         with pytest.raises(ValueError):
             StableParams(alpha, tau)
     with pytest.raises(ValueError):
@@ -184,3 +185,22 @@ def test_difference_laws():
 def test_fit_tail_exponent_validation():
     with pytest.raises(ValueError):
         fit_tail_exponent(np.ones(10))
+
+
+def test_sample_sas_fuzz_shape_finite_and_fast():
+    # Seeded fuzz over the parameter space, alpha in [0.1, 2] with the two
+    # short-circuit-adjacent values 1 and 2 always included. Finite is a
+    # property of the draws only while the law's mass beyond the float
+    # maximum is negligible: at alpha = 0.1 it is about 1e-31, but at
+    # alpha = 0.01 about 1e-3 of the draws are inf, as the law says.
+    fuzz = np.random.default_rng(20260)
+    alphas = [1.0, 2.0, 0.1] + fuzz.uniform(0.1, 2.0, size=297).tolist()
+    t0 = time.perf_counter()
+    for alpha in alphas:
+        tau = float(10.0 ** fuzz.uniform(-3.0, 3.0))
+        dim = int(fuzz.integers(1, 300))
+        seed = int(fuzz.integers(2**32))
+        s = sample_sas(StableParams(alpha, tau), dim, np.random.default_rng(seed))
+        assert s.shape == (dim,), (alpha, tau, dim, seed)
+        assert np.all(np.isfinite(s)), (alpha, tau, dim, seed)
+    assert time.perf_counter() - t0 < 0.1
