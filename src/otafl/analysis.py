@@ -50,13 +50,6 @@ _ASYMPTOTE_LIMIT = 0.1
 _EIG_LOW, _EIG_HIGH = 0.5, 1.5
 _W0_NORM = 3.0
 
-# The bound check runs its seeds as replicas of one round loop, in batches of
-# at most this many round records (seeds x rounds). Every record, ~0.3 kB,
-# lives until its batch ends, so the batch, not the seed count, bounds
-# memory: one batch of the default 20 seeds x 1000 rounds raised the peak
-# RSS of the default check by about 15%.
-_RECORDS_PER_BATCH = 10_000
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -80,6 +73,9 @@ class BoundParams:
     tau: float
 
     def __post_init__(self) -> None:
+        for name in ("g", "c", "tau", "f0", "f_star"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.l > 0.0:
             raise ValueError(f"L must be positive, got {self.l}")
         if self.g < 0.0:
@@ -352,32 +348,20 @@ class BoundCheckReport:
 
 def _grad_norm_matrix(cfg: FLConfig, testbed: QuadraticTestbed, n_seeds: int) -> tuple[np.ndarray, float, float]:
     """(seeds x rounds) squared gradient norms plus mean unclipped fraction
-    and mean median/mean gap; the seeds run as replicas of one round loop,
-    in batches of at most _RECORDS_PER_BATCH round records."""
-    per_batch = max(1, _RECORDS_PER_BATCH // cfg.rounds)
-    batches = [
-        _replica_batch(replace(cfg, seed=cfg.seed + start), testbed, min(per_batch, n_seeds - start))
-        for start in range(0, n_seeds, per_batch)
-    ]
-    rows, clipped, gaps = (np.concatenate(parts) for parts in zip(*batches))
-    unclipped = np.mean(1.0 - clipped.mean(axis=-1), axis=-1)
-    return rows, float(np.mean(unclipped)), float(np.mean(gaps.mean(axis=-1)))
-
-
-def _replica_batch(cfg: FLConfig, testbed: QuadraticTestbed, n_seeds: int) -> tuple[np.ndarray, ...]:
-    """One batch of seeds as replicas: per (seed, round), the squared
-    gradient norm, the clipped fraction per block and the median/mean gap."""
+    and mean median/mean gap; the seeds run as replicas of one round loop."""
     results = run_replicas(cfg, testbed.model, testbed.client_datas, n_seeds, w0=testbed.w0)
     for s, result in enumerate(results):
-        if result.diverged or len(result.records) != cfg.rounds:
+        if result.diverged:
             raise RuntimeError(
                 f"bound-check run diverged at seed {cfg.seed + s}; the clipped "
                 f"update should stay bounded"
             )
-    return tuple(
-        np.array([[getattr(r, name) for r in result.records] for result in results])
+    rows, clipped, gaps = (
+        np.stack([result.columns[name] for result in results])
         for name in ("grad_norm_sq", "clipped_fraction", "median_mean_gap")
     )
+    unclipped = np.mean(1.0 - clipped.mean(axis=-1), axis=-1)
+    return rows, float(np.mean(unclipped)), float(np.mean(gaps.mean(axis=-1)))
 
 
 def verify_convergence_bound(
@@ -399,12 +383,15 @@ def verify_convergence_bound(
 
     One run of max(k_grid) rounds per seed provides every K via prefix
     averages, so the K comparison uses matched noise streams. The seeds run
-    as replicas of a batched round loop (10 per batch at 1000 rounds), each
-    bit for bit the run it would be alone. The default
+    as replicas of one round loop, each bit for bit the run it would be
+    alone, and their telemetry is kept as (seeds x rounds) columns. The default
     channel has no fading: the bound treats unit-mean fades as their mean, and
     the check isolates exactly what the bound controls. ``ideal`` switches to
     the noiseless channel and the classical descent bound.
     """
+    for name, value in (("dim", dim), ("n_clients", n_clients), ("n_seeds", n_seeds)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     k_grid = sorted(set(int(k) for k in k_grid))
     if not k_grid or k_grid[0] < 1:
         raise ValueError("k_grid must contain positive round counts")

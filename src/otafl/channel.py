@@ -110,12 +110,13 @@ def transmit(
 
 def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray | None) -> float | np.ndarray:
     """10*log10(||signal||^2 / ||noise||^2) along the last axis; +inf on the
-    ideal channel and for zero noise, -inf for zero signal."""
+    ideal channel and for zero noise, -inf for zero signal and wherever the
+    ratio underflows, as against infinite noise power."""
     signal = np.sum(np.square(np.asarray(true_grad, dtype=float)), axis=-1)
     noise = np.zeros_like(signal) if noise_realization is None else np.sum(np.square(noise_realization), axis=-1)
     # math.log10, not np.log10: numpy's SIMD log can differ in the last bit
     snr = [
-        math.inf if n == 0.0 else -math.inf if s == 0.0 else 10.0 * math.log10(s / n)
+        math.inf if n == 0.0 else -math.inf if s / n == 0.0 else 10.0 * math.log10(s / n)
         for s, n in zip(np.ravel(signal).tolist(), np.ravel(noise).tolist())
     ]
     return snr[0] if signal.ndim == 0 else np.reshape(snr, signal.shape)

@@ -31,7 +31,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_overrides,
 from .data import PartitionSpec, load_csv_dataset, make_synthetic_classification, partition, train_test_split
 from .fl_core import FLConfig, method_variant, run_threshold_sweep, run_training
 from .models import LogisticModel, MlpModel
-from .stable_noise import RegimeError
+from .stable_noise import RegimeError, StableParams
 
 __all__ = ["main", "build_task_factory", "to_fl_config"]
 
@@ -103,25 +103,15 @@ def build_task_factory(cfg: ExperimentConfig):
     return factory
 
 
-def _fading_model(cfg: ExperimentConfig) -> FadingModel:
-    if cfg.fading == "rayleigh":
-        return FadingModel.rayleigh_unit_mean()
-    if cfg.fading == "none":
-        return FadingModel.no_fading()
-    return FadingModel.deterministic(cfg.fading_gain)
-
-
 def to_fl_config(cfg: ExperimentConfig) -> FLConfig:
     """Loop-level config with the noisy channel; specialize per method with
     fl_core.method_variant."""
-    from .stable_noise import StableParams
-
     return FLConfig(
         n_clients=cfg.n_clients,
         rounds=cfg.rounds,
         learning_rate=cfg.learning_rate,
         clip=ClipMethod.none(),
-        channel=ChannelConfig(_fading_model(cfg), StableParams(cfg.alpha, cfg.tau)),
+        channel=ChannelConfig(FadingModel(cfg.fading, cfg.fading_gain), StableParams(cfg.alpha, cfg.tau)),
         local_epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,
         seed=cfg.seed,
@@ -146,6 +136,7 @@ def cmd_train(args) -> int:
     for method in cfg.methods:
         fl = method_variant(base, method, cfg.mac_threshold, cfg.gnc_threshold)
         result = run_training(fl, model, clients, eval_data=eval_data)
+        records = result.records
         rows = [
             [
                 r.round,
@@ -156,7 +147,7 @@ def cmd_train(args) -> int:
                 r.eval_accuracy,
                 r.diverged,
             ]
-            for r in result.records
+            for r in records
         ]
         _write_csv(
             outdir / f"{cfg.name}_{method}.csv",
@@ -164,15 +155,15 @@ def cmd_train(args) -> int:
             _TRAIN_COLUMNS,
             rows,
         )
-        accuracies = [r.eval_accuracy for r in result.records if r.eval_accuracy is not None]
+        accuracies = [r.eval_accuracy for r in records if r.eval_accuracy is not None]
         summary_rows.append(
             [
                 method,
-                result.records[-1].global_loss,
+                records[-1].global_loss,
                 result.final_eval_accuracy,
                 max(accuracies) if accuracies else None,
                 result.diverged,
-                len(result.records),
+                len(records),
             ]
         )
     _write_csv(
@@ -291,7 +282,10 @@ def _finite_float(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
-    return [_finite_float(v) for v in text.split(",") if v != ""]
+    values = [_finite_float(v) for v in text.split(",") if v != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _int_list(text: str) -> list[int]:

@@ -110,11 +110,28 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class TrainResult:
-    records: list[RoundRecord]
+    """One run's outcome. Its telemetry is kept as columns, one entry per
+    completed round, keyed by the RoundRecord field names (an eval_accuracy
+    of nan means no evaluation that round); `records` builds the records
+    from them on access."""
+
+    columns: dict[str, np.ndarray]
     final_w: np.ndarray
     diverged: bool
     diverged_round: int | None = None
     final_eval_accuracy: float | None = None
+
+    @property
+    def records(self) -> list[RoundRecord]:
+        """One record per completed round; the terminal record of a diverged
+        run has diverged=True."""
+        columns = {name: col.tolist() for name, col in self.columns.items()}
+        columns["clipped_fraction"] = [tuple(f) for f in columns["clipped_fraction"]]
+        columns["eval_accuracy"] = [None if math.isnan(a) else a for a in columns["eval_accuracy"]]
+        return [
+            RoundRecord(round=k, diverged=k == self.diverged_round, **{name: col[k] for name, col in columns.items()})
+            for k in range(len(columns["global_loss"]))
+        ]
 
 
 @dataclass(frozen=True)
@@ -130,46 +147,33 @@ class _Step:
 
 @dataclass(frozen=True)
 class _PreparedTask:
-    """Client payloads stacked into tensors padded to the largest client,
-    once per replica, plus the plan of local steps, for vectorized rounds."""
+    """Client payloads stacked once into tensors padded to the largest
+    client, plus the plan of local steps, for vectorized rounds. Replicas
+    share both: the parameters carry the replica axis."""
 
     model: object
-    n_clients: int
-    n_replicas: int
     eval_data: object | None
-    x: np.ndarray  # (n_replicas * n_clients, samples, ...); replica r's clients are rows r*N ... r*N+N-1
+    x: np.ndarray  # (clients, samples, ...)
     y: np.ndarray
     mask: np.ndarray | None  # None when no client is padded
     steps: tuple[_Step, ...]
     shuffled: tuple[tuple[int, int], ...]  # (client, size) where a batch is smaller than the data
 
 
-def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None, n_replicas: int = 1) -> _PreparedTask:
+def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _PreparedTask:
     """Stack client payloads and plan the local steps of `cfg` once, so every
-    round is a handful of array ops. The payloads are stacked once per
-    replica; replicas share the step plan, so more than one replica needs
-    clients that never shuffle (batch_size at least the client's size).
-    """
+    round is a handful of array ops."""
     n = len(client_datas)
     if n < 1:
         raise ValueError("need at least one client")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     sizes = np.array([len(d.y) for d in client_datas])
     if sizes.min() < 1:
         raise ValueError("every client needs at least one sample")
-    shuffled = tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m)
-    if shuffled and n_replicas > 1:
-        i, m = shuffled[0]
-        raise ValueError(f"replicas need clients that never shuffle; client {i} has {m} samples, batch_size is {cfg.batch_size}")
-    client_datas = list(client_datas) * n_replicas
-    sizes = np.tile(sizes, n_replicas)
-    rows = n * n_replicas
     m_max = int(sizes.max())
     first = client_datas[0]
-    x = np.zeros((rows, m_max) + first.x.shape[1:])
-    y = np.zeros((rows, m_max) + first.y.shape[1:], dtype=first.y.dtype)
-    mask = np.zeros((rows, m_max))
+    x = np.zeros((n, m_max) + first.x.shape[1:])
+    y = np.zeros((n, m_max) + first.y.shape[1:], dtype=first.y.dtype)
+    mask = np.zeros((n, m_max))
     for i, d in enumerate(client_datas):
         m = len(d.y)
         x[i, :m] = d.x
@@ -187,129 +191,114 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None, n_replicas:
         weight = mask[active, cols]
         steps.append(_Step(
             cols=cols,
-            active=active if active.size < rows else slice(None),
+            active=active if active.size < n else slice(None),
             weight=None if weight.all() else weight,
         ))
     return _PreparedTask(
         model=model,
-        n_clients=n,
-        n_replicas=n_replicas,
         eval_data=eval_data,
         x=x,
         y=y,
         mask=None if mask.all() else mask,
         steps=tuple(steps),
-        shuffled=shuffled,
+        shuffled=tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m),
     )
 
 
 def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_idx: int) -> np.ndarray:
-    """Pseudo-gradient of every client of every replica, stacked to
-    (R*N, d) for parameters w of shape (R, d).
+    """Pseudo-gradient of every client of every replica, (R, N, d) for
+    parameters w of shape (R, d).
 
-    Row n reproduces the naive per-client oracle `local_update` of
-    tests/conftest.py for client n driven by client_rng(cfg.seed, round_idx, n):
-    same batch order, same step count, vectorized across clients with
+    Client n reproduces the naive per-client oracle `local_update` of
+    tests/conftest.py driven by client_rng(cfg.seed, round_idx, n): same
+    batch order, same step count, vectorized across clients with
     zero-weight padding. The per-client windows [t*min(batch, m_n), ...)
     coincide with the global windows [t*batch, (t+1)*batch) over each
     client's shuffled list, so every step is an aligned slice of one
     per-epoch gather. A one-sample client takes `local_epochs` full-gradient
-    steps. Only single-replica tasks shuffle.
+    steps. The payload has no replica axis; the local parameters do, and
+    the models broadcast them against it. Only a single replica may shuffle.
     """
     model, lr = task.model, cfg.learning_rate
-    rows = task.x.shape[0]
+    n = task.x.shape[0]
     rngs = [(i, m, client_rng(cfg.seed, round_idx, i)) for i, m in task.shuffled]
     xr, yr = task.x, task.y
-    grad_sum = np.zeros((rows, w.shape[-1]))
-    w_local = np.repeat(w, task.n_clients, axis=0)
+    w_local = np.repeat(w[:, None], n, axis=1)
+    grad_sum = np.zeros_like(w_local)
     for _ in range(cfg.local_epochs):
         if rngs:
-            order = np.repeat(np.arange(task.y.shape[1])[None], rows, axis=0)
+            order = np.repeat(np.arange(task.y.shape[1])[None], n, axis=0)
             for i, m, rng in rngs:
                 order[i, :m] = rng.permutation(m)
-            row_idx = np.arange(rows)[:, None]
+            row_idx = np.arange(n)[:, None]
             xr = task.x[row_idx, order]
             yr = task.y[row_idx, order]
         for step in task.steps:
             active = step.active
             g = model.gradient(
-                w_local[active], xr[active, step.cols], yr[active, step.cols],
+                w_local[:, active], xr[active, step.cols], yr[active, step.cols],
                 sample_weight=step.weight,
             )
-            grad_sum[active] += g
-            w_local[active] -= lr * g
+            grad_sum[:, active] += g
+            w_local[:, active] -= lr * g
     return grad_sum
 
 
-def _by_replica(a: np.ndarray | None, n_replicas: int) -> np.ndarray | None:
-    """View of a stacked (R*N, ...) client array as (R, N, ...)."""
-    return None if a is None else a.reshape((n_replicas, -1) + a.shape[1:])
-
-
-def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, list[RoundRecord]]:
+def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Round k from parameters w of shape (R, d), one row per replica: local
     compute, noisy aggregation, server-side clipping, global step. Returns
-    the next parameters and one record per replica.
+    the next parameters and the round's telemetry, one array per RoundRecord
+    field (but round, wall_time and diverged) with a leading replica axis.
 
     Arithmetic overflow is silenced: an exploding unclipped baseline is a
     measured outcome, handled by the divergence policy in run_replicas.
     """
-    if w.shape != (task.n_replicas, task.model.dim):
-        raise ValueError(f"parameters must have shape ({task.n_replicas}, {task.model.dim}), got {w.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_round_inner(w, k, cfg, task)
+    if w.ndim != 2 or w.shape[1] != task.model.dim:
+        raise ValueError(f"parameters must have shape (R, {task.model.dim}), got {w.shape}")
+    if task.shuffled and len(w) > 1:
+        # shuffles are drawn per client index, from cfg.seed alone
+        i, m = task.shuffled[0]
+        raise ValueError(f"replicas need clients that never shuffle; client {i} has {m} samples, batch_size is {cfg.batch_size}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pseudo = _pseudo_gradients(task, w, cfg, k)
+        true_mean = pseudo.mean(axis=1)
+
+        # each replica draws its fades, then its noise, from its own stream
+        rngs = [channel_rng(cfg.seed + r, k) for r in range(len(w))]
+        gains = np.stack([sample_fading(cfg.channel.fading, cfg.n_clients, rng) for rng in rngs])
+        received, noise = transmit(pseudo, gains, cfg.channel, rngs)
+
+        blocks = split_blocks(received, task.model.block_layout)
+        clipped = merge_blocks(apply_blockwise(blocks, cfg.clip))
+
+        w_next = w - cfg.learning_rate * clipped
+        if cfg.projection_radius is not None:
+            # projection onto the ball is norm clipping at its radius
+            w_next = gnc_clip(w_next, cfg.projection_radius)
+
+        step = w_next - w
+        return w_next, {
+            "global_loss": task.model.loss(w[:, None], task.x, task.y, sample_weight=task.mask).mean(axis=-1),
+            "grad_norm_sq": np.sum(true_mean**2, axis=-1),
+            "snr_db": measure_snr(true_mean, noise),
+            "clipped_fraction": block_clip_fractions(blocks, cfg.clip),
+            "update_norm": np.sqrt(np.vecdot(step, step)),
+            "median_mean_gap": np.abs(vector_median(received) - np.mean(received, axis=-1)),
+            "eval_accuracy": _eval_accuracies(task, w_next, cfg, k),
+        }
 
 
-def _run_round_inner(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, list[RoundRecord]]:
-    t0 = time.perf_counter()
-    n_rep = task.n_replicas
-    pseudo = _by_replica(_pseudo_gradients(task, w, cfg, k), n_rep)
-    true_mean = pseudo.mean(axis=1)
-
-    # each replica draws its fades, then its noise, from its own stream
-    rngs = [channel_rng(cfg.seed + r, k) for r in range(n_rep)]
-    gains = np.stack([sample_fading(cfg.channel.fading, cfg.n_clients, rng) for rng in rngs])
-    received, noise = transmit(pseudo, gains, cfg.channel, rngs)
-    snr_db = measure_snr(true_mean, noise)
-
-    blocks = split_blocks(received, task.model.block_layout)
-    clipped_fraction = block_clip_fractions(blocks, cfg.clip)
-    clipped = merge_blocks(apply_blockwise(blocks, cfg.clip))
-
-    w_next = w - cfg.learning_rate * clipped
-    if cfg.projection_radius is not None:
-        # projection onto the ball is norm clipping at its radius
-        w_next = gnc_clip(w_next, cfg.projection_radius)
-
-    loss = task.model.loss(
-        w[:, None], _by_replica(task.x, n_rep), _by_replica(task.y, n_rep),
-        sample_weight=_by_replica(task.mask, n_rep),
-    ).mean(axis=-1)
-    step = w_next - w
-    per_replica = {
-        "global_loss": loss.tolist(),
-        "grad_norm_sq": np.sum(true_mean**2, axis=-1).tolist(),
-        "snr_db": snr_db.tolist(),
-        "clipped_fraction": [tuple(f) for f in clipped_fraction.tolist()],
-        "update_norm": np.sqrt(np.vecdot(step, step)).tolist(),
-        "median_mean_gap": np.abs(vector_median(received) - np.mean(received, axis=-1)).tolist(),
-        "eval_accuracy": _eval_accuracies(task, w_next, cfg, k),
-    }
-    wall_time = time.perf_counter() - t0
-    return w_next, [
-        RoundRecord(round=k, wall_time=wall_time, **dict(zip(per_replica, values)))
-        for values in zip(*per_replica.values())
-    ]
-
-
-def _eval_accuracies(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> list[float | None]:
+def _eval_accuracies(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> np.ndarray:
+    """Held-out accuracy per replica; nan off the evaluation cadence,
+    without held-out data or a classifier, and for non-finite parameters."""
+    accuracies = np.full(len(w), np.nan)
     due = (k + 1) % cfg.eval_every == 0 or k == cfg.rounds - 1
     if task.eval_data is None or not task.model.is_classifier or not due:
-        return [None] * len(w)
-    return [
-        evaluate(task.model, row, task.eval_data) if np.all(np.isfinite(row)) else None
-        for row in w
-    ]
+        return accuracies
+    for r, row in enumerate(w):
+        if np.all(np.isfinite(row)):
+            accuracies[r] = evaluate(task.model, row, task.eval_data)
+    return accuracies
 
 
 def run_replicas(cfg: FLConfig, model, client_datas, n_replicas: int, eval_data=None, w0=None) -> list[TrainResult]:
@@ -318,20 +307,24 @@ def run_replicas(cfg: FLConfig, model, client_datas, n_replicas: int, eval_data=
     Replica r is the run at seed `cfg.seed + r`, started from `w0` or else
     from `init_params(init_rng(cfg.seed + r))`; its result equals
     `run_training` at that seed bit for bit, but for `wall_time`, which is
-    the batched round's. More than one replica needs clients that never
-    shuffle (see `prepare_task`).
+    the batched round's. Replicas share one step plan, so more than one
+    replica needs clients that never shuffle (batch_size at least the
+    client's size). The telemetry of all replicas is kept in (R, rounds)
+    columns; each result holds views of its rows.
 
     Divergence (loss beyond 1e6 times the initial loss, or any non-finite
-    value) is recorded on the terminal round record rather than raised: the
+    value) is recorded on the terminal round rather than raised: the
     unclipped baseline is expected to blow up under heavy-tailed noise. A
-    diverged replica gets no further records and keeps its last finite
+    diverged replica gets no further rounds and keeps its last finite
     iterate; the loop stops once every replica has diverged.
     """
     if len(client_datas) != cfg.n_clients:
         raise ValueError(
             f"config expects {cfg.n_clients} clients, got {len(client_datas)} datasets"
         )
-    task = prepare_task(model, client_datas, cfg, eval_data, n_replicas)
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    task = prepare_task(model, client_datas, cfg, eval_data)
     starts = [model.init_params(init_rng(cfg.seed + r)) if w0 is None else w0 for r in range(n_replicas)]
     w = np.array(starts, dtype=float)
     if w.shape[1:] != (model.dim,):
@@ -339,40 +332,43 @@ def run_replicas(cfg: FLConfig, model, client_datas, n_replicas: int, eval_data=
     if not np.all(np.isfinite(w)):
         raise ValueError("initial parameters must be finite")
 
-    records: list[list[RoundRecord]] = [[] for _ in range(n_replicas)]
-    loss_ceiling: list[float | None] = [None] * n_replicas
-    diverged_round: list[int | None] = [None] * n_replicas
-    final_w = list(w)
+    columns: dict[str, np.ndarray] = {}
+    wall_time = np.zeros(cfg.rounds)
+    loss_ceiling = np.full(n_replicas, np.nan)
+    alive = np.ones(n_replicas, dtype=bool)
+    rounds_done = np.full(n_replicas, cfg.rounds)
+    final_w = w.copy()
     for k in range(cfg.rounds):
-        w_before = w
-        w, round_records = run_round(w, k, cfg, task)
-        finite = np.isfinite(w).all(axis=-1).tolist()
-        for r, record in enumerate(round_records):
-            if diverged_round[r] is not None:
-                continue
-            loss = record.global_loss
-            if loss_ceiling[r] is None and math.isfinite(loss):
-                loss_ceiling[r] = _DIVERGENCE_FACTOR * max(1.0, abs(loss))
-            ceiling = loss_ceiling[r]
-            if not math.isfinite(loss) or (ceiling is not None and loss > ceiling) or not finite[r]:
-                record = replace(record, diverged=True)
-                diverged_round[r] = k
-            records[r].append(record)
-            # a diverged replica keeps its last finite iterate for downstream evaluation
-            final_w[r] = w[r] if finite[r] else w_before[r]
-        if None not in diverged_round:
+        t0 = time.perf_counter()
+        w, telemetry = run_round(w, k, cfg, task)
+        wall_time[k] = time.perf_counter() - t0
+        for name, values in telemetry.items():
+            if name not in columns:
+                columns[name] = np.empty((n_replicas, cfg.rounds) + values.shape[1:])
+            columns[name][:, k] = values
+        loss = telemetry["global_loss"]
+        unset = np.isnan(loss_ceiling) & np.isfinite(loss)
+        loss_ceiling[unset] = _DIVERGENCE_FACTOR * np.maximum(1.0, np.abs(loss[unset]))
+        finite = np.isfinite(w).all(axis=-1)
+        # a diverged replica keeps its last finite iterate for downstream evaluation
+        final_w[alive & finite] = w[alive & finite]
+        diverging = alive & (~np.isfinite(loss) | (loss > loss_ceiling) | ~finite)
+        rounds_done[diverging] = k + 1
+        alive &= ~diverging
+        if not alive.any():
             break
 
-    return [
-        TrainResult(
-            records=records[r],
+    results = []
+    for r, n_rounds in enumerate(rounds_done.tolist()):
+        diverged = not alive[r]
+        results.append(TrainResult(
+            columns={"wall_time": wall_time[:n_rounds]} | {name: col[r, :n_rounds] for name, col in columns.items()},
             final_w=final_w[r],
-            diverged=diverged_round[r] is not None,
-            diverged_round=diverged_round[r],
+            diverged=diverged,
+            diverged_round=n_rounds - 1 if diverged else None,
             final_eval_accuracy=None if eval_data is None else evaluate(model, final_w[r], eval_data),
-        )
-        for r in range(n_replicas)
-    ]
+        ))
+    return results
 
 
 def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) -> TrainResult:
@@ -439,7 +435,7 @@ class SweepRow:
 
 
 def _final_loss(result: TrainResult) -> float:
-    loss = result.records[-1].global_loss if result.records else np.inf
+    loss = result.columns["global_loss"][-1]
     return loss if np.isfinite(loss) else np.inf
 
 

@@ -7,7 +7,8 @@ and targets y with a leading sample axis, plus optional per-sample weights.
 A quadratic client is a one-sample payload (x = A[None], y = b[None]).
 Loss and gradient evaluations broadcast over leading axes so that all
 clients of a round can be processed in one vectorized call: parameters of
-shape (..., d) combine with payloads of shape (..., m, ...).
+shape (..., d) combine with payloads of shape (..., m, ...), labels and
+sample weights included, so one payload serves every replica of a run.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
+def _label_log_prob(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """logp[..., y] per sample; the labels broadcast against the leading
+    axes of the log-probabilities."""
+    labels = np.broadcast_to(y[..., None].astype(int), logp.shape[:-1] + (1,))
+    return np.take_along_axis(logp, labels, axis=-1)[..., 0]
+
+
 def _normalized_weights(shape: tuple[int, ...], sample_weight) -> np.ndarray:
     """Per-sample weights over a batch of the given shape (samples on the
     last axis) that sum to one along the sample axis (or to zero for an
@@ -160,8 +168,7 @@ class LogisticModel:
             yf = y.astype(float)
             ce = np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))
         else:
-            logp = _log_softmax(self._softmax_logits(w, x))
-            ce = -np.take_along_axis(logp, y[..., None].astype(int), axis=-1)[..., 0]
+            ce = -_label_log_prob(_log_softmax(self._softmax_logits(w, x)), y)
         return _scalar_or_array(np.sum(ce * wn, axis=-1))
 
     def gradient(self, w, x, y, sample_weight=None):
@@ -258,8 +265,7 @@ class MlpModel:
             resid = logits - (y[..., None] == np.arange(self.n_classes))
             per_sample = 0.5 * np.sum(resid**2, axis=-1)
         else:
-            logp = _log_softmax(logits)
-            per_sample = -np.take_along_axis(logp, y[..., None].astype(int), axis=-1)[..., 0]
+            per_sample = -_label_log_prob(_log_softmax(logits), y)
         return _scalar_or_array(np.sum(per_sample * wn, axis=-1))
 
     def gradient(self, w, x, y, sample_weight=None):

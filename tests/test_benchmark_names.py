@@ -102,3 +102,19 @@ def test_benchmark_workloads_build_their_inputs(tmp_path):
     model, clients, test = workloads.FlMlpIid.task(0)
     assert len(clients) == 50 and model.dim == 20 * 32 + 32 + 32 * 2 + 2
     assert test.x.shape[1] == 20
+
+
+def test_benchmark_outcomes_pass_on_small_runs(tmp_path):
+    # the workloads judge what otafl returns (TrainResult.records, the bound
+    # report), so a change to those fails here, not only in a benchmark run
+    from otafl.analysis import verify_convergence_bound
+
+    workloads = _bench_workloads()
+    mlp = workloads.FlMlpIid()
+    mlp.rounds, mlp.n_seeds = 2, 1
+    inputs = mlp.prepare(0, tmp_path)
+    bound = workloads.FlQuadraticBound()
+    report = verify_convergence_bound(dim=3, n_clients=2, k_grid=(3, 7), n_seeds=2)
+    for outcome in (mlp.outcome(mlp.run(inputs), inputs), bound.outcome(report, {})):
+        failed = [name for name, ok in outcome.checks if not ok]
+        assert outcome.checks and not failed, failed

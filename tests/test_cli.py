@@ -276,6 +276,50 @@ def test_quadratic_sweep_warns_nothing(tmp_path):
     assert all(r[2] == "" and math.isfinite(float(r[3])) for r in rows)
 
 
+@pytest.mark.parametrize("command", ["train", "lemma1"])
+def test_tiny_alpha_runs_without_warnings(tmp_path, command):
+    # at alpha = 0.01 about 1e-3 of the noise draws lie beyond the float
+    # maximum; train once exited 2 on log10(0) of an infinite noise power,
+    # and lemma1 printed four RuntimeWarnings
+    if command == "train":
+        cfg = minimal_config(
+            tmp_path, alpha=0.01, methods="[mac]", n_clients=5, n_samples=200, rounds=50,
+            model="logistic", fading="rayleigh",
+        )
+        argv = ["train", str(cfg)]
+    else:
+        argv = ["lemma1", "--alphas", "0.01", "--c-grid", "1,2", "--samples", "100000",
+                "--out", str(tmp_path / "l1.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["theorem1", "--seeds", "0"], "n_seeds"),  # was a tuple-unpacking error
+    (["theorem1", "--n-clients", "0"], "n_clients"),  # were numpy warnings, then a numpy error
+    (["theorem1", "--dim", "0"], "dim"),
+])
+def test_theorem1_degenerate_size_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    out = tmp_path / "t1.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--alphas", "--c-grid"])
+def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
+    # was exit 0 and a CSV without data
+    out = tmp_path / "l1.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma1", flag, ",", "--samples", "1000", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected comma-separated numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_grid(tmp_path, capsys):
     cfg = minimal_config(tmp_path, model="logistic", n_samples=40, feature_dim=2, n_clients=2)
     assert main(["sweep", str(cfg)]) == 2

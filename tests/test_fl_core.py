@@ -106,7 +106,7 @@ def test_mac_update_bound_per_block():
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
     )
     n_replicas = 3
-    task = prepare_task(model, clients, cfg, n_replicas=n_replicas)
+    task = prepare_task(model, clients, cfg)
     w = np.zeros((n_replicas, model.dim))
     from otafl.clipping import split_blocks, vector_median
     from otafl.channel import sample_fading, transmit
@@ -115,9 +115,10 @@ def test_mac_update_bound_per_block():
     for k in range(10):
         # recompute each replica's received vector with its own streams to
         # get the block medians the server saw
-        pseudo = _pseudo_gradients(task, w, cfg, k).reshape(n_replicas, 4, model.dim)
-        w_next, records = run_round(w, k, cfg, task)
-        assert [r.round for r in records] == [k] * n_replicas
+        pseudo = _pseudo_gradients(task, w, cfg, k)
+        assert pseudo.shape == (n_replicas, 4, model.dim)
+        w_next, telemetry = run_round(w, k, cfg, task)
+        assert {name: values.shape[0] for name, values in telemetry.items()} == dict.fromkeys(telemetry, n_replicas)
         for r in range(n_replicas):
             rng_ch = channel_rng(cfg.seed + r, k)
             gains = sample_fading(cfg.channel.fading, cfg.n_clients, rng_ch)
@@ -145,7 +146,7 @@ def test_engine_matches_per_client_reference():
     task = prepare_task(model, clients, cfg)
     w = rng.normal(size=model.dim)
     round_idx = 5
-    stacked = _pseudo_gradients(task, w[None], cfg, round_idx)
+    stacked = _pseudo_gradients(task, w[None], cfg, round_idx)[0]
     for n, data in enumerate(clients):
         reference = local_update(
             model, w, data, epochs=3, batch_size=4, lr=0.05,
@@ -160,7 +161,7 @@ def test_engine_matches_reference_quadratic():
     cfg = base_config(3, 1, learning_rate=0.1, local_epochs=4)
     task = prepare_task(model, datas, cfg)
     w = rng.normal(size=model.dim)
-    stacked = _pseudo_gradients(task, w[None], cfg, 0)
+    stacked = _pseudo_gradients(task, w[None], cfg, 0)[0]
     for n, data in enumerate(datas):
         reference = local_update(model, w, data, epochs=4, batch_size=1, lr=0.1,
                                  rng=client_rng(cfg.seed, 0, n))
@@ -354,6 +355,8 @@ def test_replica_count_validation():
     shuffling = base_config(4, 1, batch_size=5)
     with pytest.raises(ValueError, match="never shuffle"):
         run_replicas(shuffling, model, clients, 2)
+    with pytest.raises(ValueError, match="never shuffle"):
+        run_round(np.zeros((2, model.dim)), 0, shuffling, prepare_task(model, clients, shuffling))
     assert len(run_replicas(shuffling, model, clients, 1)) == 1
 
 

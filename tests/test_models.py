@@ -45,6 +45,24 @@ def test_quadratic_gradient_broadcasts_over_clients():
         np.testing.assert_allclose(stacked[i], model.gradient(w, a[i][None], b[i][None]), rtol=1e-12)
 
 
+@pytest.mark.parametrize("model", [
+    LogisticModel(4, 2), LogisticModel(4, 3), MlpModel(4, 6, 3), MlpModel(4, 6, 2, loss_kind="squared_error"),
+])
+def test_replica_parameters_broadcast_against_one_payload(model):
+    # parameters (R, 1, d) against one (N, m, ...) payload, labels and padding
+    # mask included: each replica's losses are its own run's, bit for bit
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(5, 7, 4))
+    y = rng.integers(model.n_classes, size=(5, 7))
+    mask = (rng.random((5, 7)) < 0.7) * 1.0
+    w = rng.normal(scale=0.5, size=(3, 1, model.dim))
+    for weight in (None, mask):
+        losses = model.loss(w, x, y, sample_weight=weight)
+        assert losses.shape == (3, 5)
+        for r in range(3):
+            assert losses[r].tobytes() == model.loss(w[r:r + 1], x, y, sample_weight=weight)[0].tobytes()
+
+
 def test_logistic_uniform_prediction_loss():
     # with zero weights every prediction is uniform: loss = ln 2 on two classes
     model = LogisticModel(2, 2)

@@ -123,6 +123,9 @@ def test_unclipped_prob_regime_violation():
         estimate_unclipped_prob(StableParams(1.5, 0.1), 1.0, 1.0, 1000, np.random.default_rng(0))
     with pytest.raises(ValueError):
         estimate_unclipped_prob(StableParams(1.5, 0.1), 1.0, -0.5, 1000, np.random.default_rng(0))
+    # a nan bound once scored every entry as clipped
+    with pytest.raises(ValueError, match="g must be >= 0, got nan"):
+        estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0, 2.0], math.nan, 1000, np.random.default_rng(0))
     # one threshold at sqrt(2)*g fails the whole vector call
     with pytest.raises(RegimeError, match="C=1.414"):
         estimate_unclipped_prob(
