@@ -137,11 +137,11 @@ class TrainResult:
 @dataclass(frozen=True)
 class _Step:
     """One local minibatch step of every client: the columns it reads, the
-    clients that still have samples there (a slice when all do), and their
-    sample weights (None when no column is padding)."""
+    number of clients that still have samples there (a prefix in step
+    order), and their sample weights (None when no column is padding)."""
 
     cols: slice
-    active: np.ndarray | slice
+    n_active: int
     weight: np.ndarray | None
 
 
@@ -158,11 +158,18 @@ class _PreparedTask:
     mask: np.ndarray | None  # None when no client is padded
     steps: tuple[_Step, ...]
     shuffled: tuple[tuple[int, int], ...]  # (client, size) where a batch is smaller than the data
+    # where a client shuffles (else None): each client's position in step
+    # order, each round's sample orders as (epochs, positions, samples) flat
+    # rows of x and y, and each epoch's gather
+    position: np.ndarray | None
+    order: np.ndarray | None
+    x_epoch: np.ndarray | None
+    y_epoch: np.ndarray | None
 
 
 def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _PreparedTask:
-    """Stack client payloads and plan the local steps of `cfg` once, so every
-    round is a handful of array ops."""
+    """Stack client payloads, check a classifier's labels, and plan the local
+    steps of `cfg` once, so every round is a handful of array ops."""
     n = len(client_datas)
     if n < 1:
         raise ValueError("need at least one client")
@@ -172,28 +179,35 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _Prepare
     m_max = int(sizes.max())
     first = client_datas[0]
     x = np.zeros((n, m_max) + first.x.shape[1:])
-    y = np.zeros((n, m_max) + first.y.shape[1:], dtype=first.y.dtype)
+    y = np.zeros((n, m_max) + first.y.shape[1:], dtype=np.result_type(*{d.y.dtype for d in client_datas}))
     mask = np.zeros((n, m_max))
     for i, d in enumerate(client_datas):
         m = len(d.y)
         x[i, :m] = d.x
         y[i, :m] = d.y
         mask[i, :m] = 1.0
+    if model.is_classifier:
+        # any other label trains on an all-zero one-hot row, or fails mid-run in the loss
+        for labels in [y] + ([] if eval_data is None else [np.asarray(eval_data.y)]):
+            bad = np.argwhere(~np.isin(labels, np.arange(model.n_classes)))
+            if bad.size:
+                where = f"client {bad[0][0]}" if labels is y else "held-out data"
+                label = labels[tuple(bad[0])].item()
+                raise ValueError(f"{where} has label {label!r}; labels must be integers in [0, {model.n_classes})")
 
-    # weight[n, j] = 1 while t*b + j is a real sample of client n; clients
-    # whose samples are exhausted at step t are skipped entirely (their
-    # gradient would be zero)
+    # Steps visit the clients largest first when any shuffles (a full-batch
+    # task takes one step), so those with samples left at step t are a
+    # prefix; weight[s, j] = 1 while t*b + j is a real sample of the client
+    # at position s. Exhausted clients are skipped (their gradient is zero).
+    shuffled = tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m)
+    step_order = np.argsort(-sizes, kind="stable") if shuffled else np.arange(n)
     b = int(min(cfg.batch_size, m_max))
     steps = []
     for start in range(0, m_max, b):
         cols = slice(start, min(start + b, m_max))
-        active = np.flatnonzero(sizes > start)
-        weight = mask[active, cols]
-        steps.append(_Step(
-            cols=cols,
-            active=active if active.size < n else slice(None),
-            weight=None if weight.all() else weight,
-        ))
+        n_active = int(np.count_nonzero(sizes > start))
+        weight = mask[step_order[:n_active], cols]
+        steps.append(_Step(cols=cols, n_active=n_active, weight=None if weight.all() else weight))
     return _PreparedTask(
         model=model,
         eval_data=eval_data,
@@ -201,7 +215,12 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _Prepare
         y=y,
         mask=None if mask.all() else mask,
         steps=tuple(steps),
-        shuffled=tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m),
+        shuffled=shuffled,
+        position=np.argsort(step_order) if shuffled else None,
+        # a client that never shuffles keeps its rows in sample order
+        order=np.repeat([step_order[:, None] * m_max + np.arange(m_max)], cfg.local_epochs, axis=0) if shuffled else None,
+        x_epoch=np.empty_like(x) if shuffled else None,
+        y_epoch=np.empty_like(y) if shuffled else None,
     )
 
 
@@ -218,30 +237,38 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_i
     per-epoch gather. A one-sample client takes `local_epochs` full-gradient
     steps. The payload has no replica axis; the local parameters do, and
     the models broadcast them against it. Only a single replica may shuffle.
+    Every step writes its gradient into (a prefix of) one (R, N, d) buffer,
+    in step order; the result is in client order.
     """
     model, lr = task.model, cfg.learning_rate
-    n = task.x.shape[0]
-    rngs = [(i, m, client_rng(cfg.seed, round_idx, i)) for i, m in task.shuffled]
+    n, m_max = task.y.shape[:2]
     xr, yr = task.x, task.y
+    if task.shuffled:
+        # each client's generator draws its permutations in epoch order;
+        # shuffling its rows in place draws what rng.permutation(m) would
+        for i, m in task.shuffled:
+            rng = client_rng(cfg.seed, round_idx, i)
+            rows = task.order[:, task.position[i], :m]
+            rows[:] = np.arange(i * m_max, i * m_max + m)
+            for order in rows:
+                rng.shuffle(order)
+        xr, yr = task.x_epoch, task.y_epoch
     w_local = np.repeat(w[:, None], n, axis=1)
     grad_sum = np.zeros_like(w_local)
-    for _ in range(cfg.local_epochs):
-        if rngs:
-            order = np.repeat(np.arange(task.y.shape[1])[None], n, axis=0)
-            for i, m, rng in rngs:
-                order[i, :m] = rng.permutation(m)
-            row_idx = np.arange(n)[:, None]
-            xr = task.x[row_idx, order]
-            yr = task.y[row_idx, order]
+    g = np.empty_like(w_local)
+    for epoch in range(cfg.local_epochs):
+        if task.shuffled:
+            # mode="clip" leaves `out` unbuffered; the indices are in range
+            for src, dst in [(task.x, xr), (task.y, yr)]:
+                np.take(src.reshape(n * m_max, *src.shape[2:]), task.order[epoch], axis=0, out=dst, mode="clip")
         for step in task.steps:
-            active = step.active
-            g = model.gradient(
-                w_local[:, active], xr[active, step.cols], yr[active, step.cols],
-                sample_weight=step.weight,
-            )
-            grad_sum[:, active] += g
-            w_local[:, active] -= lr * g
-    return grad_sum
+            k = step.n_active
+            g_step = g[:, :k]
+            model.gradient(w_local[:, :k], xr[:k, step.cols], yr[:k, step.cols], sample_weight=step.weight, out=g_step)
+            grad_sum[:, :k] += g_step
+            g_step *= lr
+            w_local[:, :k] -= g_step
+    return grad_sum if task.position is None else grad_sum[:, task.position]
 
 
 def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, dict[str, np.ndarray]]:

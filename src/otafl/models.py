@@ -9,6 +9,8 @@ Loss and gradient evaluations broadcast over leading axes so that all
 clients of a round can be processed in one vectorized call: parameters of
 shape (..., d) combine with payloads of shape (..., m, ...), labels and
 sample weights included, so one payload serves every replica of a run.
+`gradient` writes its blocks into `out=` when given one, as numpy's own
+functions do, and the forward pass runs in place: a local step reuses buffers.
 """
 
 from __future__ import annotations
@@ -81,12 +83,14 @@ class QuadraticModel:
         per_sample = 0.5 * np.add.reduce(w * aw, axis=-1) - np.add.reduce(y * w, axis=-1)
         return _scalar_or_array(np.add.reduce(per_sample * wn, axis=-1))
 
-    def gradient(self, w, x, y, sample_weight=None):
+    def gradient(self, w, x, y, sample_weight=None, out=None):
         w = np.asarray(w, dtype=float)
         y = np.asarray(y, dtype=float)
         wn = _normalized_weights(y.shape[:-1], sample_weight)
         per_sample = (np.asarray(x, dtype=float) @ w[..., None, :, None])[..., 0] - y
-        return (wn[..., None, :] @ per_sample)[..., 0, :]
+        out = np.empty(per_sample.shape[:-2] + (self.dim,)) if out is None else out
+        np.matmul(wn[..., None, :], per_sample, out=out[..., None, :])
+        return out
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
@@ -106,9 +110,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    zmax = np.max(z, axis=-1, keepdims=True)
-    shifted = z - zmax
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    """Log-softmax along the last axis, computed in place in z."""
+    z -= np.max(z, axis=-1, keepdims=True)
+    z -= np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    return z
 
 
 def _label_log_prob(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,27 +176,28 @@ class LogisticModel:
             ce = -_label_log_prob(_log_softmax(self._softmax_logits(w, x)), y)
         return _scalar_or_array(np.sum(ce * wn, axis=-1))
 
-    def gradient(self, w, x, y, sample_weight=None):
+    def gradient(self, w, x, y, sample_weight=None, out=None):
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
         wn = _normalized_weights(y.shape, sample_weight)
         p = self.feature_dim
         if self.n_classes == 2:
-            z = self._binary_logits(w, x)
-            r = (_sigmoid(z) - y.astype(float)) * wn
-            gw = (r[..., None, :] @ x)[..., 0, :]
-            gb = np.sum(r, axis=-1)[..., None]
-            return np.concatenate([gw, gb], axis=-1)
+            r = (_sigmoid(self._binary_logits(w, x)) - y) * wn
+            out = np.empty(r.shape[:-1] + (self.dim,)) if out is None else out
+            np.matmul(r[..., None, :], x, out=out[..., None, :p])
+            np.sum(r, axis=-1, out=out[..., p])
+            return out
         c = self.n_classes
-        logits = self._softmax_logits(w, x)
-        resid = np.exp(_log_softmax(logits))
+        resid = self._softmax_logits(w, x)
+        np.exp(_log_softmax(resid), out=resid)
         resid -= y[..., None] == np.arange(c)
         resid *= wn[..., None]
-        gw = np.swapaxes(x, -1, -2) @ resid
-        gw = gw.reshape(*gw.shape[:-2], p * c)
-        gb = np.sum(resid, axis=-2)
-        return np.concatenate([gw, gb], axis=-1)
+        lead = resid.shape[:-2]
+        out = np.empty(lead + (self.dim,)) if out is None else out
+        np.matmul(np.swapaxes(x, -1, -2), resid, out=out[..., : p * c].reshape(*lead, p, c))
+        np.sum(resid, axis=-2, out=out[..., p * c :])
+        return out
 
     def predict(self, w, x) -> np.ndarray:
         if self.n_classes == 2:
@@ -249,18 +255,24 @@ class MlpModel:
         return w1, b1, w2, b2
 
     def _forward(self, w, x):
+        """Hidden activations and logits, each computed in place in one array."""
         w1, b1, w2, b2 = self._unpack(w)
-        pre = x @ w1 + b1[..., None, :]
-        hidden = np.maximum(pre, 0.0) if self.activation == "relu" else np.tanh(pre)
-        logits = hidden @ w2 + b2[..., None, :]
-        return pre, hidden, logits
+        hidden = x @ w1
+        hidden += b1[..., None, :]
+        if self.activation == "relu":
+            np.maximum(hidden, 0.0, out=hidden)
+        else:
+            np.tanh(hidden, out=hidden)
+        logits = hidden @ w2
+        logits += b2[..., None, :]
+        return hidden, logits
 
     def loss(self, w, x, y, sample_weight=None):
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
         wn = _normalized_weights(y.shape, sample_weight)
-        _, _, logits = self._forward(w, x)
+        _, logits = self._forward(w, x)
         if self.loss_kind == "squared_error":
             resid = logits - (y[..., None] == np.arange(self.n_classes))
             per_sample = 0.5 * np.sum(resid**2, axis=-1)
@@ -268,42 +280,33 @@ class MlpModel:
             per_sample = -_label_log_prob(_log_softmax(logits), y)
         return _scalar_or_array(np.sum(per_sample * wn, axis=-1))
 
-    def gradient(self, w, x, y, sample_weight=None):
+    def gradient(self, w, x, y, sample_weight=None, out=None):
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
         wn = _normalized_weights(y.shape, sample_weight)
-        p, h, c = self.feature_dim, self.hidden_units, self.n_classes
-        _, b1, w2, _ = self._unpack(w)
-        pre, hidden, logits = self._forward(w, x)
-        if self.loss_kind == "squared_error":
-            resid = logits - (y[..., None] == np.arange(c)).astype(float)
-        else:
-            resid = np.exp(_log_softmax(logits))
-            resid -= y[..., None] == np.arange(c)
+        w2 = self._unpack(w)[2]
+        hidden, resid = self._forward(w, x)
+        if self.loss_kind == "cross_entropy":
+            np.exp(_log_softmax(resid), out=resid)
+        resid -= y[..., None] == np.arange(self.n_classes)
         resid *= wn[..., None]
-        gw2 = np.swapaxes(hidden, -1, -2) @ resid
-        gb2 = np.sum(resid, axis=-2)
-        dhidden = resid @ np.swapaxes(w2, -1, -2)
-        if self.activation == "relu":
-            dhidden = dhidden * (pre > 0.0)
-        else:
-            dhidden = dhidden * (1.0 - np.tanh(pre) ** 2)
-        gw1 = np.swapaxes(x, -1, -2) @ dhidden
-        gb1 = np.sum(dhidden, axis=-2)
-        lead = w.shape[:-1]
-        return np.concatenate(
-            [
-                gw1.reshape(*lead, p * h),
-                gb1,
-                gw2.reshape(*lead, h * c),
-                gb2,
-            ],
-            axis=-1,
-        )
+        out = np.empty(resid.shape[:-2] + (self.dim,)) if out is None else out
+        gw1, gb1, gw2, gb2 = self._unpack(out)
+        np.matmul(np.swapaxes(hidden, -1, -2), resid, out=gw2)
+        np.sum(resid, axis=-2, out=gb2)
+        # the activation's derivative, read off its output before the hidden
+        # buffer takes dhidden: relu's hidden > 0 is pre > 0 (nan included),
+        # and 1 - hidden**2 is 1 - tanh(pre)**2
+        deriv = hidden > 0.0 if self.activation == "relu" else 1.0 - hidden**2
+        dhidden = np.matmul(resid, np.swapaxes(w2, -1, -2), out=hidden)
+        dhidden *= deriv
+        np.matmul(np.swapaxes(x, -1, -2), dhidden, out=gw1)
+        np.sum(dhidden, axis=-2, out=gb1)
+        return out
 
     def predict(self, w, x) -> np.ndarray:
-        _, _, logits = self._forward(np.asarray(w, dtype=float), np.asarray(x, dtype=float))
+        _, logits = self._forward(np.asarray(w, dtype=float), np.asarray(x, dtype=float))
         return np.argmax(logits, axis=-1)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:

@@ -118,7 +118,7 @@ def estimate_unclipped_prob(
         raise ValueError(f"c must be a threshold or a non-empty 1-D sequence of them, got {c!r}")
     sqrt2_g = math.sqrt(2.0) * g
     for threshold in np.atleast_1d(thresholds):
-        if threshold <= sqrt2_g:
+        if not threshold > sqrt2_g:  # a nan threshold fails too
             raise RegimeError(
                 f"clip threshold must exceed sqrt(2)*G: C={threshold}, sqrt(2)*G={sqrt2_g}"
             )

@@ -288,7 +288,8 @@ def test_criterion_8_gradient_correctness():
 
     def relu_guard(w, xx, yy):
         # central differences are invalid within the step of a relu kink
-        pre, _, _ = relu_mlp._forward(w, xx)
+        w1, b1, _, _ = relu_mlp._unpack(w)
+        pre = xx @ w1 + b1
         return float(np.min(np.abs(pre))) > 1e-3
 
     check(relu_mlp, lambda: (rng.normal(scale=0.5, size=relu_mlp.dim), (x, y2)),

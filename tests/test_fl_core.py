@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,53 @@ def test_client_count_mismatch():
     model, datas = quadratic_clients(rng)
     with pytest.raises(ValueError):
         run_training(base_config(5, 1), model, datas)
+
+
+@pytest.mark.parametrize("model", [MlpModel(4, 3, 2), LogisticModel(4, 3)])
+def test_labels_outside_the_classes_are_rejected(model):
+    # a label outside 0..K-1 once trained on an all-zero one-hot row (and
+    # the MLP's loss then raised IndexError mid-run)
+    from otafl import ClientDataset, Dataset
+
+    rng = np.random.default_rng(13)
+    k = model.n_classes
+    clients = [ClientDataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k, client_id=i) for i in range(3)]
+    held_out = Dataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k)
+    cfg = base_config(3, 1, batch_size=2)
+    prepare_task(model, clients, cfg, held_out)
+    for bad in (k, -1, 1.5, np.nan):
+        labels = np.array([0.0, 1.0, bad, 0.0])
+        wrong = [*clients[:2], dataclasses.replace(clients[2], y=labels)]
+        with pytest.raises(ValueError, match=f"client 2 has label {bad!r}"):
+            run_training(cfg, model, wrong, held_out)
+        with pytest.raises(ValueError, match=f"held-out data has label {bad!r}"):
+            prepare_task(model, clients, cfg, Dataset(x=held_out.x, y=labels))
+
+
+def test_local_step_allocates_no_per_step_buffers():
+    # the criterion-6 task (MLP 20-32-2, 50 iid clients of 15-50 samples, 5
+    # epochs of batch 10): a call holds four (R, N, d) arrays at most (local
+    # parameters, gradient sum, the steps' gradient buffer, the result in
+    # client order), 1.19 MB. Per-step gradients, updates, copies of the
+    # clients with samples left and per-epoch gathers (2.72 MB, 9.2 such
+    # arrays) once page-faulted on every step.
+    rng = np.random.default_rng(np.random.SeedSequence([731, 5]))
+    full = make_synthetic_classification(2000, 20, 2, 5.0, rng)
+    train, _ = train_test_split(full, 0.2, rng)
+    clients = partition(train, PartitionSpec("iid", 50, seed=731))
+    model = MlpModel(20, 32, 2, loss_kind="squared_error")
+    cfg = base_config(50, 1, learning_rate=0.03, local_epochs=5, batch_size=10, clip=ClipMethod.mac(0.4), seed=731)
+    task = prepare_task(model, clients, cfg)
+    w = model.init_params(np.random.default_rng(0))[None]
+    _pseudo_gradients(task, w, cfg, 0)
+    tracemalloc.start()
+    try:
+        _pseudo_gradients(task, w, cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array_bytes = 50 * model.dim * 8
+    assert peak < 5 * array_bytes, f"peak {peak} B is {peak / array_bytes:.1f} (1, N, d) arrays"
 
 
 def assert_same_run(batched, alone):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from otafl import (
     QuadraticModel,
     compute_smoothness,
 )
-from otafl.models import global_loss
+from otafl.models import _label_log_prob, _normalized_weights, global_loss
 
 
 def make_logistic_data(rng, n=30, p=4, classes=2):
@@ -278,3 +280,108 @@ def test_mlp_predict_and_init_determinism():
     labels = model.predict(w1, x)
     assert labels.shape == (6,)
     assert set(np.unique(labels)).issubset({0, 1})
+
+
+# The MLP as it was computed out of place, with the pre-activation kept: the
+# reference that the in-place forward and gradient must equal bit for bit.
+
+
+def reference_mlp_forward(model, w, x):
+    w1, b1, w2, b2 = model._unpack(w)
+    pre = x @ w1 + b1[..., None, :]
+    hidden = np.maximum(pre, 0.0) if model.activation == "relu" else np.tanh(pre)
+    logits = hidden @ w2 + b2[..., None, :]
+    return pre, hidden, logits
+
+
+def reference_log_softmax(z):
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def reference_mlp_loss(model, w, x, y, sample_weight=None):
+    wn = _normalized_weights(y.shape, sample_weight)
+    _, _, logits = reference_mlp_forward(model, w, x)
+    if model.loss_kind == "squared_error":
+        resid = logits - (y[..., None] == np.arange(model.n_classes))
+        per_sample = 0.5 * np.sum(resid**2, axis=-1)
+    else:
+        per_sample = -_label_log_prob(reference_log_softmax(logits), y)
+    return np.sum(per_sample * wn, axis=-1)
+
+
+def reference_mlp_gradient(model, w, x, y, sample_weight=None):
+    wn = _normalized_weights(y.shape, sample_weight)
+    p, h, c = model.feature_dim, model.hidden_units, model.n_classes
+    _, _, w2, _ = model._unpack(w)
+    pre, hidden, logits = reference_mlp_forward(model, w, x)
+    if model.loss_kind == "squared_error":
+        resid = logits - (y[..., None] == np.arange(c)).astype(float)
+    else:
+        resid = np.exp(reference_log_softmax(logits))
+        resid -= y[..., None] == np.arange(c)
+    resid *= wn[..., None]
+    gw2 = np.swapaxes(hidden, -1, -2) @ resid
+    gb2 = np.sum(resid, axis=-2)
+    dhidden = resid @ np.swapaxes(w2, -1, -2)
+    if model.activation == "relu":
+        dhidden = dhidden * (pre > 0.0)
+    else:
+        dhidden = dhidden * (1.0 - np.tanh(pre) ** 2)
+    gw1 = np.swapaxes(x, -1, -2) @ dhidden
+    gb1 = np.sum(dhidden, axis=-2)
+    lead = gb1.shape[:-1]
+    return np.concatenate([gw1.reshape(*lead, p * h), gb1, gw2.reshape(*lead, h * c), gb2], axis=-1)
+
+
+def fuzz_payload(fuzz, head, lead):
+    """A model of the given head and a payload for parameters with leading
+    axes `lead`: the payload carries the client axis, never the replica axis."""
+    p, m = int(fuzz.integers(1, 6)), int(fuzz.integers(1, 9))
+    payload_lead = lead[-1:]
+    if head == "quadratic":
+        model = QuadraticModel(p)
+        a = fuzz.normal(size=payload_lead + (m, p, p))
+        return model, a @ np.swapaxes(a, -1, -2), fuzz.normal(size=payload_lead + (m, p))
+    if head.startswith("logistic"):
+        model = LogisticModel(p, int(head[-1]))
+    else:
+        activation, loss_kind = head.split("/")[1:]
+        model = MlpModel(p, int(fuzz.integers(1, 7)), int(fuzz.integers(2, 4)), activation, loss_kind)
+    x = fuzz.normal(scale=fuzz.choice([0.1, 1.0, 10.0]), size=payload_lead + (m, p))
+    return model, x, fuzz.integers(model.n_classes, size=payload_lead + (m,))
+
+
+def test_gradient_out_fuzz_is_bit_identical():
+    # 420 seeded draws, 20 for each (head, leading shape); every second draw
+    # pads its clients' batches with zero sample weights, whole rows
+    # included. ~0.2 s on a 2-core VM.
+    heads = ["quadratic", "logistic2", "logistic3", "mlp/relu/cross_entropy", "mlp/relu/squared_error",
+             "mlp/tanh/cross_entropy", "mlp/tanh/squared_error"]
+    leads = [(), (3,), (2, 3)]
+    fuzz = np.random.default_rng(20261)
+    t0 = time.perf_counter()
+    for case in range(420):
+        head, lead = heads[case % 7], leads[case // 7 % 3]
+        model, x, y = fuzz_payload(fuzz, head, lead)
+        weight = None
+        if case // 21 % 2:
+            m = y.shape[len(lead[-1:])]
+            weight = (np.arange(m) < fuzz.integers(0, m + 1, size=lead[-1:] + (1,))) * 1.0
+        w = fuzz.normal(scale=fuzz.choice([0.3, 3.0]), size=lead + (model.dim,))
+        expected = model.gradient(w, x, y, sample_weight=weight)
+        # the caller's buffer: a prefix of a larger one, full of garbage
+        if lead:
+            buf = np.full(lead[:-1] + (lead[-1] + 2, model.dim), np.nan)[..., : lead[-1], :]
+        else:
+            buf = np.full(model.dim, np.nan)
+        assert model.gradient(w, x, y, sample_weight=weight, out=buf) is buf, (case, head, lead)
+        assert buf.tobytes() == expected.tobytes(), (case, head, lead)
+        if isinstance(model, MlpModel):
+            reference = reference_mlp_gradient(model, w, x, y, sample_weight=weight)
+            assert expected.tobytes() == reference.tobytes(), (case, head, lead)
+            loss = np.asarray(model.loss(w, x, y, sample_weight=weight))
+            assert loss.tobytes() == reference_mlp_loss(model, w, x, y, sample_weight=weight).tobytes()
+            logits = reference_mlp_forward(model, w, x)[2]
+            assert model.predict(w, x).tobytes() == np.argmax(logits, axis=-1).tobytes()
+    assert time.perf_counter() - t0 < 2.0
