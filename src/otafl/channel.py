@@ -96,7 +96,7 @@ def transmit(
     """
     grads = np.asarray(client_grads, dtype=float)
     if grads.ndim not in (2, 3):
-        raise ValueError("client gradients must all share one dimension")
+        raise ValueError(f"client gradients must have shape (N, d) or (R, N, d), got {grads.shape}")
     gains = np.asarray(gains, dtype=float)
     if gains.shape != grads.shape[:-1]:
         raise ValueError(f"got gains of shape {gains.shape} for client gradients of shape {grads.shape}")

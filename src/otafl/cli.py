@@ -29,7 +29,7 @@ from .channel import ChannelConfig, FadingModel
 from .clipping import ClipMethod
 from .config import ConfigError, ExperimentConfig, load_config, parse_overrides, resolved_summary
 from .data import PartitionSpec, load_csv_dataset, make_synthetic_classification, partition, train_test_split
-from .fl_core import FLConfig, method_variant, run_threshold_sweep, run_training
+from .fl_core import FLConfig, compare_methods, run_threshold_sweep
 from .models import LogisticModel, MlpModel
 from .stable_noise import RegimeError, StableParams
 
@@ -76,10 +76,13 @@ def build_task_factory(cfg: ExperimentConfig):
 
         return factory
 
+    # read once here, so every seed and method sees the same file contents
+    csv_data = None if cfg.dataset_csv is None else load_csv_dataset(cfg.dataset_csv, cfg.label_column)
+
     def factory(seed: int):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-        if cfg.dataset_csv is not None:
-            full = load_csv_dataset(cfg.dataset_csv, cfg.label_column)
+        if csv_data is not None:
+            full = csv_data
         else:
             full = make_synthetic_classification(
                 cfg.n_samples, cfg.feature_dim, cfg.n_classes, cfg.class_separation, rng
@@ -129,13 +132,12 @@ _TRAIN_COLUMNS = ["round", "loss", "grad_norm_sq", "snr_db", "clipped_fraction",
 def cmd_train(args) -> int:
     cfg = load_config(args.config, parse_overrides(args.set))
     outdir = Path(cfg.output_dir)
-    factory = build_task_factory(cfg)
-    model, clients, eval_data = factory(cfg.seed)
-    base = to_fl_config(cfg)
+    results = compare_methods(
+        build_task_factory(cfg), to_fl_config(cfg), cfg.methods, 1, cfg.mac_threshold, cfg.gnc_threshold
+    )
     summary_rows = []
     for method in cfg.methods:
-        fl = method_variant(base, method, cfg.mac_threshold, cfg.gnc_threshold)
-        result = run_training(fl, model, clients, eval_data=eval_data)
+        [result] = results[method]
         records = result.records
         rows = [
             [

@@ -429,6 +429,24 @@ def method_variant(cfg: FLConfig, method: str, mac_threshold: float, gnc_thresho
     raise ValueError(f"unknown method {method!r}")
 
 
+def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[list[TrainResult]]:
+    """The one matched-seed loop. Seed s builds its task once, at the base
+    seed + s that every variant carries, and runs every variant on it at
+    that seed before the next seed's task is built. Returns one list of
+    n_seeds results per variant."""
+    if not variants:
+        raise ValueError("nothing to run: no method or threshold given")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    runs: list[list[TrainResult]] = [[] for _ in variants]
+    for s in range(n_seeds):
+        seed = variants[0].seed + s
+        model, client_datas, eval_data = task_factory(seed)
+        for cfg, results in zip(variants, runs):
+            results.append(run_training(replace(cfg, seed=seed), model, client_datas, eval_data))
+    return runs
+
+
 def compare_methods(
     task_factory,
     base_cfg: FLConfig,
@@ -438,17 +456,10 @@ def compare_methods(
     gnc_threshold: float,
 ) -> dict[str, list[TrainResult]]:
     """Run every method under matched seeds: seed s uses base seed + s for
-    model init, data, channel and batching alike."""
-    results: dict[str, list[TrainResult]] = {m: [] for m in methods}
-    for s in range(n_seeds):
-        seed = base_cfg.seed + s
-        model, client_datas, eval_data = task_factory(seed)
-        for method in methods:
-            cfg = replace(
-                method_variant(base_cfg, method, mac_threshold, gnc_threshold), seed=seed
-            )
-            results[method].append(run_training(cfg, model, client_datas, eval_data))
-    return results
+    model init, data, channel and batching alike. Every method is resolved,
+    and so checked, before the first run."""
+    variants = {m: method_variant(base_cfg, m, mac_threshold, gnc_threshold) for m in methods}
+    return dict(zip(variants, _matched_runs(task_factory, list(variants.values()), n_seeds)))
 
 
 @dataclass(frozen=True)
@@ -461,15 +472,17 @@ class SweepRow:
     best: bool = False
 
 
-def _final_loss(result: TrainResult) -> float:
-    loss = result.columns["global_loss"][-1]
-    return loss if np.isfinite(loss) else np.inf
-
-
-def _final_accuracy(result: TrainResult) -> float:
-    if result.final_eval_accuracy is not None:
-        return result.final_eval_accuracy
-    return np.nan
+def _sweep_row(method: str, threshold: float, results: list[TrainResult]) -> SweepRow:
+    accs = np.array([r.final_eval_accuracy for r in results], dtype=float)  # None -> nan
+    losses = np.array([r.columns["global_loss"][-1] for r in results])
+    return SweepRow(
+        method=method,
+        threshold=float(threshold),
+        # all NaN for a non-classifier, where nanmedian would warn
+        median_final_accuracy=float(np.nanmedian(accs)) if np.isfinite(accs).any() else np.nan,
+        median_final_loss=float(np.median(np.where(np.isfinite(losses), losses, np.inf))),
+        n_diverged=sum(r.diverged for r in results),
+    )
 
 
 def run_threshold_sweep(
@@ -478,40 +491,21 @@ def run_threshold_sweep(
     c_grid: dict[str, list[float]],
     n_seeds: int,
 ) -> list[SweepRow]:
-    """Grid of clip thresholds per method; the best row per method (highest
-    median accuracy, ties to lower loss) is marked."""
+    """Grid of clip thresholds per method, every grid point under matched
+    seeds; the best row per method (highest median accuracy, ties to lower
+    loss, then to the earlier row) is marked. The whole grid is resolved,
+    and so checked, before the first run."""
     if not c_grid or any(len(v) == 0 for v in c_grid.values()):
         raise ValueError("sweep needs a non-empty threshold grid per method")
-    rows: list[SweepRow] = []
-    for method, thresholds in c_grid.items():
-        if method not in ("mac", "gnc"):
-            raise ValueError(f"sweep supports 'mac' and 'gnc', got {method!r}")
-        for c in thresholds:
-            results = compare_methods(
-                task_factory, base_cfg, [method], n_seeds, mac_threshold=c, gnc_threshold=c
-            )[method]
-            accs = np.array([_final_accuracy(r) for r in results], dtype=float)
-            losses = np.array([_final_loss(r) for r in results], dtype=float)
-            rows.append(
-                SweepRow(
-                    method=method,
-                    threshold=float(c),
-                    # all NaN for a non-classifier, where nanmedian would warn
-                    median_final_accuracy=float(np.nanmedian(accs)) if np.isfinite(accs).any() else np.nan,
-                    median_final_loss=float(np.median(losses)),
-                    n_diverged=sum(r.diverged for r in results),
-                )
-            )
-    marked: list[SweepRow] = []
-    for method in c_grid:
-        method_rows = [r for r in rows if r.method == method]
-        best = max(
-            method_rows,
-            key=lambda r: (
-                -np.inf if np.isnan(r.median_final_accuracy) else r.median_final_accuracy,
-                -r.median_final_loss,
-            ),
-        )
-        for r in method_rows:
-            marked.append(replace(r, best=r is best))
-    return marked
+    other = [m for m in c_grid if m not in ("mac", "gnc")]
+    if other:
+        raise ValueError(f"sweep supports 'mac' and 'gnc', got {other[0]!r}")
+    plan = [(method, c) for method, thresholds in c_grid.items() for c in thresholds]
+    runs = _matched_runs(task_factory, [method_variant(base_cfg, m, c, c) for m, c in plan], n_seeds)
+    rows = [_sweep_row(m, c, results) for (m, c), results in zip(plan, runs)]
+    best: dict[str, tuple] = {}
+    for i, row in enumerate(rows):
+        accuracy = -np.inf if np.isnan(row.median_final_accuracy) else row.median_final_accuracy
+        rank = (accuracy, -row.median_final_loss, -i)
+        best[row.method] = max(rank, best.get(row.method, rank))
+    return [replace(row, best=best[row.method][-1] == -i) for i, row in enumerate(rows)]

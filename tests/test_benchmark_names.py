@@ -115,6 +115,15 @@ def test_benchmark_outcomes_pass_on_small_runs(tmp_path):
     inputs = mlp.prepare(0, tmp_path)
     bound = workloads.FlQuadraticBound()
     report = verify_convergence_bound(dim=3, n_clients=2, k_grid=(3, 7), n_seeds=2)
-    for outcome in (mlp.outcome(mlp.run(inputs), inputs), bound.outcome(report, {})):
+    # the sweep's checks: one row per threshold, one best row, finite losses
+    sweep = workloads.SweepLogisticIid()
+    sweep.rounds, sweep.n_seeds = 2, 1
+    sweep_inputs = sweep.prepare(0, tmp_path)
+    outcomes = (
+        mlp.outcome(mlp.run(inputs), inputs),
+        bound.outcome(report, {}),
+        sweep.outcome(sweep.run(sweep_inputs), sweep_inputs),
+    )
+    for outcome in outcomes:
         failed = [name for name, ok in outcome.checks if not ok]
         assert outcome.checks and not failed, failed

@@ -75,6 +75,10 @@ def test_aggregate_shape_errors():
         transmit([np.array([1.0, 2.0]), np.array([1.0])], np.ones(2), cfg, np.random.default_rng(0))[0]
     with pytest.raises(ValueError):
         transmit([np.array([1.0, 2.0])], np.ones(2), cfg, np.random.default_rng(0))[0]
+    # one client's vector, or a stack beyond the replica axis
+    for grads in (np.ones(3), np.ones((2, 2, 2, 3))):
+        with pytest.raises(ValueError, match=r"\(N, d\) or \(R, N, d\)"):
+            transmit(grads, np.ones(grads.shape[:-1]), cfg, np.random.default_rng(0))
 
 
 def test_aggregate_linearity_matches_mean():

@@ -11,6 +11,7 @@ import pytest
 
 from otafl.cli import main
 from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides, validate
+from otafl.data import load_csv_dataset
 
 
 def minimal_config(tmp_path, **extra):
@@ -426,6 +427,32 @@ def test_csv_dataset_config(tmp_path):
     )
     assert main(["train", str(cfg)]) == 0
     assert (tmp_path / "out" / "mini_ideal.csv").exists()
+
+
+def test_sweep_reads_the_dataset_csv_once(tmp_path, monkeypatch):
+    # every seed and threshold sees the same file contents, read once
+    from otafl import cli
+
+    data = tmp_path / "data.csv"
+    rng = np.random.default_rng(1)
+    data.write_text("a,b,label\n" + "".join(
+        f"{x[0]!r},{x[1]!r},{i % 2}\n" for i, x in enumerate(rng.normal(size=(40, 2)).tolist())
+    ))
+    reads = []
+
+    def counting_load(*args):
+        reads.append(args)
+        return load_csv_dataset(*args)
+
+    monkeypatch.setattr(cli, "load_csv_dataset", counting_load)
+    cfg = minimal_config(
+        tmp_path, model="logistic", n_clients=2, rounds=2, n_seeds=2,
+        dataset_csv=str(data), c_grid="{mac: [0.5, 1.0, 2.0]}",
+    )
+    assert main(["sweep", str(cfg)]) == 0
+    assert reads == [(str(data), "label")]
+    _, _, rows = read_csv(tmp_path / "out" / "mini_sweep.csv")
+    assert len(rows) == 3
 
 
 # Values that a config field may wrongly hold: wrong types, booleans, lists,

@@ -24,8 +24,17 @@ from otafl import (
     run_training,
     train_test_split,
 )
+from otafl import fl_core
 from otafl.analysis import make_quadratic_testbed
-from otafl.fl_core import _pseudo_gradients, client_rng, compare_methods, prepare_task, run_replicas, run_round
+from otafl.fl_core import (
+    SweepRow,
+    _pseudo_gradients,
+    client_rng,
+    compare_methods,
+    prepare_task,
+    run_replicas,
+    run_round,
+)
 
 
 def quadratic_clients(rng, dim=4, n_clients=3, with_b=True):
@@ -439,3 +448,122 @@ def test_threshold_sweep_rows_and_best_marks():
     assert len(gnc_rows) == 1 and gnc_rows[0].best  # single-point grid wins by default
     with pytest.raises(ValueError):
         run_threshold_sweep(factory, cfg, {"mac": []}, n_seeds=1)
+
+
+class _RunStarted(Exception):
+    pass
+
+
+def _forbid_runs(monkeypatch):
+    # Patches the engine entry point of the matched-seed loop. A name it does
+    # not call would let the "before any run" tests pass vacuously, so the
+    # positive controls below check that this one is reached.
+    def run_training(*args, **kwargs):
+        raise _RunStarted("a training run started before the plan was checked")
+
+    monkeypatch.setattr(fl_core, "run_training", run_training)
+
+
+def _noisy_config():
+    return base_config(
+        4, 2, learning_rate=0.3,
+        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
+    )
+
+
+def test_forbid_runs_reaches_the_engine_on_valid_plans(monkeypatch):
+    _forbid_runs(monkeypatch)
+    with pytest.raises(_RunStarted):
+        compare_methods(classification_task, _noisy_config(), ["mac", "none"], 2, 0.5, 5.0)
+    with pytest.raises(_RunStarted):
+        run_threshold_sweep(classification_task, _noisy_config(), {"mac": [0.2, 0.4], "gnc": [1.0]}, n_seeds=2)
+
+
+@pytest.mark.parametrize(
+    "grid, n_seeds, match",
+    [
+        ({"mac": [0.2, 0.4], "sgd": [1.0]}, 2, "'sgd'"),
+        ({"mac": [0.2, 0.4], "none": [1.0]}, 2, "'none'"),
+        ({"mac": [0.2, 0.4], "gnc": [-1.0]}, 2, "positive"),
+        ({"gnc": [1.0], "mac": [np.nan]}, 2, "positive"),
+        ({"mac": [0.2], "gnc": [0.0]}, 2, "positive"),
+        ({}, 2, "non-empty"),
+        ({"mac": [0.2], "gnc": []}, 2, "non-empty"),
+        ({"mac": [0.2]}, 0, "n_seeds"),
+        ({"mac": [0.2]}, -1, "n_seeds"),
+    ],
+)
+def test_sweep_checks_the_whole_plan_before_any_run(monkeypatch, grid, n_seeds, match):
+    built = []
+    _forbid_runs(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        run_threshold_sweep(lambda seed: built.append(seed), _noisy_config(), grid, n_seeds=n_seeds)
+    assert built == []  # no task was built either
+
+
+@pytest.mark.parametrize(
+    "methods, mac_threshold, gnc_threshold, n_seeds, match",
+    [
+        (["mac", "sgd"], 0.5, 5.0, 2, "'sgd'"),
+        (["none", "mac"], np.nan, 5.0, 2, "positive"),
+        (["mac", "gnc"], 0.5, -1.0, 2, "positive"),
+        ([], 0.5, 5.0, 2, "no method"),
+        (["mac"], 0.5, 5.0, 0, "n_seeds"),
+        (["mac"], 0.5, 5.0, -1, "n_seeds"),
+    ],
+)
+def test_compare_methods_checks_the_whole_plan_before_any_run(
+    monkeypatch, methods, mac_threshold, gnc_threshold, n_seeds, match
+):
+    built = []
+    _forbid_runs(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        compare_methods(lambda seed: built.append(seed), _noisy_config(), methods, n_seeds, mac_threshold, gnc_threshold)
+    assert built == []
+
+
+def _padded_shuffling_task(seed):
+    # Dirichlet clients of unequal sizes, batch 4: clients are padded and shuffle
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+    full = make_synthetic_classification(120, 4, 3, 3.0, rng)
+    train, test = train_test_split(full, 0.2, rng)
+    clients = partition(train, PartitionSpec("dirichlet", 5, 0.5, seed=seed))
+    return MlpModel(4, 6, 3, activation="tanh"), clients, test
+
+
+def test_sweep_matches_one_comparison_per_threshold():
+    # the old path ran compare_methods once per grid point; the sweep now
+    # builds each seed's task once and runs the whole grid on it
+    cfg = base_config(
+        5, 4, learning_rate=0.2, local_epochs=2, batch_size=4, seed=3, eval_every=2,
+        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
+    )
+    _, clients, _ = _padded_shuffling_task(cfg.seed)
+    sizes = [len(d.y) for d in clients]
+    assert len(set(sizes)) > 1 and min(sizes) > cfg.batch_size
+    grid = {"mac": [0.2, 0.5, 1.0], "gnc": [0.5, 2.0]}
+    seeds = []
+
+    def spy(seed):
+        seeds.append(seed)
+        return _padded_shuffling_task(seed)
+
+    rows = run_threshold_sweep(spy, cfg, grid, n_seeds=2)
+    assert seeds == [3, 4]
+    expected = []
+    for method, thresholds in grid.items():
+        mine = []
+        for c in thresholds:
+            results = compare_methods(_padded_shuffling_task, cfg, [method], 2, c, c)[method]
+            mine.append(SweepRow(
+                method=method,
+                threshold=float(c),
+                median_final_accuracy=float(np.median([r.final_eval_accuracy for r in results])),
+                median_final_loss=float(np.median([r.columns["global_loss"][-1] for r in results])),
+                n_diverged=sum(r.diverged for r in results),
+            ))
+        # the old marking: highest accuracy, then lowest loss, first of equals
+        best = max(mine, key=lambda r: (r.median_final_accuracy, -r.median_final_loss))
+        expected += [dataclasses.replace(r, best=r is best) for r in mine]
+    # repr compares the floats bit for bit, and the types too
+    assert repr(rows) == repr(expected)
