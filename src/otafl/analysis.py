@@ -346,24 +346,6 @@ class BoundCheckReport:
     config_summary: str
 
 
-def _grad_norm_matrix(cfg: FLConfig, testbed: QuadraticTestbed, n_seeds: int) -> tuple[np.ndarray, float, float]:
-    """(seeds x rounds) squared gradient norms plus mean unclipped fraction
-    and mean median/mean gap; the seeds run as replicas of one round loop."""
-    results = run_replicas(cfg, testbed.model, testbed.client_datas, n_seeds, w0=testbed.w0)
-    for s, result in enumerate(results):
-        if result.diverged:
-            raise RuntimeError(
-                f"bound-check run diverged at seed {cfg.seed + s}; the clipped "
-                f"update should stay bounded"
-            )
-    rows, clipped, gaps = (
-        np.stack([result.columns[name] for result in results])
-        for name in ("grad_norm_sq", "clipped_fraction", "median_mean_gap")
-    )
-    unclipped = np.mean(1.0 - clipped.mean(axis=-1), axis=-1)
-    return rows, float(np.mean(unclipped)), float(np.mean(gaps.mean(axis=-1)))
-
-
 def verify_convergence_bound(
     dim: int = 10,
     n_clients: int = 5,
@@ -382,9 +364,10 @@ def verify_convergence_bound(
     the closed-form bound on a quadratic testbed with certified constants.
 
     One run of max(k_grid) rounds per seed provides every K via prefix
-    averages, so the K comparison uses matched noise streams. The seeds run
-    as replicas of one round loop, each bit for bit the run it would be
-    alone, and their telemetry is kept as (seeds x rounds) columns. The default
+    averages, so the K comparison uses matched noise streams. Every
+    (learning rate, seed) pair runs as a row of one round loop, each bit for
+    bit the run it would be alone, and their telemetry is kept as
+    (learning rates x seeds x rounds) columns. The default
     channel has no fading: the bound treats unit-mean fades as their mean, and
     the check isolates exactly what the bound controls. ``ideal`` switches to
     the noiseless channel and the classical descent bound.
@@ -399,6 +382,8 @@ def verify_convergence_bound(
     info = testbed.info
     if eta is None:
         eta = 1.0 / info.l
+    if ideal and c is not None:
+        raise ValueError(f"the ideal channel is not clipped, so it takes no threshold; got c={c}")
     if c is None:
         c = 2.0 * math.sqrt(2.0) * info.g
     if not ideal and c <= math.sqrt(2.0) * info.g:
@@ -409,14 +394,16 @@ def verify_convergence_bound(
     f0 = global_loss(testbed.model, testbed.w0, testbed.client_datas)
     k_max = k_grid[-1]
 
-    def bound_at(k: int, eta_val: float) -> float:
-        if ideal:
-            return classical_descent_bound(f0, info.f_star, eta_val, info.l, k)
-        params = BoundParams(
+    def params_at(k: int, eta_val: float) -> BoundParams:
+        return BoundParams(
             l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=eta_val,
             c=c, k=k, d=dim, alpha=alpha, tau=tau,
         )
-        return convergence_bound(params)
+
+    def bound_at(k: int, eta_val: float) -> float:
+        if ideal:
+            return classical_descent_bound(f0, info.f_star, eta_val, info.l, k)
+        return convergence_bound(params_at(k, eta_val))
 
     # Every bound is evaluated before the first round, so a learning rate at
     # or beyond 2/L, in eta or in eta_grid, fails before any run starts.
@@ -434,26 +421,29 @@ def verify_convergence_bound(
         projection_radius=info.radius,
     )
 
-    gns, p_empirical, gap = _grad_norm_matrix(cfg, testbed, n_seeds)
+    etas = [eta, *map(float, eta_grid)]
+    cfgs = [replace(cfg, learning_rate=e, seed=seed + s) for e in etas for s in range(n_seeds)]
+    results = run_replicas(cfgs, testbed.model, testbed.client_datas, w0=testbed.w0)
+    for row_cfg, result in zip(cfgs, results):
+        if result.diverged:
+            raise RuntimeError(
+                f"bound-check run diverged at seed {row_cfg.seed}; the clipped "
+                f"update should stay bounded"
+            )
+    gns, clipped, gaps = (
+        np.stack([result.columns[name] for result in results]).reshape(len(etas), n_seeds, k_max, *block)
+        for name, block in (("grad_norm_sq", ()), ("clipped_fraction", (-1,)), ("median_mean_gap", ()))
+    )
     rows = []
     for k, bound in zip(k_grid, rhs):
-        empirical = float(np.mean(gns[:, :k]))
+        empirical = float(np.mean(gns[0][:, :k]))
         rows.append(BoundCheckRow(k, empirical, bound, empirical / bound))
-
     eta_rows = []
-    for eta_val, bound in zip(eta_grid, eta_rhs):
-        sweep_cfg = replace(cfg, learning_rate=float(eta_val))
-        sweep_gns, _, _ = _grad_norm_matrix(sweep_cfg, testbed, n_seeds)
+    for eta_val, sweep_gns, bound in zip(etas[1:], gns[1:], eta_rhs):
         empirical = float(np.mean(sweep_gns))
-        eta_rows.append(EtaRow(float(eta_val), empirical, bound, empirical / bound))
+        eta_rows.append(EtaRow(eta_val, empirical, bound, empirical / bound))
+    unclipped = np.mean(1.0 - clipped[0].mean(axis=-1), axis=-1)
 
-    if ideal or tau == 0.0:
-        p_used = 1.0
-    else:
-        p_used = BoundParams(
-            l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=eta,
-            c=c, k=k_max, d=dim, alpha=alpha, tau=tau,
-        ).simplified_p_unclipped()
     summary = (
         f"dim={dim} n_clients={n_clients} seeds={n_seeds} eta={eta} c={c} "
         f"L={info.l} G={info.g} f0={f0} f_star={info.f_star} alpha={alpha} "
@@ -474,8 +464,8 @@ def verify_convergence_bound(
         n_clients=n_clients,
         n_seeds=n_seeds,
         ideal=ideal,
-        p_unclipped_used=p_used,
-        p_unclipped_empirical=p_empirical,
-        median_mean_gap=gap,
+        p_unclipped_used=1.0 if ideal else params_at(k_max, eta).simplified_p_unclipped(),
+        p_unclipped_empirical=float(np.mean(unclipped)),
+        median_mean_gap=float(np.mean(gaps[0].mean(axis=-1))),
         config_summary=summary,
     )

@@ -85,13 +85,13 @@ def transmit(
     gains: np.ndarray,
     cfg: ChannelConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Faded superposition average plus one fresh noise draw per entry.
 
     Takes (N, d) gradients, N gains and one generator, or (R, N, d), (R, N)
-    and R generators for R replicas, each drawing its noise from its own.
-    Returns (aggregated gradient, noise realization), a row per replica; the
-    noise is None when the channel has no noise law. Gains are applied as
+    and R generators for R rows, each drawing its noise from its own.
+    Returns (aggregated gradient, noise realization), one per row; the
+    noise is all zeros when the channel has no noise law. Gains are applied as
     given, so unit gains without noise yield the exact arithmetic mean.
     """
     grads = np.asarray(client_grads, dtype=float)
@@ -102,7 +102,7 @@ def transmit(
         raise ValueError(f"got gains of shape {gains.shape} for client gradients of shape {grads.shape}")
     faded_mean = np.mean(gains[..., None] * grads, axis=-2)
     if cfg.noise is None:
-        return faded_mean, None
+        return faded_mean, np.zeros_like(faded_mean)
     rngs = [rng] if grads.ndim == 2 else rng
     noise = np.stack([sample_sas(cfg.noise, grads.shape[-1], r) for r in rngs]).reshape(faded_mean.shape)
     return faded_mean + noise, noise

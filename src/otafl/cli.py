@@ -36,16 +36,6 @@ from .stable_noise import RegimeError, StableParams
 __all__ = ["main", "build_task_factory", "to_fl_config"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _version_line(extra: str) -> str:
     return f"# otafl-{__version__} {extra}"
 
@@ -56,8 +46,8 @@ def _write_csv(path: Path, header_comment: str, columns: list[str], rows) -> Non
         fh.write(header_comment + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        # the csv module writes None as "", a float as its repr, anything else as its str
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,8 @@ def validate(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"field {name!r} must be a string, got {value!r}")
     for method in cfg.methods:
         _check_choice("methods", method, _METHODS)
-    if not cfg.methods:
-        raise ConfigError("field 'methods' must list at least one method")
+    if not cfg.methods or len(set(cfg.methods)) < len(cfg.methods):
+        raise ConfigError(f"field 'methods' must list one or more methods, each once, got {list(cfg.methods)}")
     _check_choice("model", cfg.model, _MODELS)
     _check_choice("partition", cfg.partition, _PARTITIONS)
     _check_choice("fading", cfg.fading, _FADINGS)
@@ -154,10 +154,10 @@ def validate(raw: dict) -> ExperimentConfig:
                 f"field 'c_grid' must be a list of thresholds or a mapping of method to list, got {grid!r}"
             )
         entries = [v for vs in lists for v in vs]
-        if not entries:
-            raise ConfigError("field 'c_grid' must not be empty")
         for v in entries:
             _check_positive("c_grid", v)
+        if not entries or any(len(set(vs)) < len(vs) for vs in lists):
+            raise ConfigError(f"field 'c_grid' must list one or more thresholds, each once per method, got {grid!r}")
         if isinstance(grid, dict):
             for key in grid:
                 _check_choice("c_grid", key, ("mac", "gnc"))

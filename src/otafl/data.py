@@ -195,41 +195,20 @@ def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
                     f"{path}: row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
             features = []
-            for i, cell in enumerate(row):
-                name = header[i]
-                if i == label_idx:
-                    try:
-                        label_f = float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {row_num}, column {name!r}: "
-                            f"non-numeric label {cell!r}"
-                        ) from None
-                    if not label_f.is_integer():
-                        raise ValueError(
-                            f"{path}: row {row_num}, column {name!r}: "
-                            f"label {cell!r} is not an integer"
-                        )
-                    if label_f < 0:
-                        raise ValueError(
-                            f"{path}: row {row_num}, column {name!r}: "
-                            f"label {cell!r} is negative"
-                        )
-                    ys.append(int(label_f))
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {row_num}, column {name!r}: "
-                            f"non-numeric value {cell!r}"
-                        ) from None
+            for i, (name, cell) in enumerate(zip(header, row)):
+                where = f"{path}: row {row_num}, column {name!r}"
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric {'label' if i == label_idx else 'value'} {cell!r}") from None
+                if i != label_idx:
                     if not math.isfinite(value):
-                        raise ValueError(
-                            f"{path}: row {row_num}, column {name!r}: "
-                            f"non-finite value {cell!r}"
-                        )
+                        raise ValueError(f"{where}: non-finite value {cell!r}")
                     features.append(value)
+                elif not value.is_integer() or value < 0:
+                    raise ValueError(f"{where}: label {cell!r} is {'negative' if value.is_integer() else 'not an integer'}")
+                else:
+                    ys.append(int(value))
             xs.append(features)
     if not xs:
         raise ValueError(f"{path}: no rows (header only)")

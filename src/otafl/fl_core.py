@@ -7,9 +7,10 @@ step, and broadcasts again. Client, channel, and init randomness derive from
 independent, round-keyed child seeds, so changing one stream never perturbs
 the others.
 
-One round loop can carry R replicas of a run: replica r is the run at seed
-`cfg.seed + r`, row r of the (R, d) parameters, and it draws from its own
-streams, so it comes out bit for bit as that run alone would.
+One round loop can carry R runs as rows of the (R, d) parameters, one
+FLConfig per row: rows may differ in seed, learning rate, clip and channel,
+and each draws from its own streams, so it comes out bit for bit as that run
+alone would.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ class _Step:
 @dataclass(frozen=True)
 class _PreparedTask:
     """Client payloads stacked once into tensors padded to the largest
-    client, plus the plan of local steps, for vectorized rounds. Replicas
-    share both: the parameters carry the replica axis."""
+    client, plus the plan of local steps, for vectorized rounds. Rows
+    share both: the parameters carry the row axis."""
 
     model: object
     eval_data: object | None
@@ -224,23 +225,25 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _Prepare
     )
 
 
-def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_idx: int) -> np.ndarray:
-    """Pseudo-gradient of every client of every replica, (R, N, d) for
-    parameters w of shape (R, d).
+def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfgs, round_idx: int) -> np.ndarray:
+    """Pseudo-gradient of every client of every row, (R, N, d) for
+    parameters w of shape (R, d), row r stepping at cfgs[r].learning_rate.
 
     Client n reproduces the naive per-client oracle `local_update` of
-    tests/conftest.py driven by client_rng(cfg.seed, round_idx, n): same
+    tests/conftest.py driven by client_rng(seed, round_idx, n): same
     batch order, same step count, vectorized across clients with
     zero-weight padding. The per-client windows [t*min(batch, m_n), ...)
     coincide with the global windows [t*batch, (t+1)*batch) over each
     client's shuffled list, so every step is an aligned slice of one
     per-epoch gather. A one-sample client takes `local_epochs` full-gradient
-    steps. The payload has no replica axis; the local parameters do, and
-    the models broadcast them against it. Only a single replica may shuffle.
-    Every step writes its gradient into (a prefix of) one (R, N, d) buffer,
-    in step order; the result is in client order.
+    steps. The payload has no row axis; the local parameters do, and the
+    models broadcast them against it. Every step writes its gradient into
+    (a prefix of) one (R, N, d) buffer, in step order; the result is in
+    client order.
     """
-    model, lr = task.model, cfg.learning_rate
+    model, cfg = task.model, cfgs[0]
+    # a (R, 1, 1) column: the same IEEE product per row as a scalar rate
+    lr = np.array([c.learning_rate for c in cfgs])[:, None, None]
     n, m_max = task.y.shape[:2]
     xr, yr = task.x, task.y
     if task.shuffled:
@@ -268,55 +271,82 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, round_i
             grad_sum[:, :k] += g_step
             g_step *= lr
             w_local[:, :k] -= g_step
-    return grad_sum if task.position is None else grad_sum[:, task.position]
+    # back in client order, into the step buffer, which is free by now
+    return grad_sum if task.position is None else np.take(grad_sum, task.position, axis=1, out=g, mode="clip")
 
 
-def run_round(w: np.ndarray, k: int, cfg: FLConfig, task: _PreparedTask) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Round k from parameters w of shape (R, d), one row per replica: local
-    compute, noisy aggregation, server-side clipping, global step. Returns
-    the next parameters and the round's telemetry, one array per RoundRecord
-    field (but round, wall_time and diverged) with a leading replica axis.
+def _groups(keys) -> list[tuple[object, slice | list[int]]]:
+    """Each distinct key, in first-seen order, with the rows that carry it:
+    a slice where they are consecutive, so indexing by it copies nothing.
+    Keys are compared, identity first, not hashed: rows mostly share one
+    key object."""
+    distinct: list = []
+    rows: list[list[int]] = []
+    for r, key in enumerate(keys):
+        if key not in distinct:
+            distinct.append(key)
+            rows.append([])
+        rows[distinct.index(key)].append(r)
+    return [(key, slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else rs) for key, rs in zip(distinct, rows)]
 
-    Arithmetic overflow is silenced: an exploding unclipped baseline is a
-    measured outcome, handled by the divergence policy in run_replicas.
+
+def run_round(w: np.ndarray, k: int, cfgs, task: _PreparedTask) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Round k from parameters w of shape (R, d), row r run by cfgs[r]:
+    local compute, noisy aggregation, server-side clipping, global step.
+    Returns the next parameters and the round's telemetry, one array per
+    RoundRecord field (but round, wall_time and diverged) with a leading row
+    axis.
+
+    The channel runs once per distinct channel and the clip once per
+    distinct method, each over its rows. Arithmetic overflow is silenced: an
+    exploding unclipped baseline is a measured outcome, handled by the
+    divergence policy in run_replicas.
     """
-    if w.ndim != 2 or w.shape[1] != task.model.dim:
-        raise ValueError(f"parameters must have shape (R, {task.model.dim}), got {w.shape}")
-    if task.shuffled and len(w) > 1:
-        # shuffles are drawn per client index, from cfg.seed alone
+    if w.shape != (len(cfgs), task.model.dim):
+        raise ValueError(f"parameters must have shape ({len(cfgs)}, {task.model.dim}), one row per config, got {w.shape}")
+    if task.shuffled and len({c.seed for c in cfgs}) > 1:
+        # shuffles are drawn per client index, from the seed alone
         i, m = task.shuffled[0]
-        raise ValueError(f"replicas need clients that never shuffle; client {i} has {m} samples, batch_size is {cfg.batch_size}")
+        raise ValueError(f"rows with different seeds need clients that never shuffle; client {i} has {m} samples, batch_size is {cfgs[0].batch_size}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pseudo = _pseudo_gradients(task, w, cfg, k)
+        # before local compute, so that their buffers are never alive together
+        loss = task.model.loss(w[:, None], task.x, task.y, sample_weight=task.mask).mean(axis=-1)
+        pseudo = _pseudo_gradients(task, w, cfgs, k)
         true_mean = pseudo.mean(axis=1)
 
-        # each replica draws its fades, then its noise, from its own stream
-        rngs = [channel_rng(cfg.seed + r, k) for r in range(len(w))]
-        gains = np.stack([sample_fading(cfg.channel.fading, cfg.n_clients, rng) for rng in rngs])
-        received, noise = transmit(pseudo, gains, cfg.channel, rngs)
+        # each row draws its fades, then its noise, from its own stream
+        rngs = np.array([channel_rng(c.seed, k) for c in cfgs], dtype=object)
+        received, noise = np.empty_like(w), np.empty_like(w)
+        for channel, rows in _groups(c.channel for c in cfgs):
+            gains = np.stack([sample_fading(channel.fading, cfgs[0].n_clients, rng) for rng in rngs[rows]])
+            received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rngs[rows])
 
-        blocks = split_blocks(received, task.model.block_layout)
-        clipped = merge_blocks(apply_blockwise(blocks, cfg.clip))
+        clipped = np.empty_like(w)
+        fractions = np.empty((len(w), len(task.model.block_layout)))
+        for clip, rows in _groups(c.clip for c in cfgs):
+            blocks = split_blocks(received[rows], task.model.block_layout)
+            clipped[rows] = merge_blocks(apply_blockwise(blocks, clip))
+            fractions[rows] = block_clip_fractions(blocks, clip)
 
-        w_next = w - cfg.learning_rate * clipped
-        if cfg.projection_radius is not None:
+        w_next = w - np.array([c.learning_rate for c in cfgs])[:, None] * clipped
+        if cfgs[0].projection_radius is not None:
             # projection onto the ball is norm clipping at its radius
-            w_next = gnc_clip(w_next, cfg.projection_radius)
+            w_next = gnc_clip(w_next, cfgs[0].projection_radius)
 
         step = w_next - w
         return w_next, {
-            "global_loss": task.model.loss(w[:, None], task.x, task.y, sample_weight=task.mask).mean(axis=-1),
+            "global_loss": loss,
             "grad_norm_sq": np.sum(true_mean**2, axis=-1),
             "snr_db": measure_snr(true_mean, noise),
-            "clipped_fraction": block_clip_fractions(blocks, cfg.clip),
+            "clipped_fraction": fractions,
             "update_norm": np.sqrt(np.vecdot(step, step)),
             "median_mean_gap": np.abs(vector_median(received) - np.mean(received, axis=-1)),
-            "eval_accuracy": _eval_accuracies(task, w_next, cfg, k),
+            "eval_accuracy": _eval_accuracies(task, w_next, cfgs[0], k),
         }
 
 
 def _eval_accuracies(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> np.ndarray:
-    """Held-out accuracy per replica; nan off the evaluation cadence,
+    """Held-out accuracy per row; nan off the evaluation cadence,
     without held-out data or a classifier, and for non-finite parameters."""
     accuracies = np.full(len(w), np.nan)
     due = (k + 1) % cfg.eval_every == 0 or k == cfg.rounds - 1
@@ -328,56 +358,66 @@ def _eval_accuracies(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) 
     return accuracies
 
 
-def run_replicas(cfg: FLConfig, model, client_datas, n_replicas: int, eval_data=None, w0=None) -> list[TrainResult]:
-    """Run `cfg.rounds` rounds of `n_replicas` replicas in one round loop.
+def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[TrainResult]:
+    """Run one round loop whose row r is the run of `cfgs[r]`.
 
-    Replica r is the run at seed `cfg.seed + r`, started from `w0` or else
-    from `init_params(init_rng(cfg.seed + r))`; its result equals
-    `run_training` at that seed bit for bit, but for `wall_time`, which is
-    the batched round's. Replicas share one step plan, so more than one
-    replica needs clients that never shuffle (batch_size at least the
-    client's size). The telemetry of all replicas is kept in (R, rounds)
-    columns; each result holds views of its rows.
+    Row r starts from `w0` or else from `init_params(init_rng(cfgs[r].seed))`
+    and draws its channel from `channel_rng(cfgs[r].seed, k)`; its result
+    equals `run_training(cfgs[r], ...)` bit for bit, but for `wall_time`,
+    which is the batched round's. Rows may differ in seed, learning rate,
+    clip and channel; they share the step plan (every other field), and on a
+    task where some client shuffles (batch_size below its size) they share
+    one seed, since shuffles are drawn per client from it. The telemetry of
+    all rows is kept in (R, rounds) columns; each result holds views of its
+    row.
 
     Divergence (loss beyond 1e6 times the initial loss, or any non-finite
     value) is recorded on the terminal round rather than raised: the
     unclipped baseline is expected to blow up under heavy-tailed noise. A
-    diverged replica gets no further rounds and keeps its last finite
-    iterate; the loop stops once every replica has diverged.
+    diverged row gets no further rounds and keeps its last finite iterate;
+    the loop stops once every row has diverged.
     """
+    if not cfgs:
+        raise ValueError("need at least one config")
+    cfg = cfgs[0]
+    for c in cfgs:
+        if replace(c, seed=cfg.seed, learning_rate=cfg.learning_rate, clip=cfg.clip, channel=cfg.channel) != cfg:
+            raise ValueError(
+                "rows may differ in seed, learning_rate, clip and channel only; they share n_clients, "
+                "rounds, local_epochs, batch_size, eval_every and projection_radius"
+            )
     if len(client_datas) != cfg.n_clients:
         raise ValueError(
             f"config expects {cfg.n_clients} clients, got {len(client_datas)} datasets"
         )
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     task = prepare_task(model, client_datas, cfg, eval_data)
-    starts = [model.init_params(init_rng(cfg.seed + r)) if w0 is None else w0 for r in range(n_replicas)]
+    starts = [model.init_params(init_rng(c.seed)) if w0 is None else w0 for c in cfgs]
     w = np.array(starts, dtype=float)
     if w.shape[1:] != (model.dim,):
         raise ValueError(f"initial parameters must have shape ({model.dim},), got {w.shape[1:]}")
     if not np.all(np.isfinite(w)):
         raise ValueError("initial parameters must be finite")
 
+    n_rows = len(cfgs)
     columns: dict[str, np.ndarray] = {}
     wall_time = np.zeros(cfg.rounds)
-    loss_ceiling = np.full(n_replicas, np.nan)
-    alive = np.ones(n_replicas, dtype=bool)
-    rounds_done = np.full(n_replicas, cfg.rounds)
+    loss_ceiling = np.full(n_rows, np.nan)
+    alive = np.ones(n_rows, dtype=bool)
+    rounds_done = np.full(n_rows, cfg.rounds)
     final_w = w.copy()
     for k in range(cfg.rounds):
         t0 = time.perf_counter()
-        w, telemetry = run_round(w, k, cfg, task)
+        w, telemetry = run_round(w, k, cfgs, task)
         wall_time[k] = time.perf_counter() - t0
         for name, values in telemetry.items():
             if name not in columns:
-                columns[name] = np.empty((n_replicas, cfg.rounds) + values.shape[1:])
+                columns[name] = np.empty((n_rows, cfg.rounds) + values.shape[1:])
             columns[name][:, k] = values
         loss = telemetry["global_loss"]
         unset = np.isnan(loss_ceiling) & np.isfinite(loss)
         loss_ceiling[unset] = _DIVERGENCE_FACTOR * np.maximum(1.0, np.abs(loss[unset]))
         finite = np.isfinite(w).all(axis=-1)
-        # a diverged replica keeps its last finite iterate for downstream evaluation
+        # a diverged row keeps its last finite iterate for downstream evaluation
         final_w[alive & finite] = w[alive & finite]
         diverging = alive & (~np.isfinite(loss) | (loss > loss_ceiling) | ~finite)
         rounds_done[diverging] = k + 1
@@ -401,7 +441,7 @@ def run_replicas(cfg: FLConfig, model, client_datas, n_replicas: int, eval_data=
 def run_training(cfg: FLConfig, model, client_datas, eval_data=None, w0=None) -> TrainResult:
     """Run `cfg.rounds` rounds of one run; stops early once it diverges (see
     run_replicas)."""
-    return run_replicas(cfg, model, client_datas, 1, eval_data, w0)[0]
+    return run_replicas([cfg], model, client_datas, eval_data, w0)[0]
 
 
 def evaluate(model, w, data) -> float | None:
@@ -432,19 +472,20 @@ def method_variant(cfg: FLConfig, method: str, mac_threshold: float, gnc_thresho
 def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[list[TrainResult]]:
     """The one matched-seed loop. Seed s builds its task once, at the base
     seed + s that every variant carries, and runs every variant on it at
-    that seed before the next seed's task is built. Returns one list of
-    n_seeds results per variant."""
+    that seed, as the rows of one round loop, before the next seed's task is
+    built. Returns one list of n_seeds results per variant."""
     if not variants:
         raise ValueError("nothing to run: no method or threshold given")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    runs: list[list[TrainResult]] = [[] for _ in variants]
+    if len(set(variants)) < len(variants):
+        raise ValueError("methods, and thresholds per method, must be distinct: two runs would repeat each other")
+    per_seed = []
     for s in range(n_seeds):
         seed = variants[0].seed + s
         model, client_datas, eval_data = task_factory(seed)
-        for cfg, results in zip(variants, runs):
-            results.append(run_training(replace(cfg, seed=seed), model, client_datas, eval_data))
-    return runs
+        per_seed.append(run_replicas([replace(cfg, seed=seed) for cfg in variants], model, client_datas, eval_data))
+    return [list(results) for results in zip(*per_seed)]
 
 
 def compare_methods(
@@ -458,8 +499,8 @@ def compare_methods(
     """Run every method under matched seeds: seed s uses base seed + s for
     model init, data, channel and batching alike. Every method is resolved,
     and so checked, before the first run."""
-    variants = {m: method_variant(base_cfg, m, mac_threshold, gnc_threshold) for m in methods}
-    return dict(zip(variants, _matched_runs(task_factory, list(variants.values()), n_seeds)))
+    variants = [method_variant(base_cfg, m, mac_threshold, gnc_threshold) for m in methods]
+    return dict(zip(methods, _matched_runs(task_factory, variants, n_seeds)))
 
 
 @dataclass(frozen=True)

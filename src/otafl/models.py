@@ -8,7 +8,7 @@ A quadratic client is a one-sample payload (x = A[None], y = b[None]).
 Loss and gradient evaluations broadcast over leading axes so that all
 clients of a round can be processed in one vectorized call: parameters of
 shape (..., d) combine with payloads of shape (..., m, ...), labels and
-sample weights included, so one payload serves every replica of a run.
+sample weights included, so one payload serves every row of a batched run.
 `gradient` writes its blocks into `out=` when given one, as numpy's own
 functions do, and the forward pass runs in place: a local step reuses buffers.
 """

@@ -213,8 +213,8 @@ def test_verify_bound_eta_sweep_rows():
 
 
 def test_bound_check_batches_its_seeds(monkeypatch):
-    # the seeds run as replicas of one round loop: one run_round call per
-    # round, not one per round and seed
+    # every (learning rate, seed) pair is a row of one round loop: one
+    # run_round call per round, not one per round, learning rate and seed
     calls = []
     run_round = fl_core.run_round
 
@@ -223,7 +223,7 @@ def test_bound_check_batches_its_seeds(monkeypatch):
         return run_round(*args, **kwargs)
 
     monkeypatch.setattr(fl_core, "run_round", counting)
-    verify_convergence_bound(dim=3, n_clients=2, k_grid=(7,), n_seeds=4)
+    verify_convergence_bound(dim=3, n_clients=2, k_grid=(7,), n_seeds=4, eta_grid=(0.1, 0.05))
     assert calls == list(range(7))
 
 
@@ -245,7 +245,7 @@ class _RunStarted(AssertionError):
 
 
 def _forbid_runs(monkeypatch):
-    # Patches the engine entry point that _grad_norm_matrix calls. A name it
+    # Patches the engine entry point that the bound check calls. A name it
     # does not call would let the "before any run" tests pass vacuously, so
     # the positive control below checks that this one is reached.
     def run_replicas(*args, **kwargs):
@@ -280,6 +280,15 @@ def test_verify_bound_rejects_eta_grid_entry_before_any_run(monkeypatch):
         verify_convergence_bound(
             dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=(0.5 / l, 2.5 / l)
         )
+
+
+def test_verify_bound_ideal_takes_no_threshold(monkeypatch):
+    # the ideal channel is not clipped; a given c was once written into the
+    # summary line unchecked
+    _forbid_runs(monkeypatch)
+    for c in (-1.0, 5.0):
+        with pytest.raises(ValueError, match="no threshold"):
+            verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, ideal=True, c=c)
 
 
 def test_verify_bound_rejects_bad_eta():

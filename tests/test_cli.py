@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import sys
 import time
@@ -225,6 +226,15 @@ def test_theorem1_ideal_flag(tmp_path):
     assert all(float(r[3]) <= 1.0 for r in rows)
 
 
+def test_theorem1_ideal_refuses_c(tmp_path, capsys):
+    # the ideal channel is not clipped: --c was once accepted and written
+    # into the provenance line, even at -1
+    out = tmp_path / "t1.csv"
+    assert main(_THEOREM1_SMALL + ["--ideal", "--c", "-1", "--out", str(out)]) == 2
+    assert "no threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theorem1_eta_sweep_writes_second_file(tmp_path):
     out = tmp_path / "t1.csv"
     assert main([
@@ -319,6 +329,17 @@ def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert f"argument {flag}: expected comma-separated numbers" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("train", {"methods": "[mac, none, mac]"}, "methods"),  # wrote mini_mac.csv twice
+    ("sweep", {"c_grid": "[0.5, 1.0, 0.5]"}, "c_grid"),  # ran every seed twice
+])
+def test_duplicate_methods_and_thresholds_exit_2_naming_the_field(tmp_path, capsys, command, extra, field):
+    cfg = minimal_config(tmp_path, **extra)
+    assert main([command, str(cfg)]) == 2
+    assert f"field {field!r} must list one or more" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_requires_grid(tmp_path, capsys):
@@ -500,3 +521,43 @@ def test_validate_fuzz_yields_finite_config_or_config_error():
                 assert abs(v) <= sys.float_info.max, (key, raw[key])
     assert min(outcomes.values()) >= 25, outcomes  # both branches are exercised
     assert time.perf_counter() - t0 < 2.0
+
+
+# SHA-256 of every CSV that _pinned_csvs writes, recorded with numpy 2.4.6
+# before methods, thresholds and learning rates became rows of one round
+# loop. Any change to the engine must leave them byte-identical.
+_PINNED_NUMPY = "2.4.6"
+_PINNED_DIGESTS = {
+    "l1.csv": "c6348299eb2ce09666b09457995df6c727db3817b38829f988dec9d586f895aa",
+    "mini_gnc.csv": "d8ede1df6cae5fe7b929f26e3ccf6616137ffd7ba6c8ba4ca1b0500e7da153a1",
+    "mini_ideal.csv": "36c59c37e260ef8fb7664ac3fa290a1e77c0d1829fb412df40b98ac090dc9b18",
+    "mini_mac.csv": "764012c49d9291c65700e5a2aec47b57d51a98a4a28d33f7ed55f0ae34b9bbf1",
+    "mini_none.csv": "2ac75eb2b13f7d99e4e3124db6ad05bda9f5d726a008d4122ff6197c14b7bed4",
+    "mini_summary.csv": "29c0fc93a7d28d59975353918121b40d7fc4c166427399ada2539a7eb2b68e7d",
+    "mini_sweep.csv": "2f971565b08545036f3b8953944890613d2b96fc6f5b83143efbfcee4931e15c",
+    "t1.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
+    "t1_eta.csv": "ef3a7a6069f9186854d56c33785b5fa73b770206addc0c3e764559ba0429ee25",
+}
+
+
+def _pinned_csvs(tmp_path):
+    """train and sweep on a small shuffling logistic config whose unclipped
+    run diverges, theorem1 with an eta sweep, and lemma1: {file: sha256}."""
+    cfg = minimal_config(
+        tmp_path, model="logistic", methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60,
+        feature_dim=3, rounds=6, batch_size=5, local_epochs=2, fading="rayleigh", alpha=0.5, tau=1.0,
+        learning_rate=0.5, c_grid="{mac: [0.3, 1.0], gnc: [2.0]}", n_seeds=2, eval_every=2, seed=3,
+    )
+    out = tmp_path / "out"
+    assert main(["train", str(cfg)]) == 0
+    assert main(["sweep", str(cfg)]) == 0
+    assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05",
+                                   "--out", str(out / "t1.csv")]) == 0
+    assert main(_LEMMA1_SMALL + ["--out", str(out / "l1.csv")]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
+
+
+def test_csv_bytes_match_the_pinned_digests(tmp_path):
+    if np.__version__ != _PINNED_NUMPY:
+        pytest.skip(f"digests were recorded with numpy {_PINNED_NUMPY}, this is numpy {np.__version__}")
+    assert _pinned_csvs(tmp_path) == _PINNED_DIGESTS

@@ -116,6 +116,7 @@ def test_mac_update_bound_per_block():
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
     )
     n_replicas = 3
+    cfgs = seed_rows(cfg, n_replicas)
     task = prepare_task(model, clients, cfg)
     w = np.zeros((n_replicas, model.dim))
     from otafl.clipping import split_blocks, vector_median
@@ -125,9 +126,9 @@ def test_mac_update_bound_per_block():
     for k in range(10):
         # recompute each replica's received vector with its own streams to
         # get the block medians the server saw
-        pseudo = _pseudo_gradients(task, w, cfg, k)
+        pseudo = _pseudo_gradients(task, w, cfgs, k)
         assert pseudo.shape == (n_replicas, 4, model.dim)
-        w_next, telemetry = run_round(w, k, cfg, task)
+        w_next, telemetry = run_round(w, k, cfgs, task)
         assert {name: values.shape[0] for name, values in telemetry.items()} == dict.fromkeys(telemetry, n_replicas)
         for r in range(n_replicas):
             rng_ch = channel_rng(cfg.seed + r, k)
@@ -156,7 +157,7 @@ def test_engine_matches_per_client_reference():
     task = prepare_task(model, clients, cfg)
     w = rng.normal(size=model.dim)
     round_idx = 5
-    stacked = _pseudo_gradients(task, w[None], cfg, round_idx)[0]
+    stacked = _pseudo_gradients(task, w[None], [cfg], round_idx)[0]
     for n, data in enumerate(clients):
         reference = local_update(
             model, w, data, epochs=3, batch_size=4, lr=0.05,
@@ -171,7 +172,7 @@ def test_engine_matches_reference_quadratic():
     cfg = base_config(3, 1, learning_rate=0.1, local_epochs=4)
     task = prepare_task(model, datas, cfg)
     w = rng.normal(size=model.dim)
-    stacked = _pseudo_gradients(task, w[None], cfg, 0)[0]
+    stacked = _pseudo_gradients(task, w[None], [cfg], 0)[0]
     for n, data in enumerate(datas):
         reference = local_update(model, w, data, epochs=4, batch_size=1, lr=0.1,
                                  rng=client_rng(cfg.seed, 0, n))
@@ -311,9 +312,10 @@ def test_labels_outside_the_classes_are_rejected(model):
 
 def test_local_step_allocates_no_per_step_buffers():
     # the criterion-6 task (MLP 20-32-2, 50 iid clients of 15-50 samples, 5
-    # epochs of batch 10): a call holds four (R, N, d) arrays at most (local
-    # parameters, gradient sum, the steps' gradient buffer, the result in
-    # client order), 1.19 MB. Per-step gradients, updates, copies of the
+    # epochs of batch 10): a call holds three (R, N, d) arrays at most (local
+    # parameters, gradient sum, and the steps' gradient buffer, which then
+    # takes the result in client order), 0.89 MB, plus a step's forward pass
+    # (1.11 MB measured). Per-step gradients, updates, copies of the
     # clients with samples left and per-epoch gathers (2.72 MB, 9.2 such
     # arrays) once page-faulted on every step.
     rng = np.random.default_rng(np.random.SeedSequence([731, 5]))
@@ -324,15 +326,20 @@ def test_local_step_allocates_no_per_step_buffers():
     cfg = base_config(50, 1, learning_rate=0.03, local_epochs=5, batch_size=10, clip=ClipMethod.mac(0.4), seed=731)
     task = prepare_task(model, clients, cfg)
     w = model.init_params(np.random.default_rng(0))[None]
-    _pseudo_gradients(task, w, cfg, 0)
+    _pseudo_gradients(task, w, [cfg], 0)
     tracemalloc.start()
     try:
-        _pseudo_gradients(task, w, cfg, 1)
+        _pseudo_gradients(task, w, [cfg], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     array_bytes = 50 * model.dim * 8
     assert peak < 5 * array_bytes, f"peak {peak} B is {peak / array_bytes:.1f} (1, N, d) arrays"
+
+
+def seed_rows(cfg, n):
+    """Rows of cfg at seeds cfg.seed, cfg.seed + 1, ..."""
+    return [dataclasses.replace(cfg, seed=cfg.seed + r) for r in range(n)]
 
 
 def assert_same_run(batched, alone):
@@ -358,7 +365,7 @@ def test_replicas_equal_standalone_runs(method, fading):
         channel=ChannelConfig(fading, StableParams(1.5, 0.1)),
     )
     cfg = method_variant(base, method, 0.5, 2.0)
-    batched = run_replicas(cfg, bed.model, bed.client_datas, 3, w0=bed.w0)
+    batched = run_replicas(seed_rows(cfg, 3), bed.model, bed.client_datas, w0=bed.w0)
     assert len(batched) == 3
     for r, result in enumerate(batched):
         alone = run_training(dataclasses.replace(cfg, seed=cfg.seed + r), bed.model, bed.client_datas, w0=bed.w0)
@@ -375,7 +382,7 @@ def test_replicas_diverge_one_by_one():
         3, 60, learning_rate=0.2, seed=2,
         channel=ChannelConfig(FadingModel.no_fading(), StableParams(0.6, 0.05)),
     )
-    batched = run_replicas(cfg, bed.model, bed.client_datas, 3, w0=bed.w0)
+    batched = run_replicas(seed_rows(cfg, 3), bed.model, bed.client_datas, w0=bed.w0)
     assert [r.diverged for r in batched] == [True, True, False]
     assert batched[0].diverged_round != batched[1].diverged_round
     assert len(batched[2].records) == 60
@@ -397,7 +404,7 @@ def test_replicas_draw_their_own_initial_parameters():
         3, 6, seed=5, eval_every=2, clip=ClipMethod.mac(0.5),
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
     )
-    batched = run_replicas(cfg, model, clients, 2, eval_data=test)
+    batched = run_replicas(seed_rows(cfg, 2), model, clients, eval_data=test)
     for r, result in enumerate(batched):
         alone = run_training(dataclasses.replace(cfg, seed=cfg.seed + r), model, clients, eval_data=test)
         assert_same_run(result, alone)
@@ -406,26 +413,40 @@ def test_replicas_draw_their_own_initial_parameters():
 
 def test_replica_count_validation():
     model, clients, _ = classification_task(seed=13)
-    with pytest.raises(ValueError, match="n_replicas"):
-        run_replicas(base_config(4, 1), model, clients, 0)
-    # replicas share one step plan, so clients that shuffle are refused
+    # rows share one step plan: everything but seed, learning rate, clip and channel
+    cfg = base_config(4, 1)
+    with pytest.raises(ValueError, match="share n_clients, rounds"):
+        run_replicas([cfg, dataclasses.replace(cfg, eval_every=3)], model, clients)
+    # shuffles are drawn per client from the seed, so shuffling rows share one
     shuffling = base_config(4, 1, batch_size=5)
     with pytest.raises(ValueError, match="never shuffle"):
-        run_replicas(shuffling, model, clients, 2)
+        run_replicas(seed_rows(shuffling, 2), model, clients)
     with pytest.raises(ValueError, match="never shuffle"):
-        run_round(np.zeros((2, model.dim)), 0, shuffling, prepare_task(model, clients, shuffling))
-    assert len(run_replicas(shuffling, model, clients, 1)) == 1
+        run_round(np.zeros((2, model.dim)), 0, seed_rows(shuffling, 2), prepare_task(model, clients, shuffling))
+    mixed = [method_variant(dataclasses.replace(shuffling, learning_rate=lr), "mac", 0.5, 0.5) for lr in (0.1, 0.2)]
+    assert len(run_replicas(mixed, model, clients)) == 2
 
 
-def test_compare_methods_matched_seeds():
+def test_compare_methods_matched_seeds(monkeypatch):
     def factory(seed):
         return classification_task(seed=seed)
 
+    # the methods of one seed are rows of one round loop: a run_round call
+    # per seed and round, not one per method, seed and round
+    rounds = []
+    run_round = fl_core.run_round
+
+    def counting(*args, **kwargs):
+        rounds.append(args[1])
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(fl_core, "run_round", counting)
     cfg = base_config(
         4, 5, learning_rate=0.3,
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
     )
     results = compare_methods(factory, cfg, ["ideal", "mac", "gnc", "none"], 2, 0.5, 5.0)
+    assert rounds == [*range(5), *range(5)]
     assert set(results) == {"ideal", "mac", "gnc", "none"}
     assert all(len(v) == 2 for v in results.values())
     # matched seeds: every method saw the same round-0 client compute
@@ -458,10 +479,10 @@ def _forbid_runs(monkeypatch):
     # Patches the engine entry point of the matched-seed loop. A name it does
     # not call would let the "before any run" tests pass vacuously, so the
     # positive controls below check that this one is reached.
-    def run_training(*args, **kwargs):
+    def run_replicas(*args, **kwargs):
         raise _RunStarted("a training run started before the plan was checked")
 
-    monkeypatch.setattr(fl_core, "run_training", run_training)
+    monkeypatch.setattr(fl_core, "run_replicas", run_replicas)
 
 
 def _noisy_config():
@@ -491,6 +512,7 @@ def test_forbid_runs_reaches_the_engine_on_valid_plans(monkeypatch):
         ({"mac": [0.2], "gnc": []}, 2, "non-empty"),
         ({"mac": [0.2]}, 0, "n_seeds"),
         ({"mac": [0.2]}, -1, "n_seeds"),
+        ({"gnc": [1.0], "mac": [0.2, 0.4, 0.2]}, 2, "distinct"),
     ],
 )
 def test_sweep_checks_the_whole_plan_before_any_run(monkeypatch, grid, n_seeds, match):
@@ -510,6 +532,7 @@ def test_sweep_checks_the_whole_plan_before_any_run(monkeypatch, grid, n_seeds, 
         ([], 0.5, 5.0, 2, "no method"),
         (["mac"], 0.5, 5.0, 0, "n_seeds"),
         (["mac"], 0.5, 5.0, -1, "n_seeds"),
+        (["mac", "none", "mac"], 0.5, 5.0, 2, "distinct"),
     ],
 )
 def test_compare_methods_checks_the_whole_plan_before_any_run(
@@ -567,3 +590,21 @@ def test_sweep_matches_one_comparison_per_threshold():
         expected += [dataclasses.replace(r, best=r is best) for r in mine]
     # repr compares the floats bit for bit, and the types too
     assert repr(rows) == repr(expected)
+
+
+def test_rows_equal_standalone_runs():
+    # one seed on a padded, shuffling task: rows for ideal, mac, gnc at half
+    # the learning rate, and none, which diverges under alpha = 0.5 noise,
+    # each equal their standalone runs bit for bit
+    base = base_config(
+        5, 10, learning_rate=0.3, local_epochs=2, batch_size=4, seed=1, eval_every=3,
+        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(0.5, 1.0)),
+    )
+    model, clients, test = _padded_shuffling_task(base.seed)
+    assert len({len(d.y) for d in clients}) > 1 and max(len(d.y) for d in clients) > base.batch_size
+    cfgs = [method_variant(base, m, 0.3, 1.0) for m in ("ideal", "mac", "gnc", "none")]
+    cfgs[2] = dataclasses.replace(cfgs[2], learning_rate=0.15)
+    rows = run_replicas(cfgs, model, clients, test)
+    assert [r.diverged for r in rows] == [False, False, False, True]
+    for cfg, row in zip(cfgs, rows):
+        assert_same_run(row, run_training(cfg, model, clients, test))
