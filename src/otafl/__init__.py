@@ -26,7 +26,6 @@ from .clipping import (
     clip_statistics,
     gnc_clip,
     mac_clip,
-    merge_blocks,
     split_blocks,
     vector_median,
 )

@@ -228,6 +228,9 @@ def clip_survival_report(
     Gaussian value. All thresholds of one tail index are scored on one
     shared draw, so its clip probability never rises with C.
     """
+    for name, grid in (("alphas", alphas), ("c_grid", c_grid)):
+        if len(set(map(float, grid))) < len(grid):  # a repeat would run twice and count twice in a fit
+            raise ValueError(f"{name} must be distinct, got {list(grid)}")
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
     sqrt2_g = math.sqrt(2.0) * g
@@ -375,6 +378,8 @@ def verify_convergence_bound(
     for name, value in (("dim", dim), ("n_clients", n_clients), ("n_seeds", n_seeds)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if len(set(map(float, eta_grid))) < len(eta_grid):
+        raise ValueError(f"eta_grid must be distinct, got {list(eta_grid)}")
     k_grid = sorted(set(int(k) for k in k_grid))
     if not k_grid or k_grid[0] < 1:
         raise ValueError("k_grid must contain positive round counts")

@@ -275,8 +275,9 @@ def _finite_float(text: str) -> float:
 
 def _float_list(text: str) -> list[float]:
     values = [_finite_float(v) for v in text.split(",") if v != ""]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    # a repeated value would run twice, write its rows twice and count twice in a fit
+    if not values or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, none repeated, got {text!r}")
     return values
 
 

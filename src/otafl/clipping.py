@@ -23,10 +23,8 @@ __all__ = [
     "mac_clip",
     "gnc_clip",
     "apply_blockwise",
-    "block_clip_fractions",
     "clip_statistics",
     "split_blocks",
-    "merge_blocks",
 ]
 
 _KINDS = ("mac", "gnc", "none")
@@ -107,26 +105,26 @@ def gnc_clip(g: np.ndarray, threshold: float) -> np.ndarray:
         return g * np.minimum(1.0, threshold / np.sqrt(np.vecdot(g, g)))[..., None]
 
 
-def apply_blockwise(blocks: list[np.ndarray], method: ClipMethod) -> list[np.ndarray]:
-    """Apply the clip method independently to each parameter block."""
+def apply_blockwise(g: np.ndarray, layout: list[int], method: ClipMethod) -> tuple[np.ndarray, np.ndarray]:
+    """Clip a flat vector (the last axis) independently in each parameter
+    block of `layout`, in one pass. Returns the clipped vector and the share
+    of each block that the clip changed, blocks on the last axis: the entries
+    beyond the median-anchored threshold for mac, 1 or 0 by the block norm
+    for gnc, and 0 for none."""
+    g = np.asarray(g, dtype=float)
+    blocks = split_blocks(g, layout)
+    fractions = np.zeros(g.shape[:-1] + (len(layout),))
     if method.kind == "none":
-        return [np.asarray(b, dtype=float).copy() for b in blocks]
-    if method.kind == "mac":
-        return [mac_clip(b, method.threshold) for b in blocks]
-    return [gnc_clip(b, method.threshold) for b in blocks]
-
-
-def block_clip_fractions(blocks: list[np.ndarray], method: ClipMethod) -> np.ndarray:
-    """Share of each block that the clip method changes, blocks on the last
-    axis: the entries beyond the median-anchored threshold for mac, 1 or 0 by
-    the block norm for gnc, and 0 for none."""
-    if method.kind == "mac":
-        shares = [1.0 - clip_statistics(b, method.threshold)[1] for b in blocks]
-    elif method.kind == "gnc":
-        shares = [(np.sqrt(np.vecdot(b, b)) > method.threshold) * 1.0 for b in blocks]
-    else:
-        shares = [np.zeros(np.shape(b)[:-1]) for b in blocks]
-    return np.stack(shares, axis=-1)
+        return g.copy(), fractions
+    clipped = np.empty_like(g)
+    for j, (block, out) in enumerate(zip(blocks, split_blocks(clipped, layout))):
+        if method.kind == "mac":
+            out[...] = mac_clip(block, method.threshold)
+            fractions[..., j] = 1.0 - clip_statistics(block, method.threshold)[1]
+        else:
+            out[...] = gnc_clip(block, method.threshold)
+            fractions[..., j] = np.sqrt(np.vecdot(block, block)) > method.threshold
+    return clipped, fractions
 
 
 def clip_statistics(g: np.ndarray, threshold: float) -> tuple[int | np.ndarray, float | np.ndarray]:
@@ -151,8 +149,3 @@ def split_blocks(flat: np.ndarray, layout: list[int]) -> list[np.ndarray]:
         raise ValueError(f"block layout {layout} does not sum to vector length {flat.shape[-1]}")
     bounds = np.cumsum(layout)[:-1]
     return np.split(flat, bounds, axis=-1)
-
-
-def merge_blocks(blocks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate parameter blocks back into one flat vector."""
-    return np.concatenate([np.asarray(b) for b in blocks], axis=-1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelConfig, measure_snr, sample_fading, transmit
-from .clipping import ClipMethod, apply_blockwise, block_clip_fractions, gnc_clip, merge_blocks, split_blocks, vector_median
+from .clipping import ClipMethod, apply_blockwise, gnc_clip, vector_median
 
 __all__ = [
     "FLConfig",
@@ -149,10 +149,16 @@ class _Step:
 @dataclass(frozen=True)
 class _PreparedTask:
     """Client payloads stacked once into tensors padded to the largest
-    client, plus the plan of local steps, for vectorized rounds. Rows
-    share both: the parameters carry the row axis."""
+    client, and the plan of the local steps and of the rows' server steps,
+    for vectorized rounds. The parameters carry the row axis."""
 
     model: object
+    cfg: FLConfig  # the first row's; rows differ in seed, learning rate, clip and channel only
+    seeds: tuple[int, ...]
+    lr: np.ndarray  # (R, 1): the same IEEE product per row as a scalar rate
+    # each distinct channel and clip method, in first-seen order, with its rows
+    channels: tuple[tuple[ChannelConfig, slice | list[int]], ...]
+    clips: tuple[tuple[ClipMethod, slice | list[int]], ...]
     eval_data: object | None
     x: np.ndarray  # (clients, samples, ...)
     y: np.ndarray
@@ -168,12 +174,33 @@ class _PreparedTask:
     y_epoch: np.ndarray | None
 
 
-def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _PreparedTask:
-    """Stack client payloads, check a classifier's labels, and plan the local
-    steps of `cfg` once, so every round is a handful of array ops."""
+def _groups(keys) -> tuple[tuple[object, slice | list[int]], ...]:
+    """Each distinct key, in first-seen order, with the rows that carry it:
+    a slice where they are consecutive, so indexing by it copies nothing."""
+    rows: dict[object, list[int]] = {}
+    for r, key in enumerate(keys):
+        rows.setdefault(key, []).append(r)
+    return tuple((key, slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else rs) for key, rs in rows.items())
+
+
+def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
+    """Check the rows `cfgs`, stack client payloads, check a classifier's
+    labels, and plan the local steps and the server step once, so every
+    round is a handful of array ops. Rows share every field but seed,
+    learning rate, clip and channel, and the seed too where some client
+    shuffles (batch_size below its size): shuffles are drawn from it."""
+    if not cfgs:
+        raise ValueError("need at least one config")
+    cfg = cfgs[0]
+    for c in cfgs:
+        if replace(c, seed=cfg.seed, learning_rate=cfg.learning_rate, clip=cfg.clip, channel=cfg.channel) != cfg:
+            raise ValueError(
+                "rows may differ in seed, learning_rate, clip and channel only; they share n_clients, "
+                "rounds, local_epochs, batch_size, eval_every and projection_radius"
+            )
     n = len(client_datas)
-    if n < 1:
-        raise ValueError("need at least one client")
+    if n != cfg.n_clients:
+        raise ValueError(f"config expects {cfg.n_clients} clients, got {n} datasets")
     sizes = np.array([len(d.y) for d in client_datas])
     if sizes.min() < 1:
         raise ValueError("every client needs at least one sample")
@@ -201,6 +228,11 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _Prepare
     # prefix; weight[s, j] = 1 while t*b + j is a real sample of the client
     # at position s. Exhausted clients are skipped (their gradient is zero).
     shuffled = tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m)
+    seeds = tuple(c.seed for c in cfgs)
+    if shuffled and len(set(seeds)) > 1:
+        # shuffles are drawn per client index, from the seed alone
+        i, m = shuffled[0]
+        raise ValueError(f"rows with different seeds need clients that never shuffle; client {i} has {m} samples, batch_size is {cfg.batch_size}")
     step_order = np.argsort(-sizes, kind="stable") if shuffled else np.arange(n)
     b = int(min(cfg.batch_size, m_max))
     steps = []
@@ -211,6 +243,11 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _Prepare
         steps.append(_Step(cols=cols, n_active=n_active, weight=None if weight.all() else weight))
     return _PreparedTask(
         model=model,
+        cfg=cfg,
+        seeds=seeds,
+        lr=np.array([c.learning_rate for c in cfgs])[:, None],
+        channels=_groups(c.channel for c in cfgs),
+        clips=_groups(c.clip for c in cfgs),
         eval_data=eval_data,
         x=x,
         y=y,
@@ -225,9 +262,9 @@ def prepare_task(model, client_datas, cfg: FLConfig, eval_data=None) -> _Prepare
     )
 
 
-def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfgs, round_idx: int) -> np.ndarray:
+def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, round_idx: int) -> np.ndarray:
     """Pseudo-gradient of every client of every row, (R, N, d) for
-    parameters w of shape (R, d), row r stepping at cfgs[r].learning_rate.
+    parameters w of shape (R, d), row r stepping at task.lr[r].
 
     Client n reproduces the naive per-client oracle `local_update` of
     tests/conftest.py driven by client_rng(seed, round_idx, n): same
@@ -241,9 +278,8 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfgs, round_idx: int) 
     (a prefix of) one (R, N, d) buffer, in step order; the result is in
     client order.
     """
-    model, cfg = task.model, cfgs[0]
-    # a (R, 1, 1) column: the same IEEE product per row as a scalar rate
-    lr = np.array([c.learning_rate for c in cfgs])[:, None, None]
+    model, cfg = task.model, task.cfg
+    lr = task.lr[:, :, None]
     n, m_max = task.y.shape[:2]
     xr, yr = task.x, task.y
     if task.shuffled:
@@ -275,24 +311,9 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, cfgs, round_idx: int) 
     return grad_sum if task.position is None else np.take(grad_sum, task.position, axis=1, out=g, mode="clip")
 
 
-def _groups(keys) -> list[tuple[object, slice | list[int]]]:
-    """Each distinct key, in first-seen order, with the rows that carry it:
-    a slice where they are consecutive, so indexing by it copies nothing.
-    Keys are compared, identity first, not hashed: rows mostly share one
-    key object."""
-    distinct: list = []
-    rows: list[list[int]] = []
-    for r, key in enumerate(keys):
-        if key not in distinct:
-            distinct.append(key)
-            rows.append([])
-        rows[distinct.index(key)].append(r)
-    return [(key, slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else rs) for key, rs in zip(distinct, rows)]
-
-
-def run_round(w: np.ndarray, k: int, cfgs, task: _PreparedTask) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Round k from parameters w of shape (R, d), row r run by cfgs[r]:
-    local compute, noisy aggregation, server-side clipping, global step.
+def run_round(w: np.ndarray, k: int, task: _PreparedTask) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Round k of the task's rows from parameters w of shape (R, d): local
+    compute, noisy aggregation, server-side clipping, global step.
     Returns the next parameters and the round's telemetry, one array per
     RoundRecord field (but round, wall_time and diverged) with a leading row
     axis.
@@ -302,36 +323,30 @@ def run_round(w: np.ndarray, k: int, cfgs, task: _PreparedTask) -> tuple[np.ndar
     exploding unclipped baseline is a measured outcome, handled by the
     divergence policy in run_replicas.
     """
-    if w.shape != (len(cfgs), task.model.dim):
-        raise ValueError(f"parameters must have shape ({len(cfgs)}, {task.model.dim}), one row per config, got {w.shape}")
-    if task.shuffled and len({c.seed for c in cfgs}) > 1:
-        # shuffles are drawn per client index, from the seed alone
-        i, m = task.shuffled[0]
-        raise ValueError(f"rows with different seeds need clients that never shuffle; client {i} has {m} samples, batch_size is {cfgs[0].batch_size}")
+    if w.shape != (len(task.seeds), task.model.dim):
+        raise ValueError(f"parameters must have shape ({len(task.seeds)}, {task.model.dim}), one row per config, got {w.shape}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # before local compute, so that their buffers are never alive together
         loss = task.model.loss(w[:, None], task.x, task.y, sample_weight=task.mask).mean(axis=-1)
-        pseudo = _pseudo_gradients(task, w, cfgs, k)
+        pseudo = _pseudo_gradients(task, w, k)
         true_mean = pseudo.mean(axis=1)
 
         # each row draws its fades, then its noise, from its own stream
-        rngs = np.array([channel_rng(c.seed, k) for c in cfgs], dtype=object)
+        rngs = np.array([channel_rng(seed, k) for seed in task.seeds], dtype=object)
         received, noise = np.empty_like(w), np.empty_like(w)
-        for channel, rows in _groups(c.channel for c in cfgs):
-            gains = np.stack([sample_fading(channel.fading, cfgs[0].n_clients, rng) for rng in rngs[rows]])
+        for channel, rows in task.channels:
+            gains = np.stack([sample_fading(channel.fading, task.cfg.n_clients, rng) for rng in rngs[rows]])
             received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rngs[rows])
 
         clipped = np.empty_like(w)
         fractions = np.empty((len(w), len(task.model.block_layout)))
-        for clip, rows in _groups(c.clip for c in cfgs):
-            blocks = split_blocks(received[rows], task.model.block_layout)
-            clipped[rows] = merge_blocks(apply_blockwise(blocks, clip))
-            fractions[rows] = block_clip_fractions(blocks, clip)
+        for clip, rows in task.clips:
+            clipped[rows], fractions[rows] = apply_blockwise(received[rows], task.model.block_layout, clip)
 
-        w_next = w - np.array([c.learning_rate for c in cfgs])[:, None] * clipped
-        if cfgs[0].projection_radius is not None:
+        w_next = w - task.lr * clipped
+        if task.cfg.projection_radius is not None:
             # projection onto the ball is norm clipping at its radius
-            w_next = gnc_clip(w_next, cfgs[0].projection_radius)
+            w_next = gnc_clip(w_next, task.cfg.projection_radius)
 
         step = w_next - w
         return w_next, {
@@ -341,15 +356,15 @@ def run_round(w: np.ndarray, k: int, cfgs, task: _PreparedTask) -> tuple[np.ndar
             "clipped_fraction": fractions,
             "update_norm": np.sqrt(np.vecdot(step, step)),
             "median_mean_gap": np.abs(vector_median(received) - np.mean(received, axis=-1)),
-            "eval_accuracy": _eval_accuracies(task, w_next, cfgs[0], k),
+            "eval_accuracy": _eval_accuracies(task, w_next, k),
         }
 
 
-def _eval_accuracies(task: _PreparedTask, w: np.ndarray, cfg: FLConfig, k: int) -> np.ndarray:
+def _eval_accuracies(task: _PreparedTask, w: np.ndarray, k: int) -> np.ndarray:
     """Held-out accuracy per row; nan off the evaluation cadence,
     without held-out data or a classifier, and for non-finite parameters."""
     accuracies = np.full(len(w), np.nan)
-    due = (k + 1) % cfg.eval_every == 0 or k == cfg.rounds - 1
+    due = (k + 1) % task.cfg.eval_every == 0 or k == task.cfg.rounds - 1
     if task.eval_data is None or not task.model.is_classifier or not due:
         return accuracies
     for r, row in enumerate(w):
@@ -364,12 +379,9 @@ def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[Tra
     Row r starts from `w0` or else from `init_params(init_rng(cfgs[r].seed))`
     and draws its channel from `channel_rng(cfgs[r].seed, k)`; its result
     equals `run_training(cfgs[r], ...)` bit for bit, but for `wall_time`,
-    which is the batched round's. Rows may differ in seed, learning rate,
-    clip and channel; they share the step plan (every other field), and on a
-    task where some client shuffles (batch_size below its size) they share
-    one seed, since shuffles are drawn per client from it. The telemetry of
-    all rows is kept in (R, rounds) columns; each result holds views of its
-    row.
+    which is the batched round's. prepare_task checks that the rows may
+    share one loop. The telemetry of all rows is kept in (R, rounds)
+    columns; each result holds views of its row.
 
     Divergence (loss beyond 1e6 times the initial loss, or any non-finite
     value) is recorded on the terminal round rather than raised: the
@@ -377,20 +389,8 @@ def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[Tra
     diverged row gets no further rounds and keeps its last finite iterate;
     the loop stops once every row has diverged.
     """
-    if not cfgs:
-        raise ValueError("need at least one config")
-    cfg = cfgs[0]
-    for c in cfgs:
-        if replace(c, seed=cfg.seed, learning_rate=cfg.learning_rate, clip=cfg.clip, channel=cfg.channel) != cfg:
-            raise ValueError(
-                "rows may differ in seed, learning_rate, clip and channel only; they share n_clients, "
-                "rounds, local_epochs, batch_size, eval_every and projection_radius"
-            )
-    if len(client_datas) != cfg.n_clients:
-        raise ValueError(
-            f"config expects {cfg.n_clients} clients, got {len(client_datas)} datasets"
-        )
-    task = prepare_task(model, client_datas, cfg, eval_data)
+    task = prepare_task(model, client_datas, cfgs, eval_data)
+    cfg = task.cfg
     starts = [model.init_params(init_rng(c.seed)) if w0 is None else w0 for c in cfgs]
     w = np.array(starts, dtype=float)
     if w.shape[1:] != (model.dim,):
@@ -407,7 +407,7 @@ def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[Tra
     final_w = w.copy()
     for k in range(cfg.rounds):
         t0 = time.perf_counter()
-        w, telemetry = run_round(w, k, cfgs, task)
+        w, telemetry = run_round(w, k, task)
         wall_time[k] = time.perf_counter() - t0
         for name, values in telemetry.items():
             if name not in columns:

@@ -294,3 +294,19 @@ def test_verify_bound_ideal_takes_no_threshold(monkeypatch):
 def test_verify_bound_rejects_bad_eta():
     with pytest.raises(RegimeError):
         verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, eta=100.0)
+
+
+def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
+    # a repeated alpha once wrote its rows twice with one slope for both, a
+    # repeated threshold counted twice in the fit, a repeated eta ran twice
+    def draw(*args, **kwargs):
+        raise _RunStarted("a draw started before the grid check")
+
+    monkeypatch.setattr(analysis, "estimate_unclipped_prob", draw)
+    _forbid_runs(monkeypatch)
+    with pytest.raises(ValueError, match="alphas must be distinct"):
+        clip_survival_report([1.5, 1.5], 0.1, [1.0, 2.0], 0.0, 100)
+    with pytest.raises(ValueError, match="c_grid must be distinct"):
+        clip_survival_report([1.5], 0.1, [1.0, 1.0, 2.0], 0.0, 100)
+    with pytest.raises(ValueError, match="eta_grid must be distinct"):
+        verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=(0.05, 0.05))

@@ -331,6 +331,24 @@ def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # each was exit 0: the repeated alpha's rows written twice and both slope
+    # rows carrying the second draw's fit
+    (["lemma1", "--alphas", "1.5,1.5", "--c-grid", "1,2", "--samples", "1000"], "--alphas"),
+    # the repeated point counted twice in the slope fit
+    (["lemma1", "--alphas", "1.5", "--c-grid", "1,1,2", "--samples", "1000"], "--c-grid"),
+    # the learning rate run twice and its row written twice
+    (_THEOREM1_SMALL + ["--eta-sweep", "0.05,0.05"], "--eta-sweep"),
+])
+def test_repeated_list_value_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected comma-separated numbers, none repeated" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command, extra, field", [
     ("train", {"methods": "[mac, none, mac]"}, "methods"),  # wrote mini_mac.csv twice
     ("sweep", {"c_grid": "[0.5, 1.0, 0.5]"}, "c_grid"),  # ran every seed twice
@@ -525,7 +543,9 @@ def test_validate_fuzz_yields_finite_config_or_config_error():
 
 # SHA-256 of every CSV that _pinned_csvs writes, recorded with numpy 2.4.6
 # before methods, thresholds and learning rates became rows of one round
-# loop. Any change to the engine must leave them byte-identical.
+# loop (the mlp4 files: before the server step clipped and counted its
+# blocks in one pass). Any change to the engine must leave them
+# byte-identical.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
     "l1.csv": "c6348299eb2ce09666b09457995df6c727db3817b38829f988dec9d586f895aa",
@@ -535,6 +555,11 @@ _PINNED_DIGESTS = {
     "mini_none.csv": "2ac75eb2b13f7d99e4e3124db6ad05bda9f5d726a008d4122ff6197c14b7bed4",
     "mini_summary.csv": "29c0fc93a7d28d59975353918121b40d7fc4c166427399ada2539a7eb2b68e7d",
     "mini_sweep.csv": "2f971565b08545036f3b8953944890613d2b96fc6f5b83143efbfcee4931e15c",
+    "mlp4_gnc.csv": "d13a698eaa47482bcd541f8ea7b29c6340e790f34e4a0d6a5822785be56d3b48",
+    "mlp4_ideal.csv": "834cef4376c3e3997525a93586a0de6d146361f081f4ff15cd66bcd4bbd837b4",
+    "mlp4_mac.csv": "a2c63e4ba979c78a52023477d59d170dd88021a31a0823f17777fd4bbef7cb88",
+    "mlp4_none.csv": "8b61e4e0643f5bbdaba67efa970977edca250995a8798459acfdebfead86a80b",
+    "mlp4_summary.csv": "ec45bb0eb20ea2580213bbebd392ec01048f42eb0c297f05c7054187fca8f2d5",
     "t1.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
     "t1_eta.csv": "ef3a7a6069f9186854d56c33785b5fa73b770206addc0c3e764559ba0429ee25",
 }
@@ -542,7 +567,8 @@ _PINNED_DIGESTS = {
 
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
-    run diverges, theorem1 with an eta sweep, and lemma1: {file: sha256}."""
+    run diverges, theorem1 with an eta sweep, lemma1, and train on a small
+    shuffling MLP config: {file: sha256}."""
     cfg = minimal_config(
         tmp_path, model="logistic", methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60,
         feature_dim=3, rounds=6, batch_size=5, local_epochs=2, fading="rayleigh", alpha=0.5, tau=1.0,
@@ -554,6 +580,14 @@ def _pinned_csvs(tmp_path):
     assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05",
                                    "--out", str(out / "t1.csv")]) == 0
     assert main(_LEMMA1_SMALL + ["--out", str(out / "l1.csv")]) == 0
+    # the MLP's four parameter blocks, each clipped and counted on its own
+    mlp = minimal_config(
+        tmp_path, name="mlp4", model="mlp", hidden_units=3, mlp_loss="squared_error",
+        methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60, feature_dim=3, rounds=5,
+        batch_size=5, local_epochs=2, fading="rayleigh", alpha=1.5, tau=0.5, learning_rate=0.2,
+        mac_threshold=0.5, gnc_threshold=3.0, n_seeds=2, eval_every=2, seed=4,
+    )
+    assert main(["train", str(mlp)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
 
 

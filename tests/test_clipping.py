@@ -8,7 +8,6 @@ from otafl import (
     clip_statistics,
     gnc_clip,
     mac_clip,
-    merge_blocks,
     split_blocks,
     vector_median,
 )
@@ -148,17 +147,29 @@ def test_gnc_norm_property():
 
 
 def test_apply_blockwise():
-    blocks = [np.array([0.0, 0.0, 100.0]), np.array([1.0, 2.0, 3.0])]
-    out = apply_blockwise(blocks, ClipMethod.mac(1.0))
-    np.testing.assert_array_equal(out[0], [0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(out[1], [1.0, 2.0, 3.0])
+    g = np.array([0.0, 0.0, 100.0, 1.0, 2.0, 3.0])
+    out, fractions = apply_blockwise(g, [3, 3], ClipMethod.mac(1.0))
+    np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 1.0, 2.0, 3.0])
+    # one of three entries clipped, as 1 - clip_statistics' unclipped share
+    assert fractions.tolist() == [0.33333333333333326, 0.0]
 
-    same = apply_blockwise(blocks, ClipMethod.none())
-    for a, b in zip(same, blocks):
-        np.testing.assert_array_equal(a, b)
+    same, fractions = apply_blockwise(g, [3, 3], ClipMethod.none())
+    np.testing.assert_array_equal(same, g)
+    assert same is not g
+    assert fractions.tolist() == [0.0, 0.0]
 
-    out = apply_blockwise([np.array([6.0, 8.0])], ClipMethod.gnc(5.0))
-    np.testing.assert_allclose(out[0], [3.0, 4.0], rtol=1e-15)
+    out, fractions = apply_blockwise(np.array([6.0, 8.0]), [2], ClipMethod.gnc(5.0))
+    np.testing.assert_allclose(out, [3.0, 4.0], rtol=1e-15)
+    assert fractions.tolist() == [1.0]
+
+    # a stack of vectors is clipped and counted row by row, as each alone
+    rows = np.stack([g, g[::-1]])
+    for method in (ClipMethod.mac(1.0), ClipMethod.gnc(5.0)):
+        out, fractions = apply_blockwise(rows, [3, 3], method)
+        for r in range(2):
+            alone, alone_fractions = apply_blockwise(rows[r], [3, 3], method)
+            assert out[r].tobytes() == alone.tobytes()
+            assert fractions[r].tobytes() == alone_fractions.tobytes()
 
 
 def test_clip_method_validation():
@@ -199,6 +210,6 @@ def test_split_and_merge_blocks():
     flat = np.arange(10.0)
     blocks = split_blocks(flat, [3, 3, 4])
     assert [len(b) for b in blocks] == [3, 3, 4]
-    np.testing.assert_array_equal(merge_blocks(blocks), flat)
+    np.testing.assert_array_equal(np.concatenate(blocks), flat)
     with pytest.raises(ValueError):
         split_blocks(flat, [3, 3])

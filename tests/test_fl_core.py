@@ -116,8 +116,7 @@ def test_mac_update_bound_per_block():
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
     )
     n_replicas = 3
-    cfgs = seed_rows(cfg, n_replicas)
-    task = prepare_task(model, clients, cfg)
+    task = prepare_task(model, clients, seed_rows(cfg, n_replicas))
     w = np.zeros((n_replicas, model.dim))
     from otafl.clipping import split_blocks, vector_median
     from otafl.channel import sample_fading, transmit
@@ -126,9 +125,9 @@ def test_mac_update_bound_per_block():
     for k in range(10):
         # recompute each replica's received vector with its own streams to
         # get the block medians the server saw
-        pseudo = _pseudo_gradients(task, w, cfgs, k)
+        pseudo = _pseudo_gradients(task, w, k)
         assert pseudo.shape == (n_replicas, 4, model.dim)
-        w_next, telemetry = run_round(w, k, cfgs, task)
+        w_next, telemetry = run_round(w, k, task)
         assert {name: values.shape[0] for name, values in telemetry.items()} == dict.fromkeys(telemetry, n_replicas)
         for r in range(n_replicas):
             rng_ch = channel_rng(cfg.seed + r, k)
@@ -154,10 +153,10 @@ def test_engine_matches_per_client_reference():
         y = rng.integers(2, size=m)
         clients.append(ClientDataset(x=x, y=y, client_id=cid))
     cfg = base_config(4, 1, learning_rate=0.05, local_epochs=3, batch_size=4, seed=77)
-    task = prepare_task(model, clients, cfg)
+    task = prepare_task(model, clients, [cfg])
     w = rng.normal(size=model.dim)
     round_idx = 5
-    stacked = _pseudo_gradients(task, w[None], [cfg], round_idx)[0]
+    stacked = _pseudo_gradients(task, w[None], round_idx)[0]
     for n, data in enumerate(clients):
         reference = local_update(
             model, w, data, epochs=3, batch_size=4, lr=0.05,
@@ -170,9 +169,9 @@ def test_engine_matches_reference_quadratic():
     rng = np.random.default_rng(5)
     model, datas = quadratic_clients(rng)
     cfg = base_config(3, 1, learning_rate=0.1, local_epochs=4)
-    task = prepare_task(model, datas, cfg)
+    task = prepare_task(model, datas, [cfg])
     w = rng.normal(size=model.dim)
-    stacked = _pseudo_gradients(task, w[None], [cfg], 0)[0]
+    stacked = _pseudo_gradients(task, w[None], 0)[0]
     for n, data in enumerate(datas):
         reference = local_update(model, w, data, epochs=4, batch_size=1, lr=0.1,
                                  rng=client_rng(cfg.seed, 0, n))
@@ -300,14 +299,14 @@ def test_labels_outside_the_classes_are_rejected(model):
     clients = [ClientDataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k, client_id=i) for i in range(3)]
     held_out = Dataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k)
     cfg = base_config(3, 1, batch_size=2)
-    prepare_task(model, clients, cfg, held_out)
+    prepare_task(model, clients, [cfg], held_out)
     for bad in (k, -1, 1.5, np.nan):
         labels = np.array([0.0, 1.0, bad, 0.0])
         wrong = [*clients[:2], dataclasses.replace(clients[2], y=labels)]
         with pytest.raises(ValueError, match=f"client 2 has label {bad!r}"):
             run_training(cfg, model, wrong, held_out)
         with pytest.raises(ValueError, match=f"held-out data has label {bad!r}"):
-            prepare_task(model, clients, cfg, Dataset(x=held_out.x, y=labels))
+            prepare_task(model, clients, [cfg], Dataset(x=held_out.x, y=labels))
 
 
 def test_local_step_allocates_no_per_step_buffers():
@@ -324,12 +323,12 @@ def test_local_step_allocates_no_per_step_buffers():
     clients = partition(train, PartitionSpec("iid", 50, seed=731))
     model = MlpModel(20, 32, 2, loss_kind="squared_error")
     cfg = base_config(50, 1, learning_rate=0.03, local_epochs=5, batch_size=10, clip=ClipMethod.mac(0.4), seed=731)
-    task = prepare_task(model, clients, cfg)
+    task = prepare_task(model, clients, [cfg])
     w = model.init_params(np.random.default_rng(0))[None]
-    _pseudo_gradients(task, w, [cfg], 0)
+    _pseudo_gradients(task, w, 0)
     tracemalloc.start()
     try:
-        _pseudo_gradients(task, w, [cfg], 1)
+        _pseudo_gradients(task, w, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,7 +421,12 @@ def test_replica_count_validation():
     with pytest.raises(ValueError, match="never shuffle"):
         run_replicas(seed_rows(shuffling, 2), model, clients)
     with pytest.raises(ValueError, match="never shuffle"):
-        run_round(np.zeros((2, model.dim)), 0, seed_rows(shuffling, 2), prepare_task(model, clients, shuffling))
+        prepare_task(model, clients, seed_rows(shuffling, 2))
+    # a task is planned for the rows' client count
+    with pytest.raises(ValueError, match="config expects 4 clients, got 3 datasets"):
+        prepare_task(model, clients[:3], [cfg])
+    with pytest.raises(ValueError, match="config expects 4 clients, got 3 datasets"):
+        run_replicas([cfg], model, clients[:3])
     mixed = [method_variant(dataclasses.replace(shuffling, learning_rate=lr), "mac", 0.5, 0.5) for lr in (0.1, 0.2)]
     assert len(run_replicas(mixed, model, clients)) == 2
 
