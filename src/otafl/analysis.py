@@ -380,7 +380,9 @@ def verify_convergence_bound(
             raise ValueError(f"{name} must be >= 1, got {value}")
     if len(set(map(float, eta_grid))) < len(eta_grid):
         raise ValueError(f"eta_grid must be distinct, got {list(eta_grid)}")
-    k_grid = sorted(set(int(k) for k in k_grid))
+    if len(set(map(int, k_grid))) < len(k_grid):
+        raise ValueError(f"k_grid must be distinct, got {list(k_grid)}")
+    k_grid = sorted(int(k) for k in k_grid)
     if not k_grid or k_grid[0] < 1:
         raise ValueError("k_grid must contain positive round counts")
     testbed = make_quadratic_testbed(dim=dim, n_clients=n_clients, seed=seed)
@@ -426,7 +428,8 @@ def verify_convergence_bound(
         projection_radius=info.radius,
     )
 
-    etas = [eta, *map(float, eta_grid)]
+    # a sweep rate equal to eta reads eta's rows: the same seeds at the same rate
+    etas = list(dict.fromkeys([eta, *map(float, eta_grid)]))
     cfgs = [replace(cfg, learning_rate=e, seed=seed + s) for e in etas for s in range(n_seeds)]
     results = run_replicas(cfgs, testbed.model, testbed.client_datas, w0=testbed.w0)
     for row_cfg, result in zip(cfgs, results):
@@ -444,8 +447,8 @@ def verify_convergence_bound(
         empirical = float(np.mean(gns[0][:, :k]))
         rows.append(BoundCheckRow(k, empirical, bound, empirical / bound))
     eta_rows = []
-    for eta_val, sweep_gns, bound in zip(etas[1:], gns[1:], eta_rhs):
-        empirical = float(np.mean(sweep_gns))
+    for eta_val, bound in zip(map(float, eta_grid), eta_rhs):
+        empirical = float(np.mean(gns[etas.index(eta_val)]))
         eta_rows.append(EtaRow(eta_val, empirical, bound, empirical / bound))
     unclipped = np.mean(1.0 - clipped[0].mean(axis=-1), axis=-1)
 

@@ -69,15 +69,19 @@ class ChannelConfig:
         return cls(FadingModel.no_fading(), None)
 
 
-def sample_fading(model: FadingModel, n_clients: int, rng: np.random.Generator) -> np.ndarray:
-    """One gain per client for one round."""
+def sample_fading(
+    model: FadingModel, n_clients: int, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> np.ndarray:
+    """One gain per client for one round; (R, n_clients) gains, row r drawn
+    from rng[r], for a sequence of R generators."""
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
+    one = isinstance(rng, np.random.Generator)
     if model.kind == "rayleigh":
-        return rng.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients)
-    if model.kind == "none":
-        return np.ones(n_clients)
-    return np.full(n_clients, model.value)
+        if one:
+            return rng.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients)
+        return np.stack([r.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients) for r in rng])
+    return np.full(n_clients if one else (len(rng), n_clients), 1.0 if model.kind == "none" else model.value)
 
 
 def transmit(
@@ -85,11 +89,14 @@ def transmit(
     gains: np.ndarray,
     cfg: ChannelConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
+    source: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Faded superposition average plus one fresh noise draw per entry.
 
     Takes (N, d) gradients, N gains and one generator, or (R, N, d), (R, N)
-    and R generators for R rows, each drawing its noise from its own.
+    and R distinct generators for R rows, each drawing its noise from its
+    own. With `source`, R rows share S generators: gains are (S, N) and row
+    r takes the gains and the noise of generator source[r].
     Returns (aggregated gradient, noise realization), one per row; the
     noise is all zeros when the channel has no noise law. Gains are applied as
     given, so unit gains without noise yield the exact arithmetic mean.
@@ -98,13 +105,18 @@ def transmit(
     if grads.ndim not in (2, 3):
         raise ValueError(f"client gradients must have shape (N, d) or (R, N, d), got {grads.shape}")
     gains = np.asarray(gains, dtype=float)
+    if source is not None:
+        gains = gains[source]
     if gains.shape != grads.shape[:-1]:
         raise ValueError(f"got gains of shape {gains.shape} for client gradients of shape {grads.shape}")
     faded_mean = np.mean(gains[..., None] * grads, axis=-2)
     if cfg.noise is None:
         return faded_mean, np.zeros_like(faded_mean)
-    rngs = [rng] if grads.ndim == 2 else rng
-    noise = np.stack([sample_sas(cfg.noise, grads.shape[-1], r) for r in rngs]).reshape(faded_mean.shape)
+    noise = sample_sas(cfg.noise, grads.shape[-1], rng)
+    if source is not None:
+        noise = noise[source]
+    if noise.shape != faded_mean.shape:
+        raise ValueError(f"got noise of shape {noise.shape} for aggregates of shape {faded_mean.shape}: give one generator per row or per source")
     return faded_mean + noise, noise
 
 

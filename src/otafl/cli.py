@@ -283,9 +283,13 @@ def _float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        values = [int(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        values = []
+    # a repeated value would be dropped silently
+    if not values or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, none repeated, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

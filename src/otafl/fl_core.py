@@ -15,6 +15,7 @@ alone would.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -61,6 +62,81 @@ def channel_rng(seed: int, round_idx: int) -> np.random.Generator:
 
 def init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _STREAM_INIT]))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_ROUND_BLOCK = 64
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's hashmix on uint32 columns, its hash constant carried from call to call."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        value *= np.uint32(hash_const)
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """np.random.SeedSequence(key).generate_state(4, np.uint64) for every row
+    of the (n, L) uint32 array `keys`, L <= 4, in one pass: numpy's mix of
+    the entropy into its 4-word pool, then generate_state, each step on
+    whole columns in wrapping uint32 arithmetic. Returns (n, 4) uint64."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(len(keys), np.uint32)
+    pool = [hashmix(keys[:, i] if i < keys.shape[1] else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+def _round_words(heads, rounds: int) -> np.ndarray:
+    """Seed words of the streams keyed [*head[:2], k, *head[2:]], per round
+    k and head, as a (rounds, len(heads), 4) uint64 table, derived a block
+    of rounds at a time so that the transient keys stay small."""
+    if not all(0 <= v < 2**32 for head in heads for v in head):
+        # an entry that SeedSequence reads as several words, or rejects
+        words = [[np.random.SeedSequence([*h[:2], k, *h[2:]]).generate_state(4, np.uint64) for h in heads] for k in range(rounds)]
+        return np.array(words, np.uint64).reshape(rounds, len(heads), 4)
+    heads = np.array(heads, np.uint32)
+    table = np.empty((rounds, len(heads), 4), np.uint64)
+    for start in range(0, rounds, _ROUND_BLOCK):
+        ks = np.arange(start, min(start + _ROUND_BLOCK, rounds), dtype=np.uint32)
+        keys = np.insert(np.broadcast_to(heads, (len(ks), *heads.shape)), 2, ks[:, None], axis=2)
+        table[start:start + len(ks)] = _seed_words(keys.reshape(-1, keys.shape[-1])).reshape(len(ks), len(heads), 4)
+    return table
+
+
+@functools.cache
+def _words_type() -> type:
+    """A seed sequence whose state is words derived ahead: PCG64 reads the
+    array's data directly, so they must be a C-contiguous uint64 array of 4
+    words. Made on first use, as importing numpy.random adds ~14 ms to
+    every import of otafl."""
+
+    class Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The stream whose SeedSequence generates `words`."""
+    return np.random.Generator(np.random.PCG64(_words_type()(words)))
 
 
 @dataclass(frozen=True)
@@ -156,9 +232,12 @@ class _PreparedTask:
     cfg: FLConfig  # the first row's; rows differ in seed, learning rate, clip and channel only
     seeds: tuple[int, ...]
     lr: np.ndarray  # (R, 1): the same IEEE product per row as a scalar rate
-    # each distinct channel and clip method, in first-seen order, with its rows
-    channels: tuple[tuple[ChannelConfig, slice | list[int]], ...]
+    # each distinct channel and clip method, in first-seen order, with its
+    # rows; a channel also with its rows' distinct seeds, each row's place
+    # among them, and the seed words of their streams, (rounds, seeds, 4)
+    channels: tuple[tuple[ChannelConfig, slice | list[int], tuple[int, ...], np.ndarray, np.ndarray], ...]
     clips: tuple[tuple[ClipMethod, slice | list[int]], ...]
+    client_words: np.ndarray | None  # (rounds, shuffling clients, 4), where any shuffles
     eval_data: object | None
     x: np.ndarray  # (clients, samples, ...)
     y: np.ndarray
@@ -233,6 +312,12 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
         # shuffles are drawn per client index, from the seed alone
         i, m = shuffled[0]
         raise ValueError(f"rows with different seeds need clients that never shuffle; client {i} has {m} samples, batch_size is {cfg.batch_size}")
+    channels = []
+    for channel, rows in _groups(c.channel for c in cfgs):
+        row_seeds = [seeds[r] for r in np.arange(len(seeds))[rows]]
+        own = {seed: i for i, seed in enumerate(dict.fromkeys(row_seeds))}
+        words = _round_words([(seed, _STREAM_CHANNEL) for seed in own], cfg.rounds)
+        channels.append((channel, rows, tuple(own), np.array([own[seed] for seed in row_seeds]), words))
     step_order = np.argsort(-sizes, kind="stable") if shuffled else np.arange(n)
     b = int(min(cfg.batch_size, m_max))
     steps = []
@@ -246,8 +331,9 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
         cfg=cfg,
         seeds=seeds,
         lr=np.array([c.learning_rate for c in cfgs])[:, None],
-        channels=_groups(c.channel for c in cfgs),
+        channels=tuple(channels),
         clips=_groups(c.clip for c in cfgs),
+        client_words=_round_words([(cfg.seed, _STREAM_CLIENT, i) for i, _ in shuffled], cfg.rounds) if shuffled else None,
         eval_data=eval_data,
         x=x,
         y=y,
@@ -285,8 +371,10 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, round_idx: int) -> np.
     if task.shuffled:
         # each client's generator draws its permutations in epoch order;
         # shuffling its rows in place draws what rng.permutation(m) would
-        for i, m in task.shuffled:
-            rng = client_rng(cfg.seed, round_idx, i)
+        # a round past the planned ones takes its streams from their definition
+        rngs = (map(_generator, task.client_words[round_idx]) if round_idx < cfg.rounds
+                else [client_rng(cfg.seed, round_idx, i) for i, _ in task.shuffled])
+        for rng, (i, m) in zip(rngs, task.shuffled):
             rows = task.order[:, task.position[i], :m]
             rows[:] = np.arange(i * m_max, i * m_max + m)
             for order in rows:
@@ -331,12 +419,14 @@ def run_round(w: np.ndarray, k: int, task: _PreparedTask) -> tuple[np.ndarray, d
         pseudo = _pseudo_gradients(task, w, k)
         true_mean = pseudo.mean(axis=1)
 
-        # each row draws its fades, then its noise, from its own stream
-        rngs = np.array([channel_rng(seed, k) for seed in task.seeds], dtype=object)
+        # each seed draws its fades, then its noise, from its own stream;
+        # rows of one channel and seed share them, as they drew the same
         received, noise = np.empty_like(w), np.empty_like(w)
-        for channel, rows in task.channels:
-            gains = np.stack([sample_fading(channel.fading, task.cfg.n_clients, rng) for rng in rngs[rows]])
-            received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rngs[rows])
+        for channel, rows, group_seeds, source, words in task.channels:
+            rngs = ([_generator(w) for w in words[k]] if k < task.cfg.rounds
+                    else [channel_rng(seed, k) for seed in group_seeds])
+            gains = sample_fading(channel.fading, task.cfg.n_clients, rngs)
+            received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rngs, source)
 
         clipped = np.empty_like(w)
         fractions = np.empty((len(w), len(task.model.block_layout)))

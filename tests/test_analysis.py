@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from otafl import (
     verify_convergence_bound,
 )
 from otafl import analysis, fl_core
+from otafl.analysis import EtaRow
 from otafl.stable_noise import StableParams, sample_sas
 
 
@@ -212,6 +214,26 @@ def test_verify_bound_eta_sweep_rows():
         assert math.isfinite(row.empirical_avg)
 
 
+def test_bound_check_runs_the_base_rate_once(monkeypatch):
+    # a sweep rate equal to eta reads eta's rows; it once ran them again
+    kwargs = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=2, eta=0.05)
+    base = verify_convergence_bound(**kwargs)
+    sweep = verify_convergence_bound(**kwargs, eta_grid=(0.1,))
+    n_rows = []
+    run_replicas = analysis.run_replicas
+
+    def counting(cfgs, *args, **kw):
+        n_rows.append(len(cfgs))
+        return run_replicas(cfgs, *args, **kw)
+
+    monkeypatch.setattr(analysis, "run_replicas", counting)
+    report = verify_convergence_bound(**kwargs, eta_grid=(0.05, 0.1))
+    assert n_rows == [4]
+    [row] = base.rows
+    assert report.eta_rows == [EtaRow(0.05, row.empirical_avg, row.bound_rhs, row.margin_ratio), sweep.eta_rows[0]]
+    assert repr(dataclasses.replace(report, eta_rows=[])) == repr(dataclasses.replace(base, eta_rows=[]))
+
+
 def test_bound_check_batches_its_seeds(monkeypatch):
     # every (learning rate, seed) pair is a row of one round loop: one
     # run_round call per round, not one per round, learning rate and seed
@@ -310,3 +332,6 @@ def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
         clip_survival_report([1.5], 0.1, [1.0, 1.0, 2.0], 0.0, 100)
     with pytest.raises(ValueError, match="eta_grid must be distinct"):
         verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=(0.05, 0.05))
+    # a repeated K was dropped silently
+    with pytest.raises(ValueError, match="k_grid must be distinct"):
+        verify_convergence_bound(dim=3, n_clients=2, k_grid=(20, 5, 5), n_seeds=1, seed=4)

@@ -339,13 +339,16 @@ def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
     (["lemma1", "--alphas", "1.5", "--c-grid", "1,1,2", "--samples", "1000"], "--c-grid"),
     # the learning rate run twice and its row written twice
     (_THEOREM1_SMALL + ["--eta-sweep", "0.05,0.05"], "--eta-sweep"),
+    # the repeat dropped silently and the grid reordered
+    (_THEOREM1_SMALL + ["--k-grid", "20,5,5"], "--k-grid"),
 ])
 def test_repeated_list_value_exits_2_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
-    assert f"argument {flag}: expected comma-separated numbers, none repeated" in capsys.readouterr().err
+    kind = "integers" if flag == "--k-grid" else "numbers"
+    assert f"argument {flag}: expected comma-separated {kind}, none repeated" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -24,6 +24,7 @@ from otafl import (
     run_training,
     train_test_split,
 )
+from otafl import channel as channel_module
 from otafl import fl_core
 from otafl.analysis import make_quadratic_testbed
 from otafl.fl_core import (
@@ -612,3 +613,90 @@ def test_rows_equal_standalone_runs():
     assert [r.diverged for r in rows] == [False, False, False, True]
     for cfg, row in zip(cfgs, rows):
         assert_same_run(row, run_training(cfg, model, clients, test))
+
+
+def test_rows_of_one_seed_and_channel_share_its_draws(monkeypatch):
+    # mac, gnc and none rows on one channel at one seed drew identical fades
+    # and noise, each from its own generator; now they share one draw
+    base = base_config(
+        5, 6, learning_rate=0.3, local_epochs=2, batch_size=4, seed=2, eval_every=3,
+        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.5)),
+    )
+    model, clients, test = _padded_shuffling_task(base.seed)
+    cfgs = [method_variant(base, m, 0.3, 1.0) for m in ("mac", "gnc", "none", "ideal")]
+    # rows at two seeds and two rates, in rate-major order, share per seed
+    q_model, q_datas = quadratic_clients(np.random.default_rng(9))
+    q_base = base_config(3, 6, clip=ClipMethod.mac(0.5), channel=base.channel, seed=3)
+    q_cfgs = [dataclasses.replace(q_base, learning_rate=lr, seed=s) for lr in (0.1, 0.05) for s in (3, 4)]
+    alone = [run_training(c, model, clients, test) for c in cfgs]
+    q_alone = [run_training(c, q_model, q_datas) for c in q_cfgs]
+
+    draws = []
+    sample_sas = channel_module.sample_sas
+
+    def counting(params, dim, rng):
+        noise = sample_sas(params, dim, rng)
+        draws.append(noise.shape)
+        return noise
+
+    monkeypatch.setattr(channel_module, "sample_sas", counting)
+    rows = run_replicas(cfgs, model, clients, test)
+    assert draws == [(1, model.dim)] * base.rounds
+    for row, run in zip(rows, alone):
+        assert_same_run(row, run)
+    draws.clear()
+    rows = run_replicas(q_cfgs, q_model, q_datas)
+    assert draws == [(2, q_model.dim)] * q_base.rounds
+    for row, run in zip(rows, q_alone):
+        assert_same_run(row, run)
+
+
+def _stream_draws(rng):
+    order = np.arange(13)
+    rng.shuffle(order)
+    return b"".join(a.tobytes() for a in (
+        rng.uniform(size=5), rng.standard_exponential(5), rng.rayleigh(size=5), order,
+    ))
+
+
+def test_seed_words_equal_the_seed_sequence_state():
+    # _seed_words reimplements numpy's SeedSequence mixing, so this also
+    # guards against a change inside numpy
+    fuzz = np.random.default_rng(1313)
+    for width in (3, 4):
+        keys = fuzz.integers(0, 2**32, size=(200, width), dtype=np.uint64).astype(np.uint32)
+        keys[0], keys[1] = 0, 2**32 - 1
+        expected = [np.random.SeedSequence(key.tolist()).generate_state(4, np.uint64) for key in keys]
+        assert fl_core._seed_words(keys).tobytes() == np.array(expected).tobytes()
+    # a seed of several 32-bit words takes the SeedSequence itself
+    table = fl_core._round_words([(2**70, fl_core._STREAM_CHANNEL)], 3)
+    expected = np.random.SeedSequence([2**70, fl_core._STREAM_CHANNEL, 2]).generate_state(4, np.uint64)
+    assert table[2, 0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2**32 - 1, 2**70])
+def test_generators_from_seed_words_draw_the_defined_streams(seed):
+    rounds = 70  # more than one block of derived rounds
+    clients = (0, 3, 49)
+    channel = fl_core._round_words([(seed, fl_core._STREAM_CHANNEL)], rounds)
+    client = fl_core._round_words([(seed, fl_core._STREAM_CLIENT, i) for i in clients], rounds)
+    for k in (0, 1, 63, 64, 69):
+        assert _stream_draws(fl_core._generator(channel[k, 0])) == _stream_draws(fl_core.channel_rng(seed, k))
+        for j, i in enumerate(clients):
+            assert _stream_draws(fl_core._generator(client[k, j])) == _stream_draws(client_rng(seed, k, i))
+
+
+def test_a_round_past_the_plan_draws_the_defined_streams():
+    # seed words are derived for the planned rounds only; a later round
+    # takes its streams from client_rng and channel_rng
+    model, clients, _ = classification_task(seed=5)
+    cfg = base_config(
+        4, 1, local_epochs=2, batch_size=5, clip=ClipMethod.mac(0.5),
+        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.5)),
+    )
+    assert max(len(d.y) for d in clients) > cfg.batch_size
+    w = np.random.default_rng(5).normal(size=(1, model.dim))
+    past, past_telemetry = run_round(w, 3, prepare_task(model, clients, [cfg]))
+    planned, telemetry = run_round(w, 3, prepare_task(model, clients, [dataclasses.replace(cfg, rounds=4)]))
+    assert past.tobytes() == planned.tobytes()
+    assert repr(past_telemetry) == repr(telemetry)
