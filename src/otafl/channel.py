@@ -93,19 +93,21 @@ def transmit(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Faded superposition average plus one fresh noise draw per entry.
 
-    Takes (N, d) gradients, N gains and one generator, or (R, N, d), (R, N)
-    and R distinct generators for R rows, each drawing its noise from its
-    own. With `source`, R rows share S generators: gains are (S, N) and row
-    r takes the gains and the noise of generator source[r].
-    Returns (aggregated gradient, noise realization), one per row; the
-    noise is all zeros when the channel has no noise law. Gains are applied as
-    given, so unit gains without noise yield the exact arithmetic mean.
+    Takes (N, d) gradients, N gains and one generator; or (R, N, d)
+    gradients of R rows sharing S sources: (S, N) gains, S generators, and
+    `source`, row r taking the gains and noise of source[r]. Returns
+    (aggregated gradient, noise realization), one per row; the noise is all
+    zeros when the channel has no noise law. Gains are applied as given, so
+    unit gains without noise yield the exact arithmetic mean.
     """
     grads = np.asarray(client_grads, dtype=float)
     if grads.ndim not in (2, 3):
         raise ValueError(f"client gradients must have shape (N, d) or (R, N, d), got {grads.shape}")
     gains = np.asarray(gains, dtype=float)
-    if source is not None:
+    one = source is None
+    if one != (grads.ndim == 2) or one != isinstance(rng, np.random.Generator):
+        raise ValueError("(N, d) gradients take one generator; (R, N, d) take a sequence of them, and each row's source")
+    if not one:
         gains = gains[source]
     if gains.shape != grads.shape[:-1]:
         raise ValueError(f"got gains of shape {gains.shape} for client gradients of shape {grads.shape}")
@@ -113,10 +115,8 @@ def transmit(
     if cfg.noise is None:
         return faded_mean, np.zeros_like(faded_mean)
     noise = sample_sas(cfg.noise, grads.shape[-1], rng)
-    if source is not None:
+    if not one:
         noise = noise[source]
-    if noise.shape != faded_mean.shape:
-        raise ValueError(f"got noise of shape {noise.shape} for aggregates of shape {faded_mean.shape}: give one generator per row or per source")
     return faded_mean + noise, noise
 
 

@@ -16,6 +16,7 @@ alone would.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -90,31 +91,38 @@ def _seed_words(keys: np.ndarray) -> np.ndarray:
     hashmix = _hasher(_INIT_A, _MULT_A)
     zeros = np.zeros(len(keys), np.uint32)
     pool = [hashmix(keys[:, i] if i < keys.shape[1] else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
+    # every ordered pair of distinct pool words, in numpy's loop order
+    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
+        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+        pool[dst] = mixed ^ (mixed >> 16)
     hashmix = _hasher(_INIT_B, _MULT_B)
     state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
-def _round_words(heads, rounds: int) -> np.ndarray:
-    """Seed words of the streams keyed [*head[:2], k, *head[2:]], per round
-    k and head, as a (rounds, len(heads), 4) uint64 table, derived a block
-    of rounds at a time so that the transient keys stay small."""
-    if not all(0 <= v < 2**32 for head in heads for v in head):
-        # an entry that SeedSequence reads as several words, or rejects
-        words = [[np.random.SeedSequence([*h[:2], k, *h[2:]]).generate_state(4, np.uint64) for h in heads] for k in range(rounds)]
-        return np.array(words, np.uint64).reshape(rounds, len(heads), 4)
-    heads = np.array(heads, np.uint32)
-    table = np.empty((rounds, len(heads), 4), np.uint64)
-    for start in range(0, rounds, _ROUND_BLOCK):
-        ks = np.arange(start, min(start + _ROUND_BLOCK, rounds), dtype=np.uint32)
-        keys = np.insert(np.broadcast_to(heads, (len(ks), *heads.shape)), 2, ks[:, None], axis=2)
-        table[start:start + len(ks)] = _seed_words(keys.reshape(-1, keys.shape[-1])).reshape(len(ks), len(heads), 4)
-    return table
+class _RoundWords:
+    """Seed words of the streams keyed [*head[:2], k, *head[2:]], one row per
+    head, for any round k. A round's words are derived when it first needs
+    them, with those of its block of _ROUND_BLOCK rounds in one pass, and
+    only that block is kept."""
+
+    def __init__(self, heads: list[tuple[int, ...]]):
+        self.heads, self.rounds, self.block = heads, range(0), None
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        if k not in self.rounds:
+            start = k - k % _ROUND_BLOCK
+            self.rounds = range(start, start + _ROUND_BLOCK)
+            if all(0 <= v < 2**32 for head in self.heads for v in (*head, self.rounds[-1])):
+                heads = np.array(self.heads, np.uint32)
+                ks = np.array(self.rounds, np.uint32)[:, None]
+                keys = np.insert(np.broadcast_to(heads, (len(ks), *heads.shape)), 2, ks, axis=2)
+                self.block = _seed_words(keys.reshape(-1, keys.shape[-1])).reshape(len(ks), len(heads), 4)
+            else:
+                # an entry that SeedSequence reads as several words, or rejects
+                seqs = [[np.random.SeedSequence([*h[:2], j, *h[2:]]) for h in self.heads] for j in self.rounds]
+                self.block = np.array([[seq.generate_state(4, np.uint64) for seq in row] for row in seqs])
+        return self.block[k - self.rounds.start]
 
 
 @functools.cache
@@ -233,11 +241,11 @@ class _PreparedTask:
     seeds: tuple[int, ...]
     lr: np.ndarray  # (R, 1): the same IEEE product per row as a scalar rate
     # each distinct channel and clip method, in first-seen order, with its
-    # rows; a channel also with its rows' distinct seeds, each row's place
-    # among them, and the seed words of their streams, (rounds, seeds, 4)
-    channels: tuple[tuple[ChannelConfig, slice | list[int], tuple[int, ...], np.ndarray, np.ndarray], ...]
+    # rows; a channel also with each row's place among its rows' distinct
+    # seeds, and the words of those seeds' streams
+    channels: tuple[tuple[ChannelConfig, slice | list[int], np.ndarray, _RoundWords], ...]
     clips: tuple[tuple[ClipMethod, slice | list[int]], ...]
-    client_words: np.ndarray | None  # (rounds, shuffling clients, 4), where any shuffles
+    client_words: _RoundWords | None  # of the shuffling clients' streams
     eval_data: object | None
     x: np.ndarray  # (clients, samples, ...)
     y: np.ndarray
@@ -316,8 +324,7 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
     for channel, rows in _groups(c.channel for c in cfgs):
         row_seeds = [seeds[r] for r in np.arange(len(seeds))[rows]]
         own = {seed: i for i, seed in enumerate(dict.fromkeys(row_seeds))}
-        words = _round_words([(seed, _STREAM_CHANNEL) for seed in own], cfg.rounds)
-        channels.append((channel, rows, tuple(own), np.array([own[seed] for seed in row_seeds]), words))
+        channels.append((channel, rows, np.array([own[seed] for seed in row_seeds]), _RoundWords([(seed, _STREAM_CHANNEL) for seed in own])))
     step_order = np.argsort(-sizes, kind="stable") if shuffled else np.arange(n)
     b = int(min(cfg.batch_size, m_max))
     steps = []
@@ -333,7 +340,7 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
         lr=np.array([c.learning_rate for c in cfgs])[:, None],
         channels=tuple(channels),
         clips=_groups(c.clip for c in cfgs),
-        client_words=_round_words([(cfg.seed, _STREAM_CLIENT, i) for i, _ in shuffled], cfg.rounds) if shuffled else None,
+        client_words=_RoundWords([(cfg.seed, _STREAM_CLIENT, i) for i, _ in shuffled]) if shuffled else None,
         eval_data=eval_data,
         x=x,
         y=y,
@@ -371,10 +378,7 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, round_idx: int) -> np.
     if task.shuffled:
         # each client's generator draws its permutations in epoch order;
         # shuffling its rows in place draws what rng.permutation(m) would
-        # a round past the planned ones takes its streams from their definition
-        rngs = (map(_generator, task.client_words[round_idx]) if round_idx < cfg.rounds
-                else [client_rng(cfg.seed, round_idx, i) for i, _ in task.shuffled])
-        for rng, (i, m) in zip(rngs, task.shuffled):
+        for rng, (i, m) in zip(map(_generator, task.client_words[round_idx]), task.shuffled):
             rows = task.order[:, task.position[i], :m]
             rows[:] = np.arange(i * m_max, i * m_max + m)
             for order in rows:
@@ -422,9 +426,8 @@ def run_round(w: np.ndarray, k: int, task: _PreparedTask) -> tuple[np.ndarray, d
         # each seed draws its fades, then its noise, from its own stream;
         # rows of one channel and seed share them, as they drew the same
         received, noise = np.empty_like(w), np.empty_like(w)
-        for channel, rows, group_seeds, source, words in task.channels:
-            rngs = ([_generator(w) for w in words[k]] if k < task.cfg.rounds
-                    else [channel_rng(seed, k) for seed in group_seeds])
+        for channel, rows, source, words in task.channels:
+            rngs = list(map(_generator, words[k]))
             gains = sample_fading(channel.fading, task.cfg.n_clients, rngs)
             received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rngs, source)
 

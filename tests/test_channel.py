@@ -81,6 +81,23 @@ def test_aggregate_shape_errors():
             transmit(grads, np.ones(grads.shape[:-1]), cfg, np.random.default_rng(0))
 
 
+def test_rows_sharing_sources_take_their_source_draws():
+    cfg = noisy_channel()
+    grads = np.random.default_rng(5).normal(size=(3, 4, 6))
+    rngs = [np.random.default_rng(s) for s in (7, 8)]
+    gains = sample_fading(FadingModel.rayleigh_unit_mean(), 4, rngs)
+    source = np.array([1, 0, 1])
+    out, noise = transmit(grads, gains, cfg, rngs, source)
+    for r, s in enumerate(source):
+        rng = np.random.default_rng((7, 8)[s])
+        alone = transmit(grads[r], sample_fading(FadingModel.rayleigh_unit_mean(), 4, rng), cfg, rng)
+        assert out[r].tobytes() == alone[0].tobytes() and noise[r].tobytes() == alone[1].tobytes()
+    # rows need a sequence of generators and their sources; one client stack takes neither
+    for args in [(grads, gains, cfg, rngs), (grads, gains, cfg, rngs[0]), (grads[0], gains[0], cfg, rngs[0], source)]:
+        with pytest.raises(ValueError, match="each row's source"):
+            transmit(*args)
+
+
 def test_aggregate_linearity_matches_mean():
     rng = np.random.default_rng(3)
     grads = rng.normal(size=(7, 10**4))

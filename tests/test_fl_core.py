@@ -669,34 +669,29 @@ def test_seed_words_equal_the_seed_sequence_state():
         expected = [np.random.SeedSequence(key.tolist()).generate_state(4, np.uint64) for key in keys]
         assert fl_core._seed_words(keys).tobytes() == np.array(expected).tobytes()
     # a seed of several 32-bit words takes the SeedSequence itself
-    table = fl_core._round_words([(2**70, fl_core._STREAM_CHANNEL)], 3)
+    words = fl_core._RoundWords([(2**70, fl_core._STREAM_CHANNEL)])
     expected = np.random.SeedSequence([2**70, fl_core._STREAM_CHANNEL, 2]).generate_state(4, np.uint64)
-    assert table[2, 0].tobytes() == expected.tobytes()
+    assert words[2][0].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 77, 2**32 - 1, 2**70])
 def test_generators_from_seed_words_draw_the_defined_streams(seed):
-    rounds = 70  # more than one block of derived rounds
     clients = (0, 3, 49)
-    channel = fl_core._round_words([(seed, fl_core._STREAM_CHANNEL)], rounds)
-    client = fl_core._round_words([(seed, fl_core._STREAM_CLIENT, i) for i in clients], rounds)
-    for k in (0, 1, 63, 64, 69):
-        assert _stream_draws(fl_core._generator(channel[k, 0])) == _stream_draws(fl_core.channel_rng(seed, k))
+    channel = fl_core._RoundWords([(seed, fl_core._STREAM_CHANNEL)])
+    client = fl_core._RoundWords([(seed, fl_core._STREAM_CLIENT, i) for i in clients])
+    # across blocks of derived rounds, back to an earlier one, and far ahead
+    for k in (0, 1, 63, 64, 69, 3, 10**6 + 1):
+        assert _stream_draws(fl_core._generator(channel[k][0])) == _stream_draws(fl_core.channel_rng(seed, k))
         for j, i in enumerate(clients):
-            assert _stream_draws(fl_core._generator(client[k, j])) == _stream_draws(client_rng(seed, k, i))
+            assert _stream_draws(fl_core._generator(client[k][j])) == _stream_draws(client_rng(seed, k, i))
+        # only the block holding round k is kept
+        assert k in client.rounds and client.block.shape[:2] == (len(client.rounds), len(clients))
+        assert len(client.rounds) <= fl_core._ROUND_BLOCK
 
 
-def test_a_round_past_the_plan_draws_the_defined_streams():
-    # seed words are derived for the planned rounds only; a later round
-    # takes its streams from client_rng and channel_rng
+def test_tasks_derive_no_seed_words_before_a_round_needs_them():
     model, clients, _ = classification_task(seed=5)
-    cfg = base_config(
-        4, 1, local_epochs=2, batch_size=5, clip=ClipMethod.mac(0.5),
-        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.5)),
-    )
-    assert max(len(d.y) for d in clients) > cfg.batch_size
-    w = np.random.default_rng(5).normal(size=(1, model.dim))
-    past, past_telemetry = run_round(w, 3, prepare_task(model, clients, [cfg]))
-    planned, telemetry = run_round(w, 3, prepare_task(model, clients, [dataclasses.replace(cfg, rounds=4)]))
-    assert past.tobytes() == planned.tobytes()
-    assert repr(past_telemetry) == repr(telemetry)
+    cfg = base_config(4, 10**6, batch_size=5, channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.5)))
+    task = prepare_task(model, clients, [cfg])
+    assert task.client_words.block is None
+    assert all(words.block is None for *_, words in task.channels)
