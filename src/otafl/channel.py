@@ -9,7 +9,6 @@ channel used as the upper-bound baseline (unit gains, no additive term).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,54 +68,40 @@ class ChannelConfig:
         return cls(FadingModel.no_fading(), None)
 
 
-def sample_fading(
-    model: FadingModel, n_clients: int, rng: np.random.Generator | Sequence[np.random.Generator]
-) -> np.ndarray:
-    """One gain per client for one round; (R, n_clients) gains, row r drawn
-    from rng[r], for a sequence of R generators."""
+def sample_fading(model: FadingModel, n_clients: int, rng: np.random.Generator) -> np.ndarray:
+    """One gain per client for one round."""
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-    one = isinstance(rng, np.random.Generator)
     if model.kind == "rayleigh":
-        if one:
-            return rng.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients)
-        return np.stack([r.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients) for r in rng])
-    return np.full(n_clients if one else (len(rng), n_clients), 1.0 if model.kind == "none" else model.value)
+        return rng.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients)
+    return np.full(n_clients, 1.0 if model.kind == "none" else model.value)
 
 
 def transmit(
     client_grads: np.ndarray | list[np.ndarray],
     gains: np.ndarray,
     cfg: ChannelConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    source: np.ndarray | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Faded superposition average plus one fresh noise draw per entry.
 
-    Takes (N, d) gradients, N gains and one generator; or (R, N, d)
-    gradients of R rows sharing S sources: (S, N) gains, S generators, and
-    `source`, row r taking the gains and noise of source[r]. Returns
-    (aggregated gradient, noise realization), one per row; the noise is all
-    zeros when the channel has no noise law. Gains are applied as given, so
-    unit gains without noise yield the exact arithmetic mean.
+    Takes (N, d) gradients and N gains, or the (R, N, d) gradients of R rows
+    with (R, N) gains or N gains that every row shares. The noise is one
+    sample_sas draw from `rng`, added to every row. Returns (aggregated
+    gradient, noise realization); the noise is all zeros when the channel
+    has no noise law. Gains are applied as given, so unit gains without
+    noise yield the exact arithmetic mean.
     """
     grads = np.asarray(client_grads, dtype=float)
     if grads.ndim not in (2, 3):
         raise ValueError(f"client gradients must have shape (N, d) or (R, N, d), got {grads.shape}")
     gains = np.asarray(gains, dtype=float)
-    one = source is None
-    if one != (grads.ndim == 2) or one != isinstance(rng, np.random.Generator):
-        raise ValueError("(N, d) gradients take one generator; (R, N, d) take a sequence of them, and each row's source")
-    if not one:
-        gains = gains[source]
-    if gains.shape != grads.shape[:-1]:
+    if gains.shape != grads.shape[:-1] and gains.shape != grads.shape[-2:-1]:
         raise ValueError(f"got gains of shape {gains.shape} for client gradients of shape {grads.shape}")
     faded_mean = np.mean(gains[..., None] * grads, axis=-2)
     if cfg.noise is None:
         return faded_mean, np.zeros_like(faded_mean)
     noise = sample_sas(cfg.noise, grads.shape[-1], rng)
-    if not one:
-        noise = noise[source]
     return faded_mean + noise, noise
 
 

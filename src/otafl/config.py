@@ -156,7 +156,7 @@ def validate(raw: dict) -> ExperimentConfig:
         entries = [v for vs in lists for v in vs]
         for v in entries:
             _check_positive("c_grid", v)
-        if not entries or any(len(set(vs)) < len(vs) for vs in lists):
+        if not lists or any(not vs or len(set(vs)) < len(vs) for vs in lists):
             raise ConfigError(f"field 'c_grid' must list one or more thresholds, each once per method, got {grid!r}")
         if isinstance(grid, dict):
             for key in grid:

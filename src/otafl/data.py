@@ -145,7 +145,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientDataset]:
                 )
                 for cid in range(spec.n_clients)
             ]
-    raise RuntimeError(
+    raise ValueError(
         f"failed to draw a partition without empty clients in "
         f"{_MAX_PARTITION_ATTEMPTS} attempts"
     )

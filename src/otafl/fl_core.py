@@ -147,6 +147,24 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_words_type()(words)))
 
 
+class _SharedDraws:
+    """The generators of a channel group's distinct seeds as one `rng` for
+    the channel functions: each draw is made once per generator, in order,
+    and row r gets that of generator source[r], as its run alone would."""
+
+    def __init__(self, rngs: list[np.random.Generator], source: np.ndarray):
+        self.rngs, self.source = rngs, source
+
+    def uniform(self, low, high, size):
+        return np.stack([rng.uniform(low, high, size) for rng in self.rngs])[self.source]
+
+    def standard_exponential(self, size):
+        return np.stack([rng.standard_exponential(size) for rng in self.rngs])[self.source]
+
+    def rayleigh(self, scale, size):
+        return np.stack([rng.rayleigh(scale, size) for rng in self.rngs])[self.source]
+
+
 @dataclass(frozen=True)
 class FLConfig:
     """Loop-level knobs of one training run."""
@@ -427,9 +445,9 @@ def run_round(w: np.ndarray, k: int, task: _PreparedTask) -> tuple[np.ndarray, d
         # rows of one channel and seed share them, as they drew the same
         received, noise = np.empty_like(w), np.empty_like(w)
         for channel, rows, source, words in task.channels:
-            rngs = list(map(_generator, words[k]))
-            gains = sample_fading(channel.fading, task.cfg.n_clients, rngs)
-            received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rngs, source)
+            rng = _SharedDraws(list(map(_generator, words[k])), source)
+            gains = sample_fading(channel.fading, task.cfg.n_clients, rng)
+            received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rng)
 
         clipped = np.empty_like(w)
         fractions = np.empty((len(w), len(task.model.block_layout)))

@@ -47,9 +47,7 @@ class StableParams:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
-def sample_sas(
-    params: StableParams, dim: int, rng: np.random.Generator | Sequence[np.random.Generator]
-) -> np.ndarray:
+def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `dim` i.i.d. symmetric alpha-stable variates (Chambers-Mallows-Stuck).
 
     A standardized variate is built from one uniform angle on (-pi/2, pi/2)
@@ -57,21 +55,14 @@ def sample_sas(
     are exactly c times the samples at scale tau under the same generator
     state. alpha = 1 short-circuits to the Cauchy tangent form and never
     touches the exponential draw.
-
-    Given a sequence of R distinct generators, returns (R, dim): row r draws
-    its uniforms, then its exponentials, from rng[r], and one transform runs
-    over the stacked draws, so row r equals sample_sas(params, dim, rng[r]).
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     alpha = params.alpha
-    one = isinstance(rng, np.random.Generator)
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=dim) if one else np.stack(
-        [r.uniform(-math.pi / 2.0, math.pi / 2.0, size=dim) for r in rng]
-    )
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=dim)
     if alpha == 1.0:
         return params.tau * np.tan(u)
-    w = rng.standard_exponential(dim) if one else np.stack([r.standard_exponential(dim) for r in rng])
+    w = rng.standard_exponential(dim)
     # Generic CMS transform; at alpha = 2 it reduces to 2*sqrt(w)*sin(u),
     # i.e. a Gaussian with variance 2, without any division by zero.
     x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)

@@ -12,6 +12,7 @@ from otafl import (
     sample_sas,
     transmit,
 )
+from otafl.fl_core import _SharedDraws
 
 
 def noisy_channel(alpha=1.5, tau=0.1, fading=None):
@@ -82,20 +83,25 @@ def test_aggregate_shape_errors():
 
 
 def test_rows_sharing_sources_take_their_source_draws():
+    # through the engine's shared draws, row r takes the fades and noise of
+    # generator source[r], as a run drawing from that generator alone would
     cfg = noisy_channel()
     grads = np.random.default_rng(5).normal(size=(3, 4, 6))
-    rngs = [np.random.default_rng(s) for s in (7, 8)]
-    gains = sample_fading(FadingModel.rayleigh_unit_mean(), 4, rngs)
     source = np.array([1, 0, 1])
-    out, noise = transmit(grads, gains, cfg, rngs, source)
+    rng = _SharedDraws([np.random.default_rng(s) for s in (7, 8)], source)
+    gains = sample_fading(FadingModel.rayleigh_unit_mean(), 4, rng)
+    out, noise = transmit(grads, gains, cfg, rng)
     for r, s in enumerate(source):
-        rng = np.random.default_rng((7, 8)[s])
-        alone = transmit(grads[r], sample_fading(FadingModel.rayleigh_unit_mean(), 4, rng), cfg, rng)
+        rng_alone = np.random.default_rng((7, 8)[s])
+        alone = transmit(grads[r], sample_fading(FadingModel.rayleigh_unit_mean(), 4, rng_alone), cfg, rng_alone)
         assert out[r].tobytes() == alone[0].tobytes() and noise[r].tobytes() == alone[1].tobytes()
-    # rows need a sequence of generators and their sources; one client stack takes neither
-    for args in [(grads, gains, cfg, rngs), (grads, gains, cfg, rngs[0]), (grads[0], gains[0], cfg, rngs[0], source)]:
-        with pytest.raises(ValueError, match="each row's source"):
-            transmit(*args)
+    # unfaded rows share N unit gains, which give the exact mean of each row
+    unit = sample_fading(FadingModel.no_fading(), 4, rng)
+    assert unit.shape == (4,)
+    assert transmit(grads, unit, ChannelConfig.ideal(), rng)[0].tobytes() == grads.mean(axis=1).tobytes()
+    for bad in (np.ones(3), np.ones(5), np.ones((1, 4)), np.ones((3, 5))):
+        with pytest.raises(ValueError, match="gains of shape"):
+            transmit(grads, bad, cfg, rng)
 
 
 def test_aggregate_linearity_matches_mean():

@@ -355,11 +355,20 @@ def test_repeated_list_value_exits_2_naming_it(tmp_path, capsys, argv, flag):
 @pytest.mark.parametrize("command, extra, field", [
     ("train", {"methods": "[mac, none, mac]"}, "methods"),  # wrote mini_mac.csv twice
     ("sweep", {"c_grid": "[0.5, 1.0, 0.5]"}, "c_grid"),  # ran every seed twice
+    ("sweep", {"c_grid": "{mac: [1.0], gnc: []}"}, "c_grid"),  # failed in the sweep, unnamed
 ])
 def test_duplicate_methods_and_thresholds_exit_2_naming_the_field(tmp_path, capsys, command, extra, field):
     cfg = minimal_config(tmp_path, **extra)
     assert main([command, str(cfg)]) == 2
     assert f"field {field!r} must list one or more" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_partition_exits_2(tmp_path, capsys):
+    # 64 training samples cannot fill 60 i.i.d. clients in 100 draws
+    cfg = minimal_config(tmp_path, model="logistic", n_clients=60, n_samples=80, methods="[mac]")
+    assert main(["train", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: failed to draw a partition without empty clients")
     assert not (tmp_path / "out").exists()
 
 

@@ -22,7 +22,10 @@ from otafl import (
     partition,
     run_threshold_sweep,
     run_training,
+    sample_fading,
+    sample_sas,
     train_test_split,
+    transmit,
 )
 from otafl import channel as channel_module
 from otafl import fl_core
@@ -120,7 +123,6 @@ def test_mac_update_bound_per_block():
     task = prepare_task(model, clients, seed_rows(cfg, n_replicas))
     w = np.zeros((n_replicas, model.dim))
     from otafl.clipping import split_blocks, vector_median
-    from otafl.channel import sample_fading, transmit
     from otafl.fl_core import channel_rng
 
     for k in range(10):
@@ -631,24 +633,72 @@ def test_rows_of_one_seed_and_channel_share_its_draws(monkeypatch):
     alone = [run_training(c, model, clients, test) for c in cfgs]
     q_alone = [run_training(c, q_model, q_datas) for c in q_cfgs]
 
-    draws = []
-    sample_sas = channel_module.sample_sas
+    groups, draws = [], []
+    shared_draws, sample_sas = fl_core._SharedDraws, channel_module.sample_sas
+
+    def counting_group(rngs, source):
+        groups.append((len(rngs), len(source)))
+        return shared_draws(rngs, source)
 
     def counting(params, dim, rng):
         noise = sample_sas(params, dim, rng)
         draws.append(noise.shape)
         return noise
 
+    monkeypatch.setattr(fl_core, "_SharedDraws", counting_group)
     monkeypatch.setattr(channel_module, "sample_sas", counting)
+    # one generator per distinct seed of each channel group, every round
     rows = run_replicas(cfgs, model, clients, test)
-    assert draws == [(1, model.dim)] * base.rounds
+    assert groups == [(1, 3), (1, 1)] * base.rounds
+    assert draws == [(3, model.dim)] * base.rounds
     for row, run in zip(rows, alone):
         assert_same_run(row, run)
+    groups.clear()
     draws.clear()
     rows = run_replicas(q_cfgs, q_model, q_datas)
-    assert draws == [(2, q_model.dim)] * q_base.rounds
+    assert groups == [(2, 4)] * q_base.rounds
+    assert draws == [(4, q_model.dim)] * q_base.rounds
     for row, run in zip(rows, q_alone):
         assert_same_run(row, run)
+
+
+def test_shared_draws_give_each_row_the_draws_of_its_seed():
+    # Seeded fuzz: through the shared draws of S generators, row r of
+    # sample_sas, sample_fading and transmit equals the one-generator call
+    # on a fresh generator of seed source[r], for alpha in (0, 2] with 1 and
+    # 2 always included, S in 1..20 and R in S..40 rows. Tiny alphas
+    # overflow to inf, which the byte comparison checks too.
+    fuzz = np.random.default_rng(20261)
+    alphas = [1.0, 2.0] + (2.0 - fuzz.uniform(0.0, 2.0, size=38)).tolist()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for alpha in alphas:
+            params = StableParams(alpha, float(10.0 ** fuzz.uniform(-3.0, 3.0)))
+            channel = ChannelConfig(FadingModel.rayleigh_unit_mean(), params)
+            n_seeds = int(fuzz.integers(1, 21))
+            n_rows = int(fuzz.integers(n_seeds, 41))
+            n_clients, dim = int(fuzz.integers(1, 9)), int(fuzz.integers(1, 71))
+            seeds = fuzz.integers(2**32, size=n_seeds).tolist()
+            # every generator serves at least one row
+            source = fuzz.permutation(np.concatenate([np.arange(n_seeds), fuzz.integers(n_seeds, size=n_rows - n_seeds)]))
+            grads = fuzz.normal(size=(n_rows, n_clients, dim))
+
+            def shared():
+                return fl_core._SharedDraws([np.random.default_rng(s) for s in seeds], source)
+
+            noise = sample_sas(params, dim, shared())
+            gains = sample_fading(channel.fading, n_clients, shared())
+            rng = shared()
+            out = transmit(grads, sample_fading(channel.fading, n_clients, rng), channel, rng)
+            assert noise.shape == (n_rows, dim) and gains.shape == (n_rows, n_clients)
+            for r, s in enumerate(source.tolist()):
+                case = (alpha, n_seeds, n_rows, r)
+                alone = sample_sas(params, dim, np.random.default_rng(seeds[s]))
+                assert noise[r].tobytes() == alone.tobytes(), case
+                alone = sample_fading(channel.fading, n_clients, np.random.default_rng(seeds[s]))
+                assert gains[r].tobytes() == alone.tobytes(), case
+                rng = np.random.default_rng(seeds[s])
+                alone = transmit(grads[r], sample_fading(channel.fading, n_clients, rng), channel, rng)
+                assert out[0][r].tobytes() == alone[0].tobytes() and out[1][r].tobytes() == alone[1].tobytes(), case
 
 
 def _stream_draws(rng):
