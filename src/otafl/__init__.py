@@ -30,7 +30,6 @@ from .clipping import (
     vector_median,
 )
 from .data import (
-    ClientDataset,
     Dataset,
     PartitionSpec,
     load_csv_dataset,

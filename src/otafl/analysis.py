@@ -9,6 +9,7 @@ probability that an entry survives clipping together with its tail exponent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,6 +175,11 @@ def decompose_clip_event(g: np.ndarray, threshold: float) -> ClipDecomposition:
     return ClipDecomposition(median=m, selection=selection, boundary=boundary)
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # survival probability report
 
@@ -231,19 +237,24 @@ def clip_survival_report(
     for name, grid in (("alphas", alphas), ("c_grid", c_grid)):
         if len(set(map(float, grid))) < len(grid):  # a repeat would run twice and count twice in a fit
             raise ValueError(f"{name} must be distinct, got {list(grid)}")
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be finite and >= 0, got {g}")
+    if not all(0.0 < c < math.inf for c in c_grid):
+        raise ValueError(f"c_grid must hold finite positive thresholds, got {list(c_grid)}")
+    _check_integer("n_samples", n_samples, 1)
+    _check_integer("seed", seed, 0)
+    if difference_law not in ("exact", "sqrt2"):
+        raise ValueError(f"unknown difference_law {difference_law!r}")
+    laws = [StableParams(alpha, tau) for alpha in alphas]
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
     sqrt2_g = math.sqrt(2.0) * g
-    for ai, alpha in enumerate(alphas):
-        params = StableParams(alpha, tau)
+    estimated = [float(c) for c in c_grid if c > sqrt2_g]
+    for ai, (alpha, params) in enumerate(zip(alphas, laws)):
         fit_c: list[float] = []
         fit_p: list[float] = []
-        estimated = [float(c) for c in c_grid if c > sqrt2_g]
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3, ai]))
-        p_hats = iter(
-            estimate_unclipped_prob(params, estimated, g, n_samples, rng, difference_law)
-            if estimated else []
-        )
+        p_hats = estimate_unclipped_prob(params, estimated, g, n_samples, rng, difference_law) if estimated else []
         for c in c_grid:
             asymptote = tail_prob_simplified(params, c)
             if c <= sqrt2_g:
@@ -251,7 +262,7 @@ def clip_survival_report(
                     SurvivalRow(alpha, float(c), math.nan, asymptote, None, "regime_violation")
                 )
                 continue
-            p_hat = float(next(p_hats))
+            p_hat = float(p_hats[estimated.index(c)])
             clip_prob = 1.0 - p_hat
             oracle_err = None
             if alpha == 2.0:
@@ -261,11 +272,7 @@ def clip_survival_report(
                 fit_c.append(float(c))
                 fit_p.append(clip_prob)
             rows.append(SurvivalRow(alpha, float(c), clip_prob, asymptote, oracle_err, note))
-        if len(fit_c) >= 2:
-            slope = float(np.polyfit(np.log(fit_c), np.log(fit_p), 1)[0])
-        else:
-            slope = math.nan
-        slopes[float(alpha)] = slope
+        slopes[float(alpha)] = float(np.polyfit(np.log(fit_c), np.log(fit_p), 1)[0]) if len(fit_c) >= 2 else math.nan
     return SurvivalReport(rows=rows, slopes=slopes)
 
 
@@ -333,14 +340,7 @@ class BoundCheckReport:
     eta_rows: list[EtaRow]
     eta: float
     c: float
-    l: float
-    g: float
-    f0: float
-    f_star: float
-    alpha: float
-    tau: float
     dim: int
-    n_clients: int
     n_seeds: int
     ideal: bool
     p_unclipped_used: float
@@ -375,16 +375,15 @@ def verify_convergence_bound(
     the check isolates exactly what the bound controls. ``ideal`` switches to
     the noiseless channel and the classical descent bound.
     """
-    for name, value in (("dim", dim), ("n_clients", n_clients), ("n_seeds", n_seeds)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value in (("dim", dim), ("n_clients", n_clients), ("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
+        _check_integer(name, value, 1)
+    _check_integer("seed", seed, 0)
+    fading_model = FadingModel(fading)
     if len(set(map(float, eta_grid))) < len(eta_grid):
         raise ValueError(f"eta_grid must be distinct, got {list(eta_grid)}")
-    if len(set(map(int, k_grid))) < len(k_grid):
-        raise ValueError(f"k_grid must be distinct, got {list(k_grid)}")
+    if not k_grid or len(set(k_grid)) < len(k_grid):
+        raise ValueError(f"k_grid must be distinct and non-empty, got {list(k_grid)}")
     k_grid = sorted(int(k) for k in k_grid)
-    if not k_grid or k_grid[0] < 1:
-        raise ValueError("k_grid must contain positive round counts")
     testbed = make_quadratic_testbed(dim=dim, n_clients=n_clients, seed=seed)
     info = testbed.info
     if eta is None:
@@ -417,7 +416,6 @@ def verify_convergence_bound(
     rhs = [bound_at(k, eta) for k in k_grid]
     eta_rhs = [bound_at(k_max, float(eta_val)) for eta_val in eta_grid]
 
-    fading_model = FadingModel.rayleigh_unit_mean() if fading == "rayleigh" else FadingModel.no_fading()
     cfg = FLConfig(
         n_clients=n_clients,
         rounds=k_max,
@@ -462,14 +460,7 @@ def verify_convergence_bound(
         eta_rows=eta_rows,
         eta=eta,
         c=c,
-        l=info.l,
-        g=info.g,
-        f0=f0,
-        f_star=info.f_star,
-        alpha=alpha,
-        tau=tau,
         dim=dim,
-        n_clients=n_clients,
         n_seeds=n_seeds,
         ideal=ideal,
         p_unclipped_used=1.0 if ideal else params_at(k_max, eta).simplified_p_unclipped(),

@@ -38,7 +38,7 @@ class FadingModel:
 
     def __post_init__(self) -> None:
         if self.kind not in _FADING_KINDS:
-            raise ValueError(f"kind must be one of {_FADING_KINDS}, got {self.kind!r}")
+            raise ValueError(f"fading must be one of {_FADING_KINDS}, got {self.kind!r}")
         if self.kind == "deterministic" and not self.value > 0.0:
             raise ValueError(f"deterministic gain must be positive, got {self.value}")
 
@@ -49,10 +49,6 @@ class FadingModel:
     @classmethod
     def no_fading(cls) -> "FadingModel":
         return cls("none")
-
-    @classmethod
-    def deterministic(cls, value: float) -> "FadingModel":
-        return cls("deterministic", value)
 
 
 @dataclass(frozen=True)
@@ -105,12 +101,12 @@ def transmit(
     return faded_mean + noise, noise
 
 
-def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray | None) -> float | np.ndarray:
-    """10*log10(||signal||^2 / ||noise||^2) along the last axis; +inf on the
-    ideal channel and for zero noise, -inf for zero signal and wherever the
+def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray) -> float | np.ndarray:
+    """10*log10(||signal||^2 / ||noise||^2) along the last axis; +inf for
+    zero noise (the ideal channel's), -inf for zero signal and wherever the
     ratio underflows, as against infinite noise power."""
     signal = np.sum(np.square(np.asarray(true_grad, dtype=float)), axis=-1)
-    noise = np.zeros_like(signal) if noise_realization is None else np.sum(np.square(noise_realization), axis=-1)
+    noise = np.sum(np.square(noise_realization), axis=-1)
     # math.log10, not np.log10: numpy's SIMD log can differ in the last bit
     snr = [
         math.inf if n == 0.0 else -math.inf if s / n == 0.0 else 10.0 * math.log10(s / n)

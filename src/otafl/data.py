@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "ClientDataset",
     "PartitionSpec",
     "make_synthetic_classification",
     "partition",
@@ -44,13 +43,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class ClientDataset(Dataset):
-    """One client's shard of the training data."""
-
-    client_id: int = -1
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
     return counts
 
 
-def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientDataset]:
+def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
     """Assign every sample to exactly one client; no client is left empty.
 
     "iid" sends each sample to a uniformly random client. "dirichlet" draws
@@ -138,11 +130,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientDataset]:
         sizes = np.bincount(assignment, minlength=spec.n_clients)
         if sizes.min() > 0:
             return [
-                ClientDataset(
-                    x=dataset.x[assignment == cid],
-                    y=dataset.y[assignment == cid],
-                    client_id=cid,
-                )
+                Dataset(x=dataset.x[assignment == cid], y=dataset.y[assignment == cid])
                 for cid in range(spec.n_clients)
             ]
     raise ValueError(

@@ -51,9 +51,9 @@ _STREAM_INIT, _STREAM_CLIENT, _STREAM_CHANNEL = 0, 1, 2
 _DIVERGENCE_FACTOR = 1e6
 
 
-def client_rng(seed: int, round_idx: int, client_idx: int) -> np.random.Generator:
+def client_rng(seed: int, round_idx: int, client: int) -> np.random.Generator:
     return np.random.default_rng(
-        np.random.SeedSequence([seed, _STREAM_CLIENT, round_idx, client_idx])
+        np.random.SeedSequence([seed, _STREAM_CLIENT, round_idx, client])
     )
 
 
@@ -148,12 +148,18 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 
 class _SharedDraws:
-    """The generators of a channel group's distinct seeds as one `rng` for
-    the channel functions: each draw is made once per generator, in order,
-    and row r gets that of generator source[r], as its run alone would."""
+    """The round-k streams of a channel group's distinct seeds as one `rng`
+    for the channel functions: each draw is made once per stream, in order,
+    and row r gets that of stream source[r], as its run alone would. The
+    streams are built on the first draw, so a group that draws nothing (the
+    ideal channel) builds no generator and derives no seed words."""
 
-    def __init__(self, rngs: list[np.random.Generator], source: np.ndarray):
-        self.rngs, self.source = rngs, source
+    def __init__(self, words: _RoundWords, k: int, source: np.ndarray):
+        self.words, self.k, self.source = words, k, source
+
+    @functools.cached_property
+    def rngs(self) -> list[np.random.Generator]:
+        return list(map(_generator, self.words[self.k]))
 
     def uniform(self, low, high, size):
         return np.stack([rng.uniform(low, high, size) for rng in self.rngs])[self.source]
@@ -256,7 +262,6 @@ class _PreparedTask:
 
     model: object
     cfg: FLConfig  # the first row's; rows differ in seed, learning rate, clip and channel only
-    seeds: tuple[int, ...]
     lr: np.ndarray  # (R, 1): the same IEEE product per row as a scalar rate
     # each distinct channel and clip method, in first-seen order, with its
     # rows; a channel also with each row's place among its rows' distinct
@@ -354,7 +359,6 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
     return _PreparedTask(
         model=model,
         cfg=cfg,
-        seeds=seeds,
         lr=np.array([c.learning_rate for c in cfgs])[:, None],
         channels=tuple(channels),
         clips=_groups(c.clip for c in cfgs),
@@ -433,8 +437,8 @@ def run_round(w: np.ndarray, k: int, task: _PreparedTask) -> tuple[np.ndarray, d
     exploding unclipped baseline is a measured outcome, handled by the
     divergence policy in run_replicas.
     """
-    if w.shape != (len(task.seeds), task.model.dim):
-        raise ValueError(f"parameters must have shape ({len(task.seeds)}, {task.model.dim}), one row per config, got {w.shape}")
+    if w.shape != (len(task.lr), task.model.dim):
+        raise ValueError(f"parameters must have shape ({len(task.lr)}, {task.model.dim}), one row per config, got {w.shape}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # before local compute, so that their buffers are never alive together
         loss = task.model.loss(w[:, None], task.x, task.y, sample_weight=task.mask).mean(axis=-1)
@@ -445,7 +449,7 @@ def run_round(w: np.ndarray, k: int, task: _PreparedTask) -> tuple[np.ndarray, d
         # rows of one channel and seed share them, as they drew the same
         received, noise = np.empty_like(w), np.empty_like(w)
         for channel, rows, source, words in task.channels:
-            rng = _SharedDraws(list(map(_generator, words[k])), source)
+            rng = _SharedDraws(words, k, source)
             gains = sample_fading(channel.fading, task.cfg.n_clients, rng)
             received[rows], noise[rows] = transmit(pseudo[rows], gains, channel, rng)
 

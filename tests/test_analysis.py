@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,14 +319,19 @@ def test_verify_bound_rejects_bad_eta():
         verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, eta=100.0)
 
 
-def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
-    # a repeated alpha once wrote its rows twice with one slope for both, a
-    # repeated threshold counted twice in the fit, a repeated eta ran twice
+def _forbid_draws(monkeypatch):
+    # the survival report's Monte Carlo draw, and the bound check's runs
     def draw(*args, **kwargs):
-        raise _RunStarted("a draw started before the grid check")
+        raise _RunStarted("a draw started before the argument check")
 
     monkeypatch.setattr(analysis, "estimate_unclipped_prob", draw)
     _forbid_runs(monkeypatch)
+
+
+def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
+    # a repeated alpha once wrote its rows twice with one slope for both, a
+    # repeated threshold counted twice in the fit, a repeated eta ran twice
+    _forbid_draws(monkeypatch)
     with pytest.raises(ValueError, match="alphas must be distinct"):
         clip_survival_report([1.5, 1.5], 0.1, [1.0, 2.0], 0.0, 100)
     with pytest.raises(ValueError, match="c_grid must be distinct"):
@@ -335,3 +341,63 @@ def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
     # a repeated K was dropped silently
     with pytest.raises(ValueError, match="k_grid must be distinct"):
         verify_convergence_bound(dim=3, n_clients=2, k_grid=(20, 5, 5), n_seeds=1, seed=4)
+
+
+@pytest.mark.parametrize("call, name", [
+    # ran unfaded and wrote fading=Rayleigh into the provenance line
+    (lambda: verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, fading="Rayleigh"), "fading"),
+    # died with a bare StopIteration
+    (lambda: clip_survival_report([1.5], 0.1, [1.0, 2.0], math.nan, 100), "g"),
+    # was accepted
+    (lambda: clip_survival_report([1.5], 0.1, [1.0], 1.0, 0), "n_samples"),
+])
+def test_bad_analysis_input_is_named_before_any_draw(monkeypatch, call, name):
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
+
+
+def _misspelled(word, fuzz):
+    # a dropped, doubled or swapped letter, a capital, or trailing space
+    i = int(fuzz.integers(len(word) - 1))
+    return [
+        word[:i] + word[i + 1:],
+        word[:i] + word[i] + word[i:],
+        word[:i] + word[i + 1] + word[i] + word[i + 2:],
+        word.capitalize(),
+        word + " ",
+    ][int(fuzz.integers(5))]
+
+
+def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
+    # Seeded fuzz: each argument of the bound check (non-ideal) and of the
+    # survival report in turn is nan, +-inf, 0 (where 0 is invalid), a
+    # random negative or a random misspelling, the others valid; a grid
+    # argument carries the bad value as its only entry. Each must raise
+    # ValueError naming the argument before any run or draw; any other
+    # exception fails the test.
+    _forbid_draws(monkeypatch)
+    bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta=0.05, c=None, eta_grid=(), fading="rayleigh")
+    survival = dict(alphas=[1.5], tau=0.1, c_grid=[1.0, 2.0], g=0.0, n_samples=100, seed=0, difference_law="exact")
+    # both reach their draws with nothing bad in them
+    for entry, kwargs in ((verify_convergence_bound, bound), (clip_survival_report, survival)):
+        with pytest.raises(_RunStarted):
+            entry(**kwargs)
+    integers = {"dim", "n_clients", "n_seeds", "seed", "k_grid", "n_samples"}
+    grids = {"k_grid", "eta_grid", "alphas", "c_grid"}
+    valid_zero = {"seed", "g"}
+    named = {"alphas": "alpha", "eta_grid": "eta"}  # entries are checked as the scalar they are
+    fuzz = np.random.default_rng(1515)
+    for _ in range(5):
+        for entry, kwargs in ((verify_convergence_bound, bound), (clip_survival_report, survival)):
+            for name, good in kwargs.items():
+                if isinstance(good, str):
+                    bads = [_misspelled(good, fuzz) for _ in range(3)]
+                else:
+                    magnitude = int(fuzz.integers(1, 1000)) if name in integers else float(10.0 ** fuzz.uniform(-3.0, 3.0))
+                    bads = [math.nan, math.inf, -math.inf, -magnitude] + ([] if name in valid_zero else [0])
+                for bad in bads:
+                    with pytest.raises(ValueError) as exc:
+                        entry(**{**kwargs, name: (bad,) if name in grids else bad})
+                    word = named.get(name, name)
+                    assert re.search(rf"\b{word}\b", str(exc.value), re.IGNORECASE), (name, bad, str(exc.value))

@@ -12,7 +12,7 @@ from otafl import (
     sample_sas,
     transmit,
 )
-from otafl.fl_core import _SharedDraws
+from otafl.fl_core import _STREAM_CHANNEL, _RoundWords, _SharedDraws, channel_rng
 
 
 def noisy_channel(alpha=1.5, tau=0.1, fading=None):
@@ -23,7 +23,7 @@ def test_fading_model_validation():
     with pytest.raises(ValueError):
         FadingModel("rician")
     with pytest.raises(ValueError):
-        FadingModel.deterministic(0.0)
+        FadingModel("deterministic", 0.0)
     with pytest.raises(ValueError):
         sample_fading(FadingModel.no_fading(), 0, np.random.default_rng(0))
 
@@ -34,7 +34,7 @@ def test_no_fading_gains_are_ones():
 
 
 def test_deterministic_gains():
-    gains = sample_fading(FadingModel.deterministic(0.5), 3, np.random.default_rng(0))
+    gains = sample_fading(FadingModel("deterministic", 0.5), 3, np.random.default_rng(0))
     np.testing.assert_array_equal(gains, np.full(3, 0.5))
 
 
@@ -84,15 +84,16 @@ def test_aggregate_shape_errors():
 
 def test_rows_sharing_sources_take_their_source_draws():
     # through the engine's shared draws, row r takes the fades and noise of
-    # generator source[r], as a run drawing from that generator alone would
+    # the round-k stream of seed source[r], as a run drawing from that
+    # stream alone would
     cfg = noisy_channel()
     grads = np.random.default_rng(5).normal(size=(3, 4, 6))
-    source = np.array([1, 0, 1])
-    rng = _SharedDraws([np.random.default_rng(s) for s in (7, 8)], source)
+    source, k = np.array([1, 0, 1]), 70
+    rng = _SharedDraws(_RoundWords([(s, _STREAM_CHANNEL) for s in (7, 8)]), k, source)
     gains = sample_fading(FadingModel.rayleigh_unit_mean(), 4, rng)
     out, noise = transmit(grads, gains, cfg, rng)
     for r, s in enumerate(source):
-        rng_alone = np.random.default_rng((7, 8)[s])
+        rng_alone = channel_rng((7, 8)[s], k)
         alone = transmit(grads[r], sample_fading(FadingModel.rayleigh_unit_mean(), 4, rng_alone), cfg, rng_alone)
         assert out[r].tobytes() == alone[0].tobytes() and noise[r].tobytes() == alone[1].tobytes()
     # unfaded rows share N unit gains, which give the exact mean of each row
@@ -136,6 +137,5 @@ def test_measure_snr_values():
 
 
 def test_measure_snr_sentinels():
-    assert measure_snr(np.array([1.0]), None) == math.inf
     assert measure_snr(np.array([1.0]), np.zeros(3)) == math.inf
     assert measure_snr(np.zeros(3), np.array([1.0])) == -math.inf

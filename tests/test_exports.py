@@ -1,10 +1,13 @@
-"""Every exported name resolves, and importing the package stays cheap.
+"""Every exported name resolves, every import is used, and importing the
+package stays cheap.
 
 A name left in a module's ``__all__`` after its function is deleted makes
 ``from otafl.<module> import *`` raise; a name the package re-exports that
-its module no longer declares public is a stale export of another kind.
+its module no longer declares public is a stale export of another kind; an
+import whose last use was deleted is a third.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -42,3 +45,38 @@ def test_import_leaves_numpy_random_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(otafl.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, by its syntax tree. A name
+    listed in ``__all__`` or read only in a quoted annotation counts as
+    read."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_import_finder_finds_them():
+    source = (
+        "import os\nimport numpy as np\nimport a.b\nfrom x import y, z, q\n"
+        "__all__ = ['z']\ndef f(v: 'q') -> np.ndarray:\n    return y\n"
+    )
+    assert _unused_imports(source) == ["a", "os"]
+
+
+# the package's __init__ imports are its re-exports
+@pytest.mark.parametrize("path", sorted(Path(otafl.__file__).parent.glob("[!_]*.py")), ids=lambda p: p.name)
+def test_modules_import_only_what_they_use(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

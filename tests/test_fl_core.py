@@ -148,13 +148,13 @@ def test_engine_matches_per_client_reference():
     rng = np.random.default_rng(4)
     p = 4
     model = LogisticModel(p, 2)
-    from otafl import ClientDataset
+    from otafl import Dataset
 
     clients = []
-    for cid, m in enumerate([7, 10, 13, 3]):
+    for m in [7, 10, 13, 3]:
         x = rng.normal(size=(m, p))
         y = rng.integers(2, size=m)
-        clients.append(ClientDataset(x=x, y=y, client_id=cid))
+        clients.append(Dataset(x=x, y=y))
     cfg = base_config(4, 1, learning_rate=0.05, local_epochs=3, batch_size=4, seed=77)
     task = prepare_task(model, clients, [cfg])
     w = rng.normal(size=model.dim)
@@ -295,11 +295,11 @@ def test_client_count_mismatch():
 def test_labels_outside_the_classes_are_rejected(model):
     # a label outside 0..K-1 once trained on an all-zero one-hot row (and
     # the MLP's loss then raised IndexError mid-run)
-    from otafl import ClientDataset, Dataset
+    from otafl import Dataset
 
     rng = np.random.default_rng(13)
     k = model.n_classes
-    clients = [ClientDataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k, client_id=i) for i in range(3)]
+    clients = [Dataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k) for _ in range(3)]
     held_out = Dataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k)
     cfg = base_config(3, 1, batch_size=2)
     prepare_task(model, clients, [cfg], held_out)
@@ -636,9 +636,14 @@ def test_rows_of_one_seed_and_channel_share_its_draws(monkeypatch):
     groups, draws = [], []
     shared_draws, sample_sas = fl_core._SharedDraws, channel_module.sample_sas
 
-    def counting_group(rngs, source):
-        groups.append((len(rngs), len(source)))
-        return shared_draws(rngs, source)
+    def counting_group(*args):
+        groups.append(shared_draws(*args))
+        return groups[-1]
+
+    def built():
+        # (generators built, rows) per channel group and round; the
+        # generators are built on a group's first draw
+        return [(len(vars(g).get("rngs", [])), len(g.source)) for g in groups]
 
     def counting(params, dim, rng):
         noise = sample_sas(params, dim, rng)
@@ -647,31 +652,35 @@ def test_rows_of_one_seed_and_channel_share_its_draws(monkeypatch):
 
     monkeypatch.setattr(fl_core, "_SharedDraws", counting_group)
     monkeypatch.setattr(channel_module, "sample_sas", counting)
-    # one generator per distinct seed of each channel group, every round
+    # one generator per distinct seed of each channel group, every round;
+    # the ideal row's group draws nothing, so it builds no generator and
+    # derives no seed words
     rows = run_replicas(cfgs, model, clients, test)
-    assert groups == [(1, 3), (1, 1)] * base.rounds
+    assert built() == [(1, 3), (0, 1)] * base.rounds
+    assert groups[0].words.block is not None and groups[1].words.block is None
     assert draws == [(3, model.dim)] * base.rounds
     for row, run in zip(rows, alone):
         assert_same_run(row, run)
     groups.clear()
     draws.clear()
     rows = run_replicas(q_cfgs, q_model, q_datas)
-    assert groups == [(2, 4)] * q_base.rounds
+    assert built() == [(2, 4)] * q_base.rounds
     assert draws == [(4, q_model.dim)] * q_base.rounds
     for row, run in zip(rows, q_alone):
         assert_same_run(row, run)
 
 
 def test_shared_draws_give_each_row_the_draws_of_its_seed():
-    # Seeded fuzz: through the shared draws of S generators, row r of
-    # sample_sas, sample_fading and transmit equals the one-generator call
-    # on a fresh generator of seed source[r], for alpha in (0, 2] with 1 and
-    # 2 always included, S in 1..20 and R in S..40 rows. Tiny alphas
-    # overflow to inf, which the byte comparison checks too.
+    # Seeded fuzz: through the shared draws of S seeds' round-k streams, row
+    # r of sample_sas, sample_fading and transmit equals the one-generator
+    # call on a fresh channel_rng(seed source[r], k), for alpha in (0, 2]
+    # with 1 and 2 always included, S in 1..20, R in S..40 rows and k the
+    # case's index. Tiny alphas overflow to inf, which the byte comparison
+    # checks too.
     fuzz = np.random.default_rng(20261)
     alphas = [1.0, 2.0] + (2.0 - fuzz.uniform(0.0, 2.0, size=38)).tolist()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for alpha in alphas:
+        for k, alpha in enumerate(alphas):
             params = StableParams(alpha, float(10.0 ** fuzz.uniform(-3.0, 3.0)))
             channel = ChannelConfig(FadingModel.rayleigh_unit_mean(), params)
             n_seeds = int(fuzz.integers(1, 21))
@@ -682,8 +691,10 @@ def test_shared_draws_give_each_row_the_draws_of_its_seed():
             source = fuzz.permutation(np.concatenate([np.arange(n_seeds), fuzz.integers(n_seeds, size=n_rows - n_seeds)]))
             grads = fuzz.normal(size=(n_rows, n_clients, dim))
 
+            words = fl_core._RoundWords([(s, fl_core._STREAM_CHANNEL) for s in seeds])
+
             def shared():
-                return fl_core._SharedDraws([np.random.default_rng(s) for s in seeds], source)
+                return fl_core._SharedDraws(words, k, source)
 
             noise = sample_sas(params, dim, shared())
             gains = sample_fading(channel.fading, n_clients, shared())
@@ -692,11 +703,11 @@ def test_shared_draws_give_each_row_the_draws_of_its_seed():
             assert noise.shape == (n_rows, dim) and gains.shape == (n_rows, n_clients)
             for r, s in enumerate(source.tolist()):
                 case = (alpha, n_seeds, n_rows, r)
-                alone = sample_sas(params, dim, np.random.default_rng(seeds[s]))
+                alone = sample_sas(params, dim, fl_core.channel_rng(seeds[s], k))
                 assert noise[r].tobytes() == alone.tobytes(), case
-                alone = sample_fading(channel.fading, n_clients, np.random.default_rng(seeds[s]))
+                alone = sample_fading(channel.fading, n_clients, fl_core.channel_rng(seeds[s], k))
                 assert gains[r].tobytes() == alone.tobytes(), case
-                rng = np.random.default_rng(seeds[s])
+                rng = fl_core.channel_rng(seeds[s], k)
                 alone = transmit(grads[r], sample_fading(channel.fading, n_clients, rng), channel, rng)
                 assert out[0][r].tobytes() == alone[0].tobytes() and out[1][r].tobytes() == alone[1].tobytes(), case
 

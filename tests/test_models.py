@@ -225,12 +225,12 @@ def test_quadratic_descent_reaches_minimizer():
 def test_global_matches_mean_of_local():
     rng = np.random.default_rng(9)
     model = LogisticModel(3, 2)
-    from otafl import ClientDataset
+    from otafl import Dataset
 
     datas = []
-    for cid in range(4):
+    for _ in range(4):
         x, y = make_logistic_data(rng, n=12, p=3)
-        datas.append(ClientDataset(x=x, y=y, client_id=cid))
+        datas.append(Dataset(x=x, y=y))
     w = rng.normal(size=model.dim)
     mean_grad = np.mean([model.gradient(w, d.x, d.y) for d in datas], axis=0)
     np.testing.assert_allclose(global_gradient(model, w, datas), mean_grad, atol=1e-12)
