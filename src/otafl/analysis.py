@@ -210,22 +210,24 @@ class SurvivalRow:
 class SurvivalReport:
     rows: list[SurvivalRow]
     slopes: dict[float, float]
+    config_summary: str
 
     def rows_for(self, alpha: float) -> list[SurvivalRow]:
         return [r for r in self.rows if r.alpha == alpha]
 
 
 def clip_survival_report(
-    alphas,
-    tau: float,
-    c_grid,
-    g: float,
-    n_samples: int,
+    alphas=(1.1, 1.5, 1.9),
+    tau: float = 0.1,
+    c_grid=tuple(float(c) for c in np.logspace(0, 1, 6)),
+    g: float = 0.0,
+    n_samples: int = 10**6,
     seed: int = 0,
     difference_law: str = "exact",
 ) -> SurvivalReport:
     """Empirical clip probability per threshold, with the power-law asymptote
-    and a log-log slope fit per tail index.
+    and a log-log slope fit per tail index. The defaults are the criterion-3
+    check that ``otafl lemma1`` runs.
 
     Thresholds at or below sqrt(2)*g are marked ``regime_violation`` and
     skipped; thresholds whose asymptote exceeds 0.1 are marked
@@ -273,7 +275,11 @@ def clip_survival_report(
                 fit_p.append(clip_prob)
             rows.append(SurvivalRow(alpha, float(c), clip_prob, asymptote, oracle_err, note))
         slopes[float(alpha)] = float(np.polyfit(np.log(fit_c), np.log(fit_p), 1)[0]) if len(fit_c) >= 2 else math.nan
-    return SurvivalReport(rows=rows, slopes=slopes)
+    summary = (
+        f"alphas={','.join(map(str, alphas))} tau={tau} g={g} "
+        f"samples={n_samples} seed={seed} difference_law={difference_law}"
+    )
+    return SurvivalReport(rows=rows, slopes=slopes, config_summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +345,7 @@ class BoundCheckReport:
     rows: list[BoundCheckRow]
     eta_rows: list[EtaRow]
     eta: float
-    c: float
+    c: float | None  # None on the ideal channel, which is not clipped
     dim: int
     n_seeds: int
     ideal: bool
@@ -379,6 +385,7 @@ def verify_convergence_bound(
         _check_integer(name, value, 1)
     _check_integer("seed", seed, 0)
     fading_model = FadingModel(fading)
+    noise = StableParams(alpha, tau)
     if len(set(map(float, eta_grid))) < len(eta_grid):
         raise ValueError(f"eta_grid must be distinct, got {list(eta_grid)}")
     if not k_grid or len(set(k_grid)) < len(k_grid):
@@ -390,7 +397,7 @@ def verify_convergence_bound(
         eta = 1.0 / info.l
     if ideal and c is not None:
         raise ValueError(f"the ideal channel is not clipped, so it takes no threshold; got c={c}")
-    if c is None:
+    if not ideal and c is None:
         c = 2.0 * math.sqrt(2.0) * info.g
     if not ideal and c <= math.sqrt(2.0) * info.g:
         raise RegimeError(
@@ -421,7 +428,7 @@ def verify_convergence_bound(
         rounds=k_max,
         learning_rate=eta,
         clip=ClipMethod.none() if ideal else ClipMethod.mac(c),
-        channel=ChannelConfig.ideal() if ideal else ChannelConfig(fading_model, StableParams(alpha, tau)),
+        channel=ChannelConfig.ideal() if ideal else ChannelConfig(fading_model, noise),
         seed=seed,
         projection_radius=info.radius,
     )

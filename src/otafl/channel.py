@@ -101,7 +101,7 @@ def transmit(
     return faded_mean + noise, noise
 
 
-def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray) -> float | np.ndarray:
+def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray) -> np.ndarray:
     """10*log10(||signal||^2 / ||noise||^2) along the last axis; +inf for
     zero noise (the ideal channel's), -inf for zero signal and wherever the
     ratio underflows, as against infinite noise power."""
@@ -112,4 +112,4 @@ def measure_snr(true_grad: np.ndarray, noise_realization: np.ndarray) -> float |
         math.inf if n == 0.0 else -math.inf if s / n == 0.0 else 10.0 * math.log10(s / n)
         for s, n in zip(np.ravel(signal).tolist(), np.ravel(noise).tolist())
     ]
-    return snr[0] if signal.ndim == 0 else np.reshape(snr, signal.shape)
+    return np.reshape(snr, signal.shape)

@@ -36,14 +36,10 @@ from .stable_noise import RegimeError, StableParams
 __all__ = ["main", "build_task_factory", "to_fl_config"]
 
 
-def _version_line(extra: str) -> str:
-    return f"# otafl-{__version__} {extra}"
-
-
-def _write_csv(path: Path, header_comment: str, columns: list[str], rows) -> None:
+def _write_csv(path: Path, provenance: str, columns: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(header_comment + "\n")
+        fh.write(f"# otafl-{__version__} {provenance}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         # the csv module writes None as "", a float as its repr, anything else as its str
@@ -143,7 +139,7 @@ def cmd_train(args) -> int:
         ]
         _write_csv(
             outdir / f"{cfg.name}_{method}.csv",
-            _version_line(f"method={method} {resolved_summary(cfg)}"),
+            f"method={method} {resolved_summary(cfg)}",
             _TRAIN_COLUMNS,
             rows,
         )
@@ -160,37 +156,30 @@ def cmd_train(args) -> int:
         )
     _write_csv(
         outdir / f"{cfg.name}_summary.csv",
-        _version_line(resolved_summary(cfg)),
+        resolved_summary(cfg),
         ["method", "final_loss", "final_accuracy", "best_accuracy", "diverged", "rounds_completed"],
         summary_rows,
     )
     return 0
 
 
+def _library_kwargs(args) -> dict:
+    """The flags the user gave, named as the library's parameters; the
+    library's defaults cover the rest."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+
+
 def cmd_lemma1(args) -> int:
-    report = clip_survival_report(
-        alphas=args.alphas,
-        tau=args.tau,
-        c_grid=args.c_grid,
-        g=args.g,
-        n_samples=args.samples,
-        seed=args.seed,
-        difference_law=args.difference_law,
-    )
-    flags = (
-        f"alphas={','.join(map(str, args.alphas))} tau={args.tau} g={args.g} "
-        f"samples={args.samples} seed={args.seed} difference_law={args.difference_law}"
-    )
+    report = clip_survival_report(**_library_kwargs(args))
     rows = []
-    for alpha in args.alphas:
+    for alpha, slope in report.slopes.items():
         for r in report.rows_for(alpha):
             clip_prob = None if np.isnan(r.empirical_clip_prob) else r.empirical_clip_prob
             rows.append([r.alpha, r.threshold, clip_prob, r.asymptote, r.gaussian_oracle_err, None, r.note])
-        slope = report.slopes[float(alpha)]
         rows.append([alpha, None, None, None, None, None if np.isnan(slope) else slope, ""])
     _write_csv(
         Path(args.out),
-        _version_line(flags),
+        report.config_summary,
         ["alpha", "c", "empirical_clip_prob", "asymptote", "gaussian_oracle_err", "fitted_slope", "note"],
         rows,
     )
@@ -198,24 +187,11 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_theorem1(args) -> int:
-    report = verify_convergence_bound(
-        dim=args.dim,
-        n_clients=args.n_clients,
-        k_grid=args.k_grid,
-        n_seeds=args.seeds,
-        alpha=args.alpha,
-        tau=args.tau,
-        seed=args.seed,
-        eta=args.eta,
-        c=args.c,
-        fading=args.fading,
-        ideal=args.ideal,
-        eta_grid=args.eta_sweep or (),
-    )
+    report = verify_convergence_bound(**_library_kwargs(args))
     rows = [[r.rounds, r.empirical_avg, r.bound_rhs, r.margin_ratio] for r in report.rows]
     _write_csv(
         Path(args.out),
-        _version_line(report.config_summary),
+        report.config_summary,
         ["K", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"],
         rows,
     )
@@ -224,7 +200,7 @@ def cmd_theorem1(args) -> int:
         eta_path = out.with_name(out.stem + "_eta.csv")
         _write_csv(
             eta_path,
-            _version_line(report.config_summary),
+            report.config_summary,
             ["eta", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"],
             [[r.eta, r.empirical_avg, r.bound_rhs, r.margin_ratio] for r in report.eta_rows],
         )
@@ -251,7 +227,7 @@ def cmd_sweep(args) -> int:
     ]
     _write_csv(
         Path(cfg.output_dir) / f"{cfg.name}_sweep.csv",
-        _version_line(resolved_summary(cfg)),
+        resolved_summary(cfg),
         ["method", "c", "median_final_accuracy", "median_final_loss", "n_diverged", "best"],
         out_rows,
     )
@@ -306,30 +282,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable; flags win over the file)")
     train.set_defaults(func=cmd_train)
 
-    l1 = sub.add_parser("lemma1", help="clip-survival probabilities and tail exponents")
-    l1.add_argument("--alphas", type=_float_list, default=[1.1, 1.5, 1.9])
-    l1.add_argument("--tau", type=_finite_float, default=0.1)
-    l1.add_argument("--c-grid", type=_float_list, default=[float(c) for c in np.logspace(0, 1, 6)])
-    l1.add_argument("--g", type=_finite_float, default=0.0, help="per-client gradient norm bound")
-    l1.add_argument("--samples", type=int, default=10**6)
-    l1.add_argument("--seed", type=int, default=0)
-    l1.add_argument("--difference-law", choices=["exact", "sqrt2"], default="exact")
+    # lemma1 and theorem1 set no default but --out: a flag not given takes
+    # the library's default, and each dest is the library's parameter name
+    l1 = sub.add_parser("lemma1", help="clip-survival probabilities and tail exponents",
+                        argument_default=argparse.SUPPRESS)
+    l1.add_argument("--alphas", type=_float_list)
+    l1.add_argument("--tau", type=_finite_float)
+    l1.add_argument("--c-grid", type=_float_list)
+    l1.add_argument("--g", type=_finite_float, help="per-client gradient norm bound")
+    l1.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int)
+    l1.add_argument("--seed", type=int)
+    l1.add_argument("--difference-law", choices=["exact", "sqrt2"])
     l1.add_argument("--out", default="lemma1.csv")
     l1.set_defaults(func=cmd_lemma1)
 
-    t1 = sub.add_parser("theorem1", help="convergence bound check on the quadratic testbed")
-    t1.add_argument("--dim", type=int, default=10)
-    t1.add_argument("--n-clients", type=int, default=5)
-    t1.add_argument("--k-grid", type=_int_list, default=[10, 100, 1000])
-    t1.add_argument("--seeds", type=int, default=20)
-    t1.add_argument("--alpha", type=_finite_float, default=1.5)
-    t1.add_argument("--tau", type=_finite_float, default=0.1)
-    t1.add_argument("--eta", type=_finite_float, default=None, help="defaults to 1/L")
-    t1.add_argument("--c", type=_finite_float, default=None, help="defaults to 2*sqrt(2)*G")
-    t1.add_argument("--seed", type=int, default=0)
-    t1.add_argument("--fading", choices=["none", "rayleigh"], default="none")
+    t1 = sub.add_parser("theorem1", help="convergence bound check on the quadratic testbed",
+                        argument_default=argparse.SUPPRESS)
+    t1.add_argument("--dim", type=int)
+    t1.add_argument("--n-clients", type=int)
+    t1.add_argument("--k-grid", type=_int_list)
+    t1.add_argument("--seeds", dest="n_seeds", metavar="SEEDS", type=int)
+    t1.add_argument("--alpha", type=_finite_float)
+    t1.add_argument("--tau", type=_finite_float)
+    t1.add_argument("--eta", type=_finite_float, help="defaults to 1/L")
+    t1.add_argument("--c", type=_finite_float, help="defaults to 2*sqrt(2)*G")
+    t1.add_argument("--seed", type=int)
+    t1.add_argument("--fading", choices=["none", "rayleigh"])
     t1.add_argument("--ideal", action="store_true", help="noiseless channel, classical bound")
-    t1.add_argument("--eta-sweep", type=_float_list, default=None)
+    t1.add_argument("--eta-sweep", dest="eta_grid", metavar="ETA_SWEEP", type=_float_list)
     t1.add_argument("--out", default="theorem1.csv")
     t1.set_defaults(func=cmd_theorem1)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 
@@ -170,6 +171,22 @@ def test_survival_report_gaussian_oracle_column():
     assert report.rows_for(1.5)[0].gaussian_oracle_err is None
 
 
+def test_survival_report_defaults_are_the_criterion_3_check():
+    # otafl lemma1 with no flags is clip_survival_report(); its provenance
+    # line was once built in the CLI from the CLI's own copy of these values
+    defaults = {
+        name: p.default for name, p in inspect.signature(clip_survival_report).parameters.items()
+    }
+    assert defaults == {
+        "alphas": (1.1, 1.5, 1.9), "tau": 0.1, "c_grid": tuple(float(c) for c in np.logspace(0, 1, 6)),
+        "g": 0.0, "n_samples": 10**6, "seed": 0, "difference_law": "exact",
+    }
+    assert type(defaults["g"]) is float  # the header reads g=0.0
+    report = clip_survival_report(n_samples=100)
+    assert report.config_summary == "alphas=1.1,1.5,1.9 tau=0.1 g=0.0 samples=100 seed=0 difference_law=exact"
+    assert list(report.slopes) == [1.1, 1.5, 1.9]
+
+
 def test_quadratic_testbed_constants():
     tb = make_quadratic_testbed(dim=6, n_clients=3, seed=0)
     assert np.linalg.norm(tb.w0) == pytest.approx(3.0)
@@ -204,6 +221,23 @@ def test_verify_bound_ideal_matches_classical():
     assert report.p_unclipped_used == 1.0
     for row in report.rows:
         assert row.margin_ratio <= 1.0
+
+
+def test_verify_bound_ideal_uses_no_threshold():
+    # the default c was once written into an ideal run's provenance line
+    report = verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, ideal=True)
+    assert report.c is None
+    assert " c=None " in report.config_summary
+
+
+@pytest.mark.parametrize("name, value", [("alpha", 5.0), ("tau", -3.0)])
+def test_verify_bound_ideal_checks_the_noise_law(monkeypatch, name, value):
+    # the ideal channel draws no noise, but the provenance line still
+    # records the law; alpha=5.0 and tau=-3.0 were once written there unchecked
+    _forbid_runs(monkeypatch)
+    for ideal in (True, False):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, ideal=ideal, **{name: value})
 
 
 def test_verify_bound_eta_sweep_rows():

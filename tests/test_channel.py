@@ -131,11 +131,12 @@ def test_unit_mean_effective_gain_over_rounds():
 
 
 def test_measure_snr_values():
-    assert measure_snr(np.array([1.0]), np.array([1.0])) == 0.0
-    assert measure_snr(np.array([1.0]), np.array([math.sqrt(1e5)])) == pytest.approx(-50.0)
-    assert measure_snr(np.array([2.0]), np.array([1.0])) == pytest.approx(10 * math.log10(4.0))
+    # one value per row of (R, d) inputs, the only form the round loop passes
+    assert measure_snr(np.array([[1.0]]), np.array([[1.0]])).tolist() == [0.0]
+    assert measure_snr(np.array([[1.0]]), np.array([[math.sqrt(1e5)]]))[0] == pytest.approx(-50.0)
+    assert measure_snr(np.array([[2.0]]), np.array([[1.0]]))[0] == pytest.approx(10 * math.log10(4.0))
 
 
 def test_measure_snr_sentinels():
-    assert measure_snr(np.array([1.0]), np.zeros(3)) == math.inf
-    assert measure_snr(np.zeros(3), np.array([1.0])) == -math.inf
+    assert measure_snr(np.ones((1, 3)), np.zeros((1, 3))).tolist() == [math.inf]
+    assert measure_snr(np.zeros((1, 3)), np.ones((1, 3))).tolist() == [-math.inf]

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import inspect
 import math
 import sys
 import time
@@ -10,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otafl.cli import main
+from otafl import cli
+from otafl.analysis import clip_survival_report, verify_convergence_bound
+from otafl.cli import build_parser, main
 from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides, validate
 from otafl.data import load_csv_dataset
 
@@ -233,6 +237,48 @@ def test_theorem1_ideal_refuses_c(tmp_path, capsys):
     assert main(_THEOREM1_SMALL + ["--ideal", "--c", "-1", "--out", str(out)]) == 2
     assert "no threshold" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_theorem1_ideal_checks_the_noise_law(tmp_path, capsys):
+    # an ideal run once exited 0 and wrote alpha=5.0, tau=-3.0 and the
+    # unused default threshold into its provenance line
+    out = tmp_path / "t1.csv"
+    for flag, value in (("--alpha", "5"), ("--tau", "-3")):
+        assert main(_THEOREM1_SMALL + ["--ideal", flag, value, "--out", str(out)]) == 2
+        assert f"error: {flag[2:]} must" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(_THEOREM1_SMALL + ["--ideal", "--out", str(out)]) == 0
+    assert " c=None " in read_csv(out)[0]
+
+
+# lemma1 and theorem1 are the library's two checks; their parsers once
+# repeated the library's defaults and their commands re-listed its parameters
+_CHECKS = {"lemma1": clip_survival_report, "theorem1": verify_convergence_bound}
+
+
+@pytest.mark.parametrize("command", sorted(_CHECKS))
+def test_check_flags_are_library_parameters_without_defaults(command):
+    parser = build_parser()
+    assert sorted(vars(parser.parse_args([command, "--out", "x.csv"]))) == ["command", "func", "out"]
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
+    assert dests and dests <= set(inspect.signature(_CHECKS[command]).parameters)
+
+
+@pytest.mark.parametrize("command, small", [
+    ("lemma1", dict(n_samples=100)),
+    ("theorem1", dict(dim=2, n_clients=1, k_grid=(2,), n_seeds=1)),
+])
+def test_check_without_flags_calls_the_library_with_no_arguments(tmp_path, monkeypatch, command, small):
+    calls = []
+
+    def check(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _CHECKS[command](**small)
+
+    monkeypatch.setattr(cli, _CHECKS[command].__name__, check)
+    assert main([command, "--out", str(tmp_path / "x.csv")]) == 0
+    assert calls == [((), {})]
 
 
 def test_theorem1_eta_sweep_writes_second_file(tmp_path):

@@ -4,7 +4,8 @@ package stays cheap.
 A name left in a module's ``__all__`` after its function is deleted makes
 ``from otafl.<module> import *`` raise; a name the package re-exports that
 its module no longer declares public is a stale export of another kind; an
-import whose last use was deleted is a third.
+import whose last use was deleted is a third, and a private helper whose
+last caller was deleted a fourth.
 """
 
 import ast
@@ -80,3 +81,48 @@ def test_unused_import_finder_finds_them():
 @pytest.mark.parametrize("path", sorted(Path(otafl.__file__).parent.glob("[!_]*.py")), ids=lambda p: p.name)
 def test_modules_import_only_what_they_use(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module
+    of ``sources`` ({module: source}) reads, as ``module.name``. A read is a
+    load of the bare name, an attribute of that name or an import of it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_unread_private_name_finder_finds_them():
+    sources = {
+        "a": "_USED, _LEFT = 1, 2\n_ALSO: int = 3\ndef _helper():\n    return _USED\n"
+             "class _Gone:\n    pass\ndef _called():\n    pass\n__all__ = []\n",
+        "b": "from a import _helper\nimport a\na._called()\n",
+    }
+    assert _unread_private_names(sources) == ["a._ALSO", "a._Gone", "a._LEFT"]
+
+
+def test_every_private_name_in_the_package_is_read():
+    # a helper whose last caller is deleted should go with it
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in Path(otafl.__file__).parent.glob("*.py")}
+    assert _unread_private_names(sources) == []
