@@ -124,10 +124,14 @@ def convergence_bound(params: BoundParams, p_unclipped: float | None = None) -> 
         params.k * p * (2.0 - params.eta * params.l) * params.eta
     )
     half_window = math.sqrt(2.0) / 2.0 * params.c - params.g
-    residual = 0.5 * params.eta**2 * params.d * params.l * (
-        p * half_window**2 + (1.0 - p) * params.c**2
+    # squares by multiplication: a float ** overflows with an exception, not to inf
+    residual = 0.5 * (params.eta * params.eta) * params.d * params.l * (
+        p * (half_window * half_window) + (1.0 - p) * (params.c * params.c)
     )
-    return descent + residual
+    bound = descent + residual
+    if not math.isfinite(bound):
+        raise RegimeError(f"the bound is not finite at c = {params.c}")
+    return bound
 
 
 def classical_descent_bound(f0: float, f_star: float, eta: float, l: float, k: int) -> float:
@@ -379,7 +383,8 @@ def verify_convergence_bound(
     (learning rates x seeds x rounds) columns. The default
     channel has no fading: the bound treats unit-mean fades as their mean, and
     the check isolates exactly what the bound controls. ``ideal`` switches to
-    the noiseless channel and the classical descent bound.
+    the noiseless channel and the classical descent bound, and takes neither
+    a threshold ``c`` nor a ``fading``.
     """
     for name, value in (("dim", dim), ("n_clients", n_clients), ("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
         _check_integer(name, value, 1)
@@ -397,6 +402,8 @@ def verify_convergence_bound(
         eta = 1.0 / info.l
     if ideal and c is not None:
         raise ValueError(f"the ideal channel is not clipped, so it takes no threshold; got c={c}")
+    if ideal and fading != "none":
+        raise ValueError(f"the ideal channel is not faded, so it takes no fading; got fading={fading!r}")
     if not ideal and c is None:
         c = 2.0 * math.sqrt(2.0) * info.g
     if not ideal and c <= math.sqrt(2.0) * info.g:

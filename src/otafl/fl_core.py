@@ -247,11 +247,11 @@ class TrainResult:
 class _Step:
     """One local minibatch step of every client: the columns it reads, the
     number of clients that still have samples there (a prefix in step
-    order), and their sample weights (None when no column is padding)."""
+    order), and their sample weights (zero on padding)."""
 
     cols: slice
     n_active: int
-    weight: np.ndarray | None
+    weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ class _PreparedTask:
     eval_data: object | None
     x: np.ndarray  # (clients, samples, ...)
     y: np.ndarray
-    mask: np.ndarray | None  # None when no client is padded
+    mask: np.ndarray  # zero on padding
     steps: tuple[_Step, ...]
     shuffled: tuple[tuple[int, int], ...]  # (client, size) where a batch is smaller than the data
     # where a client shuffles (else None): each client's position in step
@@ -354,8 +354,7 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
     for start in range(0, m_max, b):
         cols = slice(start, min(start + b, m_max))
         n_active = int(np.count_nonzero(sizes > start))
-        weight = mask[step_order[:n_active], cols]
-        steps.append(_Step(cols=cols, n_active=n_active, weight=None if weight.all() else weight))
+        steps.append(_Step(cols=cols, n_active=n_active, weight=mask[step_order[:n_active], cols]))
     return _PreparedTask(
         model=model,
         cfg=cfg,
@@ -366,7 +365,7 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
         eval_data=eval_data,
         x=x,
         y=y,
-        mask=None if mask.all() else mask,
+        mask=mask,
         steps=tuple(steps),
         shuffled=shuffled,
         position=np.argsort(step_order) if shuffled else None,
@@ -516,7 +515,6 @@ def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[Tra
     n_rows = len(cfgs)
     columns: dict[str, np.ndarray] = {}
     wall_time = np.zeros(cfg.rounds)
-    loss_ceiling = np.full(n_rows, np.nan)
     alive = np.ones(n_rows, dtype=bool)
     rounds_done = np.full(n_rows, cfg.rounds)
     final_w = w.copy()
@@ -529,8 +527,9 @@ def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[Tra
                 columns[name] = np.empty((n_rows, cfg.rounds) + values.shape[1:])
             columns[name][:, k] = values
         loss = telemetry["global_loss"]
-        unset = np.isnan(loss_ceiling) & np.isfinite(loss)
-        loss_ceiling[unset] = _DIVERGENCE_FACTOR * np.maximum(1.0, np.abs(loss[unset]))
+        if k == 0:
+            # round 0's loss is that of the finite starting point
+            loss_ceiling = _DIVERGENCE_FACTOR * np.maximum(1.0, np.abs(loss))
         finite = np.isfinite(w).all(axis=-1)
         # a diverged row keeps its last finite iterate for downstream evaluation
         final_w[alive & finite] = w[alive & finite]

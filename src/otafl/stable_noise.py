@@ -79,26 +79,27 @@ def tail_prob_simplified(params: StableParams, threshold: float) -> float:
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    return min(1.0, (params.tau / threshold) ** params.alpha)
+    # tested first, so that a huge tau/C never reaches the float power
+    return 1.0 if threshold <= params.tau else (params.tau / threshold) ** params.alpha
 
 
 def estimate_unclipped_prob(
     params: StableParams,
-    c: float | Sequence[float],
+    c: Sequence[float],
     g: float,
     n_samples: int,
     rng: np.random.Generator,
     difference_law: str = "exact",
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Monte Carlo probability that a noisy entry stays inside the clip window.
 
     The deviation between an entry's noise and the median entry's noise is
     compared against the worst-case margin c - sqrt(2)*g, where g bounds the
-    per-client gradient norms. ``c`` is one threshold, giving a float, or a
-    1-D sequence of thresholds, giving one probability per threshold; every
-    threshold is scored on the same draws, so the estimate never falls as C
-    grows. The deviation is drawn from ``rng`` in chunks of ``_CHUNK``
-    samples, which bounds memory by the chunk rather than by ``n_samples``.
+    per-client gradient norms. ``c`` is a 1-D sequence of thresholds, giving
+    one probability per threshold; every threshold is scored on the same
+    draws, so the estimate never falls as C grows. The deviation is drawn
+    from ``rng`` in chunks of ``_CHUNK`` samples, which bounds memory by the
+    chunk rather than by ``n_samples``.
     ``difference_law`` selects how the deviation is modeled:
 
     * ``"exact"``: the difference of two independent SaS(alpha, tau) draws,
@@ -114,10 +115,10 @@ def estimate_unclipped_prob(
     if not g >= 0.0:
         raise ValueError(f"gradient bound g must be >= 0, got {g}")
     thresholds = np.asarray(c, dtype=float)
-    if thresholds.ndim > 1 or thresholds.size == 0:
-        raise ValueError(f"c must be a threshold or a non-empty 1-D sequence of them, got {c!r}")
+    if thresholds.ndim != 1 or thresholds.size == 0:
+        raise ValueError(f"c must be a non-empty 1-D sequence of thresholds, got {c!r}")
     sqrt2_g = math.sqrt(2.0) * g
-    for threshold in np.atleast_1d(thresholds):
+    for threshold in thresholds:
         if not threshold > sqrt2_g:  # a nan threshold fails too
             raise RegimeError(
                 f"clip threshold must exceed sqrt(2)*G: C={threshold}, sqrt(2)*G={sqrt2_g}"
@@ -126,7 +127,7 @@ def estimate_unclipped_prob(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if difference_law not in ("exact", "sqrt2"):
         raise ValueError(f"unknown difference_law {difference_law!r}")
-    margins = np.atleast_1d(thresholds) - sqrt2_g
+    margins = thresholds - sqrt2_g
     inside = np.zeros(margins.size, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n_samples, _CHUNK):
@@ -137,5 +138,4 @@ def estimate_unclipped_prob(
                 deviation = sample_sas(StableParams(params.alpha, math.sqrt(2.0) * params.tau), size, rng)
             np.abs(deviation, out=deviation)
             inside += [np.count_nonzero(deviation <= m) for m in margins]
-    probs = inside / n_samples
-    return float(probs[0]) if thresholds.ndim == 0 else probs
+    return inside / n_samples

@@ -405,11 +405,11 @@ def _misspelled(word, fuzz):
 
 def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
     # Seeded fuzz: each argument of the bound check (non-ideal) and of the
-    # survival report in turn is nan, +-inf, 0 (where 0 is invalid), a
-    # random negative or a random misspelling, the others valid; a grid
-    # argument carries the bad value as its only entry. Each must raise
-    # ValueError naming the argument before any run or draw; any other
-    # exception fails the test.
+    # survival report in turn is nan, +-inf, 0 (where 0 is invalid), 1e200
+    # (where a huge value is invalid), a random negative or a random
+    # misspelling, the others valid; a grid argument carries the bad value
+    # as its only entry. Each must raise ValueError naming the argument
+    # before any run or draw; any other exception fails the test.
     _forbid_draws(monkeypatch)
     bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta=0.05, c=None, eta_grid=(), fading="rayleigh")
     survival = dict(alphas=[1.5], tau=0.1, c_grid=[1.0, 2.0], g=0.0, n_samples=100, seed=0, difference_law="exact")
@@ -420,6 +420,7 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
     integers = {"dim", "n_clients", "n_seeds", "seed", "k_grid", "n_samples"}
     grids = {"k_grid", "eta_grid", "alphas", "c_grid"}
     valid_zero = {"seed", "g"}
+    valid_huge = {"tau", "g", "c_grid"}  # a huge scale, bound or threshold is a regime, not an error
     named = {"alphas": "alpha", "eta_grid": "eta"}  # entries are checked as the scalar they are
     fuzz = np.random.default_rng(1515)
     for _ in range(5):
@@ -430,6 +431,7 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
                 else:
                     magnitude = int(fuzz.integers(1, 1000)) if name in integers else float(10.0 ** fuzz.uniform(-3.0, 3.0))
                     bads = [math.nan, math.inf, -math.inf, -magnitude] + ([] if name in valid_zero else [0])
+                    bads += [] if name in valid_huge else [1e200]
                 for bad in bads:
                     with pytest.raises(ValueError) as exc:
                         entry(**{**kwargs, name: (bad,) if name in grids else bad})

@@ -239,6 +239,27 @@ def test_theorem1_ideal_refuses_c(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_theorem1_ideal_refuses_fading(tmp_path, capsys):
+    # the ideal channel is not faded: --fading was once written into the
+    # provenance line of rows identical to an unfaded run
+    out = tmp_path / "t1.csv"
+    assert main(_THEOREM1_SMALL + ["--ideal", "--fading", "rayleigh", "--out", str(out)]) == 2
+    assert "error: the ideal channel is not faded, so it takes no fading" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_finite_flag_ends_without_a_traceback(tmp_path, capsys):
+    # both once raised OverflowError from a float ** and exited 1
+    out = tmp_path / "l1.csv"
+    assert main(_LEMMA1_SMALL + ["--tau", "1e200", "--out", str(out)]) == 0
+    _, columns, rows = read_csv(out)
+    assert [r[columns.index("asymptote")] for r in rows if r[1]] == ["1.0", "1.0"]
+    out = tmp_path / "t1.csv"
+    assert main(_THEOREM1_SMALL + ["--c", "1e155", "--out", str(out)]) == 2
+    assert "error: the bound is not finite at c = 1e+155" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theorem1_ideal_checks_the_noise_law(tmp_path, capsys):
     # an ideal run once exited 0 and wrote alpha=5.0, tau=-3.0 and the
     # unused default threshold into its provenance line

@@ -202,7 +202,7 @@ def test_clip_statistics_on_pure_noise():
     assert abs(frac - single_draw) < 0.005
     from otafl import estimate_unclipped_prob
 
-    pair_draw = estimate_unclipped_prob(StableParams(1.5, 0.1), 1.0, 0.0, 10**6, np.random.default_rng(11))
+    pair_draw = estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0], 0.0, 10**6, np.random.default_rng(11))[0]
     assert (1.0 - pair_draw) == pytest.approx(2.0 * (1.0 - frac), rel=0.25)
 
 

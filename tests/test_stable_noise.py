@@ -85,6 +85,8 @@ def test_tail_prob_simplified_values():
     assert tail_prob_simplified(StableParams(2.0, 1.0), 10.0) == pytest.approx(0.01)
     # clamped below the scale, monotone decreasing above it
     assert tail_prob_simplified(StableParams(1.5, 0.1), 0.01) == 1.0
+    # (tau/C)**alpha would overflow a float
+    assert tail_prob_simplified(StableParams(2.0, 1e200), 1.0) == 1.0
     grid = [0.2, 0.5, 1.0, 5.0, 100.0]
     vals = [tail_prob_simplified(StableParams(1.5, 0.1), c) for c in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -95,14 +97,14 @@ def test_tail_prob_simplified_values():
 
 def test_unclipped_prob_huge_threshold_is_one():
     rng = np.random.default_rng(0)
-    p = estimate_unclipped_prob(StableParams(1.5, 0.1), 1e6 * 0.1, 0.0, 10**5, rng)
+    p = estimate_unclipped_prob(StableParams(1.5, 0.1), [1e6 * 0.1], 0.0, 10**5, rng)[0]
     assert p > 0.999
 
 
 def test_unclipped_prob_gaussian_closed_form():
     # difference of two N(0, 2 tau^2) draws is N(0, 4 tau^2)
     rng = np.random.default_rng(1)
-    p = estimate_unclipped_prob(StableParams(2.0, 0.1), 0.4, 0.0, 10**6, rng)
+    p = estimate_unclipped_prob(StableParams(2.0, 0.1), [0.4], 0.0, 10**6, rng)[0]
     expected = math.erf(0.4 / (0.2 * math.sqrt(2.0)))
     assert abs(p - expected) < 0.01
 
@@ -113,16 +115,16 @@ def test_unclipped_prob_tail_slope():
     comp = []
     for i, c in enumerate(cs):
         rng = np.random.default_rng(100 + i)
-        comp.append(1.0 - estimate_unclipped_prob(params, c, 0.0, 10**6, rng))
+        comp.append(1.0 - estimate_unclipped_prob(params, [c], 0.0, 10**6, rng)[0])
     slope = np.polyfit(np.log(cs), np.log(comp), 1)[0]
     assert abs(slope + 1.5) < 0.15
 
 
 def test_unclipped_prob_regime_violation():
     with pytest.raises(RegimeError):
-        estimate_unclipped_prob(StableParams(1.5, 0.1), 1.0, 1.0, 1000, np.random.default_rng(0))
+        estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0], 1.0, 1000, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        estimate_unclipped_prob(StableParams(1.5, 0.1), 1.0, -0.5, 1000, np.random.default_rng(0))
+        estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0], -0.5, 1000, np.random.default_rng(0))
     # a nan bound once scored every entry as clipped
     with pytest.raises(ValueError, match="g must be >= 0, got nan"):
         estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0, 2.0], math.nan, 1000, np.random.default_rng(0))
@@ -134,7 +136,7 @@ def test_unclipped_prob_regime_violation():
         estimate_unclipped_prob(
             StableParams(1.5, 0.1), [2.0, math.sqrt(2.0), 4.0], 1.0, 1000, np.random.default_rng(0)
         )
-    for bad in ([], [[1.0, 2.0]]):
+    for bad in (1.0, [], [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="1-D"):
             estimate_unclipped_prob(StableParams(1.5, 0.1), bad, 0.0, 1000, np.random.default_rng(0))
 
@@ -144,12 +146,11 @@ def test_unclipped_prob_vector_matches_scalar_calls():
     cs = [0.3, 0.5, 1.0, 2.0]
     for law in ("exact", "sqrt2"):
         vec = estimate_unclipped_prob(params, cs, 0.1, 10**5, np.random.default_rng(21), law)
-        scalar = [
-            estimate_unclipped_prob(params, c, 0.1, 10**5, np.random.default_rng(21), law)
+        single = [
+            estimate_unclipped_prob(params, [c], 0.1, 10**5, np.random.default_rng(21), law)[0]
             for c in cs
         ]
-        assert all(isinstance(p, float) for p in scalar)
-        assert vec.tolist() == scalar
+        assert vec.tolist() == single
         assert np.all(np.diff(vec) >= 0.0)
 
 
@@ -176,16 +177,16 @@ def test_difference_laws():
     params = StableParams(1.5, 0.1)
     # the exact two-draw difference has scale 2**(1/alpha)*tau, heavier than
     # the sqrt(2)*tau single-draw variant, so more mass escapes the window
-    pe = estimate_unclipped_prob(params, 1.0, 0.0, 4 * 10**5, np.random.default_rng(3), "exact")
-    ps = estimate_unclipped_prob(params, 1.0, 0.0, 4 * 10**5, np.random.default_rng(3), "sqrt2")
+    pe = estimate_unclipped_prob(params, [1.0], 0.0, 4 * 10**5, np.random.default_rng(3), "exact")[0]
+    ps = estimate_unclipped_prob(params, [1.0], 0.0, 4 * 10**5, np.random.default_rng(3), "sqrt2")[0]
     assert (1.0 - pe) > (1.0 - ps)
     # at alpha = 2 the two coincide in distribution
     g2 = StableParams(2.0, 0.1)
-    pe2 = estimate_unclipped_prob(g2, 0.4, 0.0, 4 * 10**5, np.random.default_rng(4), "exact")
-    ps2 = estimate_unclipped_prob(g2, 0.4, 0.0, 4 * 10**5, np.random.default_rng(5), "sqrt2")
+    pe2 = estimate_unclipped_prob(g2, [0.4], 0.0, 4 * 10**5, np.random.default_rng(4), "exact")[0]
+    ps2 = estimate_unclipped_prob(g2, [0.4], 0.0, 4 * 10**5, np.random.default_rng(5), "sqrt2")[0]
     assert abs(pe2 - ps2) < 0.005
     with pytest.raises(ValueError):
-        estimate_unclipped_prob(params, 1.0, 0.0, 100, np.random.default_rng(0), "bogus")
+        estimate_unclipped_prob(params, [1.0], 0.0, 100, np.random.default_rng(0), "bogus")
 
 
 def test_fit_tail_exponent_validation():
