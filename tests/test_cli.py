@@ -641,13 +641,16 @@ _PINNED_DIGESTS = {
     "mlp4_summary.csv": "ec45bb0eb20ea2580213bbebd392ec01048f42eb0c297f05c7054187fca8f2d5",
     "t1.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
     "t1_eta.csv": "ef3a7a6069f9186854d56c33785b5fa73b770206addc0c3e764559ba0429ee25",
+    "t1_ideal.csv": "383cdb066b1d0e41a67eb098b345a43dc62e92acadb1335ebbdae6d50088be58",
+    "t1_ideal_eta.csv": "09cd8d7ddbfb56aaef78a38bdc2ba173702d1de6605b7bde0ec109de92d195e9",
 }
 
 
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
-    run diverges, theorem1 with an eta sweep, lemma1, and train on a small
-    shuffling MLP config: {file: sha256}."""
+    run diverges, theorem1 with an eta sweep on the noisy and on the ideal
+    channel, lemma1, and train on a small shuffling MLP config:
+    {file: sha256}."""
     cfg = minimal_config(
         tmp_path, model="logistic", methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60,
         feature_dim=3, rounds=6, batch_size=5, local_epochs=2, fading="rayleigh", alpha=0.5, tau=1.0,
@@ -658,6 +661,8 @@ def _pinned_csvs(tmp_path):
     assert main(["sweep", str(cfg)]) == 0
     assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05",
                                    "--out", str(out / "t1.csv")]) == 0
+    assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05", "--ideal",
+                                   "--out", str(out / "t1_ideal.csv")]) == 0
     assert main(_LEMMA1_SMALL + ["--out", str(out / "l1.csv")]) == 0
     # the MLP's four parameter blocks, each clipped and counted on its own
     mlp = minimal_config(
