@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelConfig, FadingModel
 from .clipping import ClipMethod, vector_median
-from .fl_core import FLConfig, run_replicas
+from .fl_core import FLConfig, method_variant, run_replicas
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
 
@@ -109,20 +109,14 @@ class BoundParams:
         return min(1.0, max(p, _P_FLOOR))
 
 
-def convergence_bound(params: BoundParams, p_unclipped: float | None = None) -> float:
+def convergence_bound(params: BoundParams) -> float:
     """Upper bound on (1/K) * sum_k E||grad f(w_k)||^2 under median-anchored
-    clipping.
+    clipping, at the simplified power-law survival probability p.
 
-    The survival probability defaults to the simplified power-law form; a
-    measured value may be passed instead to decouple the check from the
-    asymptote.
+    Its descent term is the classical one over K*p effective rounds.
     """
-    p = params.simplified_p_unclipped() if p_unclipped is None else p_unclipped
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p_unclipped must lie in (0, 1], got {p}")
-    descent = 2.0 * (params.f0 - params.f_star) / (
-        params.k * p * (2.0 - params.eta * params.l) * params.eta
-    )
+    p = params.simplified_p_unclipped()
+    descent = classical_descent_bound(params.f0, params.f_star, params.eta, params.l, params.k * p)
     half_window = math.sqrt(2.0) / 2.0 * params.c - params.g
     # squares by multiplication: a float ** overflows with an exception, not to inf
     residual = 0.5 * (params.eta * params.eta) * params.d * params.l * (
@@ -134,8 +128,10 @@ def convergence_bound(params: BoundParams, p_unclipped: float | None = None) -> 
     return bound
 
 
-def classical_descent_bound(f0: float, f_star: float, eta: float, l: float, k: int) -> float:
+def classical_descent_bound(f0: float, f_star: float, eta: float, l: float, k: float) -> float:
     """Noiseless full-gradient descent bound, the ideal-channel special case."""
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
     if eta * l >= 2.0:
         raise RegimeError(
             f"learning rate at boundary: eta*L = {eta * l}, requires eta < 2/L"
@@ -400,45 +396,44 @@ def verify_convergence_bound(
     info = testbed.info
     if eta is None:
         eta = 1.0 / info.l
-    if ideal and c is not None:
-        raise ValueError(f"the ideal channel is not clipped, so it takes no threshold; got c={c}")
-    if ideal and fading != "none":
-        raise ValueError(f"the ideal channel is not faded, so it takes no fading; got fading={fading!r}")
-    if not ideal and c is None:
-        c = 2.0 * math.sqrt(2.0) * info.g
-    if not ideal and c <= math.sqrt(2.0) * info.g:
-        raise RegimeError(
-            f"clip threshold outside the theorem's regime: C = {c} <= sqrt(2)*G = "
-            f"{math.sqrt(2.0) * info.g}"
-        )
     f0 = global_loss(testbed.model, testbed.w0, testbed.client_datas)
     k_max = k_grid[-1]
+    if ideal:
+        if c is not None:
+            raise ValueError(f"the ideal channel is not clipped, so it takes no threshold; got c={c}")
+        if fading != "none":
+            raise ValueError(f"the ideal channel is not faded, so it takes no fading; got fading={fading!r}")
+        method, p_unclipped_used = "ideal", 1.0
 
-    def params_at(k: int, eta_val: float) -> BoundParams:
-        return BoundParams(
-            l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=eta_val,
-            c=c, k=k, d=dim, alpha=alpha, tau=tau,
-        )
-
-    def bound_at(k: int, eta_val: float) -> float:
-        if ideal:
+        def bound_at(k: int, eta_val: float) -> float:
             return classical_descent_bound(f0, info.f_star, eta_val, info.l, k)
-        return convergence_bound(params_at(k, eta_val))
+    else:
+        if c is None:
+            c = 2.0 * math.sqrt(2.0) * info.g
+        if c <= math.sqrt(2.0) * info.g:
+            raise RegimeError(
+                f"clip threshold outside the theorem's regime: C = {c} <= sqrt(2)*G = "
+                f"{math.sqrt(2.0) * info.g}"
+            )
+        params = BoundParams(
+            l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=eta,
+            c=c, k=k_max, d=dim, alpha=alpha, tau=tau,
+        )
+        method, p_unclipped_used = "mac", params.simplified_p_unclipped()
+
+        def bound_at(k: int, eta_val: float) -> float:
+            return convergence_bound(replace(params, k=k, eta=eta_val))
 
     # Every bound is evaluated before the first round, so a learning rate at
     # or beyond 2/L, in eta or in eta_grid, fails before any run starts.
     rhs = [bound_at(k, eta) for k in k_grid]
     eta_rhs = [bound_at(k_max, float(eta_val)) for eta_val in eta_grid]
 
-    cfg = FLConfig(
-        n_clients=n_clients,
-        rounds=k_max,
-        learning_rate=eta,
-        clip=ClipMethod.none() if ideal else ClipMethod.mac(c),
-        channel=ChannelConfig.ideal() if ideal else ChannelConfig(fading_model, noise),
-        seed=seed,
-        projection_radius=info.radius,
+    base = FLConfig(
+        n_clients=n_clients, rounds=k_max, learning_rate=eta, clip=ClipMethod.none(),
+        channel=ChannelConfig(fading_model, noise), seed=seed, projection_radius=info.radius,
     )
+    cfg = method_variant(base, method, c, c)  # the ideal channel takes no threshold
 
     # a sweep rate equal to eta reads eta's rows: the same seeds at the same rate
     etas = list(dict.fromkeys([eta, *map(float, eta_grid)]))
@@ -446,7 +441,7 @@ def verify_convergence_bound(
     results = run_replicas(cfgs, testbed.model, testbed.client_datas, w0=testbed.w0)
     for row_cfg, result in zip(cfgs, results):
         if result.diverged:
-            raise RuntimeError(
+            raise RegimeError(
                 f"bound-check run diverged at seed {row_cfg.seed}; the clipped "
                 f"update should stay bounded"
             )
@@ -477,7 +472,7 @@ def verify_convergence_bound(
         dim=dim,
         n_seeds=n_seeds,
         ideal=ideal,
-        p_unclipped_used=1.0 if ideal else params_at(k_max, eta).simplified_p_unclipped(),
+        p_unclipped_used=p_unclipped_used,
         p_unclipped_empirical=float(np.mean(unclipped)),
         median_mean_gap=float(np.mean(gaps[0].mean(axis=-1))),
         config_summary=summary,

@@ -31,7 +31,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_overrides,
 from .data import PartitionSpec, load_csv_dataset, make_synthetic_classification, partition, train_test_split
 from .fl_core import FLConfig, compare_methods, run_threshold_sweep
 from .models import LogisticModel, MlpModel
-from .stable_noise import RegimeError, StableParams
+from .stable_noise import StableParams
 
 __all__ = ["main", "build_task_factory", "to_fl_config"]
 
@@ -325,10 +325,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, RegimeError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and RegimeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"infrastructure error: {exc}", file=sys.stderr)
         return 3
 

@@ -81,7 +81,7 @@ class QuadraticModel:
         # np.add.reduce is np.sum without its Python wrapper: small quadratic
         # runs are overhead-bound
         per_sample = 0.5 * np.add.reduce(w * aw, axis=-1) - np.add.reduce(y * w, axis=-1)
-        return _scalar_or_array(np.add.reduce(per_sample * wn, axis=-1))
+        return np.add.reduce(per_sample * wn, axis=-1)
 
     def gradient(self, w, x, y, sample_weight=None, out=None):
         w = np.asarray(w, dtype=float)
@@ -133,10 +133,6 @@ def _normalized_weights(shape: tuple[int, ...], sample_weight) -> np.ndarray:
     return sample_weight / np.maximum(np.sum(sample_weight, axis=-1, keepdims=True), 1.0)
 
 
-def _scalar_or_array(value: np.ndarray):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 class LogisticModel:
     """Logistic regression with a bias: sigmoid for two classes, softmax
     beyond. The weights come first, then one bias per logit."""
@@ -174,7 +170,7 @@ class LogisticModel:
             ce = np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))
         else:
             ce = -_label_log_prob(_log_softmax(self._softmax_logits(w, x)), y)
-        return _scalar_or_array(np.sum(ce * wn, axis=-1))
+        return np.sum(ce * wn, axis=-1)
 
     def gradient(self, w, x, y, sample_weight=None, out=None):
         w = np.asarray(w, dtype=float)
@@ -278,7 +274,7 @@ class MlpModel:
             per_sample = 0.5 * np.sum(resid**2, axis=-1)
         else:
             per_sample = -_label_log_prob(_log_softmax(logits), y)
-        return _scalar_or_array(np.sum(per_sample * wn, axis=-1))
+        return np.sum(per_sample * wn, axis=-1)
 
     def gradient(self, w, x, y, sample_weight=None, out=None):
         w = np.asarray(w, dtype=float)

@@ -59,15 +59,13 @@ def test_bound_regime_validation():
         params(c=1.0, g=1.0)
     # boundary C = sqrt(2)*G is allowed: the window term is exactly zero
     p = params(c=math.sqrt(2.0), g=1.0)
-    assert convergence_bound(p, p_unclipped=1.0) > 0.0
+    assert convergence_bound(p) > 0.0
     with pytest.raises(ValueError):
         params(f0=-1.0, f_star=0.0)
     # a nan constant once gave a nan bound
     for name in ("g", "c", "tau", "f0", "f_star"):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got nan"):
             params(**{name: math.nan})
-    with pytest.raises(ValueError):
-        convergence_bound(params(), p_unclipped=0.0)
 
 
 def test_bound_monotonicity():
@@ -77,8 +75,9 @@ def test_bound_monotonicity():
     assert vals[0] > vals[1] > vals[2]
     assert convergence_bound(params(d=20)) > convergence_bound(base)
     assert convergence_bound(params(l=1.5)) > convergence_bound(base)
-    # lower survival probability never helps, other factors fixed
-    assert convergence_bound(base, p_unclipped=0.7) > convergence_bound(base, p_unclipped=0.9)
+    # a wider noise law lowers the survival probability, which never helps
+    assert params(tau=0.5).simplified_p_unclipped() < base.simplified_p_unclipped()
+    assert convergence_bound(params(tau=0.5)) > convergence_bound(base)
 
 
 def test_decompose_examples():
@@ -346,6 +345,21 @@ def test_verify_bound_ideal_takes_no_threshold(monkeypatch):
     for c in (-1.0, 5.0):
         with pytest.raises(ValueError, match="no threshold"):
             verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, ideal=True, c=c)
+
+
+@pytest.mark.parametrize("bad", [dict(eta=0.0), dict(eta_grid=(0.0,))])
+def test_verify_bound_ideal_rejects_zero_eta_before_any_run(monkeypatch, bad):
+    # the classical bound divides by eta: this was a ZeroDivisionError
+    _forbid_runs(monkeypatch)
+    with pytest.raises(ValueError, match="^eta must be positive, got 0.0"):
+        verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, ideal=True, **bad)
+
+
+def test_verify_bound_diverged_run_is_a_regime_error():
+    # at alpha = 0.01 some noise draws are +-inf, an entry's median becomes
+    # inf and the projection turns it into nan; this was a RuntimeError
+    with pytest.raises(RegimeError, match="diverged at seed 0"):
+        verify_convergence_bound(dim=1, n_clients=1, k_grid=(20,), n_seeds=1, alpha=0.01)
 
 
 def test_verify_bound_rejects_bad_eta():

@@ -620,6 +620,66 @@ def test_validate_fuzz_yields_finite_config_or_config_error():
     assert time.perf_counter() - t0 < 2.0
 
 
+# Scalars a check flag may be given: zero, negative, extreme and ordinary.
+_CHECK_FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "0.01", "1e-5", "0.5", "1", "2", "3")
+_CHECK_FUZZ_FLAGS = {
+    "theorem1": ("--alpha", "--tau", "--eta", "--c", "--eta-sweep"),
+    "lemma1": ("--alphas", "--tau", "--c-grid", "--g"),
+}
+
+
+def test_check_commands_fuzz_exit_0_or_2(tmp_path, capsys):
+    # seeded: theorem1 and lemma1 on tiny shapes with one or two scalar flags
+    # set from _CHECK_FUZZ_VALUES; each run exits 0 or 2, never a traceback.
+    # --ideal --eta-sweep 0 once raised ZeroDivisionError, and
+    # --alpha 1e-300 --tau 0.01 a RuntimeError from a diverged run.
+    t0 = time.perf_counter()
+    fuzz = np.random.default_rng(18)
+    outcomes = {0: 0, 2: 0}
+    for _ in range(300):
+        command = ("theorem1", "lemma1")[int(fuzz.integers(2))]
+        if command == "theorem1":
+            argv = [command, "--dim", str(fuzz.integers(1, 4)), "--n-clients", str(fuzz.integers(1, 3)),
+                    "--k-grid", "2,5", "--seeds", str(fuzz.integers(1, 3))]
+            argv += ["--ideal"] if fuzz.random() < 0.5 else []
+            argv += ["--fading", "rayleigh"] if fuzz.random() < 0.5 else []
+        else:
+            argv = [command, "--samples", str(fuzz.integers(1, 2000))]
+            argv += ["--difference-law", "sqrt2"] if fuzz.random() < 0.5 else []
+        flags = _CHECK_FUZZ_FLAGS[command]
+        for flag in fuzz.choice(flags, size=fuzz.integers(1, 3), replace=False):
+            argv += [str(flag), _CHECK_FUZZ_VALUES[int(fuzz.integers(len(_CHECK_FUZZ_VALUES)))]]
+        code = main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert code in outcomes, argv
+        outcomes[code] += 1
+    capsys.readouterr()
+    assert min(outcomes.values()) >= 25, outcomes  # both exits are exercised
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_diverged_bound_check_exits_2(tmp_path, capsys):
+    # at alpha = 0.01 some noise draws are +-inf, the median of an entry
+    # becomes inf and the projection turns it into nan; this once raised
+    # RuntimeError and exited 1
+    out = tmp_path / "t1.csv"
+    argv = ["theorem1", "--dim", "1", "--n-clients", "1", "--k-grid", "20", "--seeds", "1", "--alpha", "0.01"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error: bound-check run diverged at seed 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    # rounds: 1000000000000 once ended in a numpy _ArrayMemoryError traceback
+    # with exit 1; whether that allocation fails depends on the allocator, so
+    # the failure is raised here directly
+    def cmd_train(args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "cmd_train", cmd_train)
+    assert main(["train", str(minimal_config(tmp_path))]) == 3
+    assert "infrastructure error: Unable to allocate" in capsys.readouterr().err
+
+
 # SHA-256 of every CSV that _pinned_csvs writes, recorded with numpy 2.4.6
 # before methods, thresholds and learning rates became rows of one round
 # loop (the mlp4 files: before the server step clipped and counted its
