@@ -688,6 +688,7 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
     "l1.csv": "c6348299eb2ce09666b09457995df6c727db3817b38829f988dec9d586f895aa",
+    "l1_chunks.csv": "9b520f58e93a24c0fd902e5373fb9585dd831b6d28d0de0fddd1196ac5acb4ef",
     "mini_gnc.csv": "d8ede1df6cae5fe7b929f26e3ccf6616137ffd7ba6c8ba4ca1b0500e7da153a1",
     "mini_ideal.csv": "36c59c37e260ef8fb7664ac3fa290a1e77c0d1829fb412df40b98ac090dc9b18",
     "mini_mac.csv": "764012c49d9291c65700e5a2aec47b57d51a98a4a28d33f7ed55f0ae34b9bbf1",
@@ -709,8 +710,8 @@ _PINNED_DIGESTS = {
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
     run diverges, theorem1 with an eta sweep on the noisy and on the ideal
-    channel, lemma1, and train on a small shuffling MLP config:
-    {file: sha256}."""
+    channel, lemma1 within one and across two sample chunks, and train on a
+    small shuffling MLP config: {file: sha256}."""
     cfg = minimal_config(
         tmp_path, model="logistic", methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60,
         feature_dim=3, rounds=6, batch_size=5, local_epochs=2, fading="rayleigh", alpha=0.5, tau=1.0,
@@ -724,6 +725,9 @@ def _pinned_csvs(tmp_path):
     assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05", "--ideal",
                                    "--out", str(out / "t1_ideal.csv")]) == 0
     assert main(_LEMMA1_SMALL + ["--out", str(out / "l1.csv")]) == 0
+    # more than one chunk, so many transform blocks, at the tangent, generic and Gaussian tail indices
+    assert main(["lemma1", "--alphas", "1,1.5,2", "--c-grid", "1,2", "--samples", "1100000",
+                 "--out", str(out / "l1_chunks.csv")]) == 0
     # the MLP's four parameter blocks, each clipped and counted on its own
     mlp = minimal_config(
         tmp_path, name="mlp4", model="mlp", hidden_units=3, mlp_loss="squared_error",
