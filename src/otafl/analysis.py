@@ -133,10 +133,11 @@ def classical_descent_bound(f0: float, f_star: float, eta: float, l: float, k: f
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if eta * l >= 2.0:
-        raise RegimeError(
-            f"learning rate at boundary: eta*L = {eta * l}, requires eta < 2/L"
-        )
-    return 2.0 * (f0 - f_star) / (k * (2.0 - eta * l) * eta)
+        raise RegimeError(f"learning rate at boundary: eta*L = {eta * l}, requires eta < 2/L")
+    descent = 2.0 * (f0 - f_star) / (k * (2.0 - eta * l) * eta)
+    if not math.isfinite(descent):
+        raise RegimeError(f"the descent term is not finite at eta = {eta}")
+    return descent
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ __all__ = [
 
 
 # Samples drawn per pass of estimate_unclipped_prob: large enough that the
-# per-chunk overhead is negligible, small enough that the temporaries stay a
-# few tens of MB whatever the sample count.
+# per-chunk overhead is negligible. sample_sas transforms in place, so a pass
+# peaks at about three chunk arrays (25 MB), two at alpha = 1, for any n_samples.
 _CHUNK = 2**20
+_BLOCK = 2**14  # samples per slice of the CMS transform: its temporaries stay in cache
 
 
 class RegimeError(ValueError):
@@ -54,20 +55,27 @@ def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.n
     and one unit exponential, then scaled by tau, so samples at scale c*tau
     are exactly c times the samples at scale tau under the same generator
     state. alpha = 1 short-circuits to the Cauchy tangent form and never
-    touches the exponential draw.
+    touches the exponential draw. All of u is drawn, then all of w; the
+    transform runs over ``_BLOCK``-sample slices and overwrites u with x.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     alpha = params.alpha
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=dim)
     if alpha == 1.0:
-        return params.tau * np.tan(u)
-    w = rng.standard_exponential(dim)
-    # Generic CMS transform; at alpha = 2 it reduces to 2*sqrt(w)*sin(u),
-    # i.e. a Gaussian with variance 2, without any division by zero.
-    x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    x *= (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    return params.tau * x
+        return np.multiply(np.tan(u, out=u), params.tau, out=u)
+    w = rng.standard_exponential(dim).reshape(-1)
+    # Generic CMS transform over flat slices, so (R, dim) draws loop alike. At alpha = 2 it
+    # reduces to 2*sqrt(w)*sin(u), a Gaussian with variance 2, without any division by zero.
+    x, (a, b) = u.reshape(-1), np.empty((2, min(_BLOCK, u.size)))
+    for s in range(0, x.size, _BLOCK):
+        xs, sa, sb = x[s : s + _BLOCK], a[: x.size - s], b[: x.size - s]
+        np.sin(np.multiply(xs, alpha, out=sa), out=sa)
+        sa /= np.power(np.cos(xs, out=sb), 1.0 / alpha, out=sb)
+        np.cos(np.multiply(xs, 1.0 - alpha, out=sb), out=sb)
+        np.power(np.divide(sb, w[s : s + _BLOCK], out=sb), (1.0 - alpha) / alpha, out=sb)
+        np.multiply(np.multiply(sa, sb, out=sa), params.tau, out=xs)
+    return x.reshape(u.shape)
 
 
 def tail_prob_simplified(params: StableParams, threshold: float) -> float:
@@ -133,7 +141,8 @@ def estimate_unclipped_prob(
         for start in range(0, n_samples, _CHUNK):
             size = min(_CHUNK, n_samples - start)
             if difference_law == "exact":
-                deviation = sample_sas(params, size, rng) - sample_sas(params, size, rng)
+                deviation = sample_sas(params, size, rng)
+                deviation -= sample_sas(params, size, rng)
             else:
                 deviation = sample_sas(StableParams(params.alpha, math.sqrt(2.0) * params.tau), size, rng)
             np.abs(deviation, out=deviation)

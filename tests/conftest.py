@@ -48,6 +48,20 @@ def global_gradient(model, w, client_datas):
     return np.mean([model.gradient(w, d.x, d.y) for d in client_datas], axis=0)
 
 
+def cms_reference(params, dim, rng):
+    """Chambers-Mallows-Stuck in one pass of whole-array expressions: all of
+    u, then all of w, each variate's operations in the order sample_sas
+    applies them."""
+    alpha = params.alpha
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=dim)
+    if alpha == 1.0:
+        return params.tau * np.tan(u)
+    w = rng.standard_exponential(dim)
+    x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+    x *= (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    return params.tau * x
+
+
 def ks_distance(samples, cdf):
     """Kolmogorov-Smirnov distance between a sample and a model CDF."""
     s = np.sort(np.asarray(samples, dtype=float))

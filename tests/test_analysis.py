@@ -52,6 +52,11 @@ def test_bound_learning_rate_boundary_errors():
         params(l=2.0, eta=1.0)
     with pytest.raises(RegimeError):
         classical_descent_bound(1.0, 0.0, 1.0, 2.0, 10)
+    # a tiny positive eta overflows the descent term: named, not inf
+    with pytest.raises(RegimeError, match="not finite at eta = 1e-320"):
+        classical_descent_bound(1.0, 0.0, 1e-320, 2.0, 10)
+    with pytest.raises(RegimeError, match="not finite at eta = 1e-320"):
+        convergence_bound(params(eta=1e-320))
 
 
 def test_bound_regime_validation():

@@ -205,6 +205,17 @@ _LEMMA1_SMALL = ["lemma1", "--alphas", "1.5", "--c-grid", "1,2", "--samples", "1
 _THEOREM1_SMALL = ["theorem1", "--dim", "3", "--n-clients", "2", "--k-grid", "5", "--seeds", "1"]
 
 
+@pytest.mark.parametrize("mode", [[], ["--ideal"]])
+def test_theorem1_overflowing_eta_exits_2_naming_it(tmp_path, capsys, mode):
+    # the descent term 2*(f0 - f*)/(K*(2 - eta*L)*eta) overflows at a tiny
+    # eta: the ideal check once wrote bound_rhs inf and exited 0, the mac
+    # check exited 2 naming c
+    out = tmp_path / "t1.csv"
+    assert main(_THEOREM1_SMALL + mode + ["--eta", "1e-320", "--out", str(out)]) == 2
+    assert "error: the descent term is not finite at eta = 1e-320" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (_LEMMA1_SMALL + ["--g", "nan"], "--g"),  # was a StopIteration traceback
     (_THEOREM1_SMALL + ["--c", "inf"], "--c"),  # was exit 0 with nan bounds

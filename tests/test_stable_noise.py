@@ -1,10 +1,11 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import fit_tail_exponent, gaussian_cdf, ks_distance
+from conftest import cms_reference, fit_tail_exponent, gaussian_cdf, ks_distance
 from otafl import (
     RegimeError,
     StableParams,
@@ -12,6 +13,7 @@ from otafl import (
     sample_sas,
     tail_prob_simplified,
 )
+from otafl import stable_noise
 
 
 def test_invalid_params_rejected():
@@ -211,3 +213,56 @@ def test_sample_sas_fuzz_shape_finite_and_fast():
         assert s.shape == (dim,), (alpha, tau, dim, seed)
         assert np.all(np.isfinite(s)), (alpha, tau, dim, seed)
     assert time.perf_counter() - t0 < 0.1
+
+
+class _RowsRng:
+    """Per-row draws of several generators stacked as (R, dim) arrays, as
+    the shared channel draws of a batched round give them."""
+
+    def __init__(self, seeds, source):
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.source = source
+
+    def _rows(self, draw):
+        return np.stack([draw(rng) for rng in self.rngs])[self.source]
+
+    def uniform(self, low, high, size):
+        return self._rows(lambda rng: rng.uniform(low, high, size))
+
+    def standard_exponential(self, size):
+        return self._rows(lambda rng: rng.standard_exponential(size))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_blocked_transform_is_bit_identical_to_one_pass(alpha):
+    # sample_sas transforms in _BLOCK-sample slices of a flat view, in place;
+    # every variate equals the one-pass expression's, on both sides of each
+    # block edge and across the row edges of (R, dim) draws
+    block = stable_noise._BLOCK
+    params = StableParams(alpha, 0.3)
+    for dim in (1, block - 1, block, block + 1, 3 * block + 7):
+        got = sample_sas(params, dim, np.random.default_rng(dim))
+        assert got.shape == (dim,)
+        np.testing.assert_array_equal(got, cms_reference(params, dim, np.random.default_rng(dim)))
+    source = np.array([0, 2, 1, 2])
+    for dim in (10, 738, block // 3 + 5):
+        got = sample_sas(params, dim, _RowsRng([4, 5, 6], source))
+        assert got.shape == (4, dim)
+        np.testing.assert_array_equal(got, cms_reference(params, dim, _RowsRng([4, 5, 6], source)))
+
+
+@pytest.mark.parametrize("alpha, arrays", [(1.5, 3.25), (1.0, 2.25)])
+def test_one_chunk_peaks_near_three_chunk_arrays(alpha, arrays):
+    # the transform writes into the uniform draw and the second draw is
+    # subtracted in place: one chunk holds the first deviation plus the
+    # second call's u and w (no w at alpha = 1), and two cache-sized blocks
+    params, chunk = StableParams(alpha, 0.1), stable_noise._CHUNK
+    estimate_unclipped_prob(params, [1.0, 2.0], 0.0, 1000, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        estimate_unclipped_prob(params, [1.0, 2.0], 0.0, chunk, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array_bytes = chunk * 8
+    assert peak <= arrays * array_bytes, f"peak {peak} B is {peak / array_bytes:.2f} chunk arrays"
