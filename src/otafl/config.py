@@ -94,7 +94,8 @@ def _check_positive(name: str, value, strict=True) -> None:
 
 
 def validate(raw: dict) -> ExperimentConfig:
-    unknown = sorted(set(raw) - _FIELD_NAMES)
+    # YAML keys need not be strings (`yes:` is True, `1:` is 1)
+    unknown = sorted(map(str, set(raw) - _FIELD_NAMES))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     for key in _REQUIRED:

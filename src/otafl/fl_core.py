@@ -244,17 +244,6 @@ class TrainResult:
 
 
 @dataclass(frozen=True)
-class _Step:
-    """One local minibatch step of every client: the columns it reads, the
-    number of clients that still have samples there (a prefix in step
-    order), and their sample weights (zero on padding)."""
-
-    cols: slice
-    n_active: int
-    weight: np.ndarray
-
-
-@dataclass(frozen=True)
 class _PreparedTask:
     """Client payloads stacked once into tensors padded to the largest
     client, and the plan of the local steps and of the rows' server steps,
@@ -268,20 +257,23 @@ class _PreparedTask:
     # seeds, and the words of those seeds' streams
     channels: tuple[tuple[ChannelConfig, slice | list[int], np.ndarray, _RoundWords], ...]
     clips: tuple[tuple[ClipMethod, slice | list[int]], ...]
-    client_words: _RoundWords | None  # of the shuffling clients' streams
+    client_words: _RoundWords  # of the shuffling clients' streams
     eval_data: object | None
     x: np.ndarray  # (clients, samples, ...)
     y: np.ndarray
     mask: np.ndarray  # zero on padding
-    steps: tuple[_Step, ...]
+    # the local steps: the mask in step order, the step width, and each
+    # step's count of clients with samples there (a prefix in step order)
+    weight: np.ndarray
+    batch: int
+    n_active: tuple[int, ...]
     shuffled: tuple[tuple[int, int], ...]  # (client, size) where a batch is smaller than the data
-    # where a client shuffles (else None): each client's position in step
-    # order, each round's sample orders as (epochs, positions, samples) flat
-    # rows of x and y, and each epoch's gather
-    position: np.ndarray | None
-    order: np.ndarray | None
-    x_epoch: np.ndarray | None
-    y_epoch: np.ndarray | None
+    # each client's position in step order, each round's sample orders as
+    # (epochs, positions, samples) flat rows of x and y, and each epoch's gather
+    position: np.ndarray
+    order: np.ndarray
+    x_epoch: np.ndarray
+    y_epoch: np.ndarray
 
 
 def _groups(keys) -> tuple[tuple[object, slice | list[int]], ...]:
@@ -333,10 +325,10 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
                 label = labels[tuple(bad[0])].item()
                 raise ValueError(f"{where} has label {label!r}; labels must be integers in [0, {model.n_classes})")
 
-    # Steps visit the clients largest first when any shuffles (a full-batch
-    # task takes one step), so those with samples left at step t are a
-    # prefix; weight[s, j] = 1 while t*b + j is a real sample of the client
-    # at position s. Exhausted clients are skipped (their gradient is zero).
+    # Steps visit the clients largest first (a full-batch task takes one
+    # step), so those with samples left at step t are a prefix; weight[s, j]
+    # = 1 while j is a real sample of the client at position s. Exhausted
+    # clients are skipped (their gradient is zero).
     shuffled = tuple((i, m) for i, m in enumerate(sizes.tolist()) if cfg.batch_size < m)
     seeds = tuple(c.seed for c in cfgs)
     if shuffled and len(set(seeds)) > 1:
@@ -348,31 +340,28 @@ def prepare_task(model, client_datas, cfgs, eval_data=None) -> _PreparedTask:
         row_seeds = [seeds[r] for r in np.arange(len(seeds))[rows]]
         own = {seed: i for i, seed in enumerate(dict.fromkeys(row_seeds))}
         channels.append((channel, rows, np.array([own[seed] for seed in row_seeds]), _RoundWords([(seed, _STREAM_CHANNEL) for seed in own])))
-    step_order = np.argsort(-sizes, kind="stable") if shuffled else np.arange(n)
+    step_order = np.argsort(-sizes, kind="stable")
     b = int(min(cfg.batch_size, m_max))
-    steps = []
-    for start in range(0, m_max, b):
-        cols = slice(start, min(start + b, m_max))
-        n_active = int(np.count_nonzero(sizes > start))
-        steps.append(_Step(cols=cols, n_active=n_active, weight=mask[step_order[:n_active], cols]))
     return _PreparedTask(
         model=model,
         cfg=cfg,
         lr=np.array([c.learning_rate for c in cfgs])[:, None],
         channels=tuple(channels),
         clips=_groups(c.clip for c in cfgs),
-        client_words=_RoundWords([(cfg.seed, _STREAM_CLIENT, i) for i, _ in shuffled]) if shuffled else None,
+        client_words=_RoundWords([(cfg.seed, _STREAM_CLIENT, i) for i, _ in shuffled]),
         eval_data=eval_data,
         x=x,
         y=y,
         mask=mask,
-        steps=tuple(steps),
+        weight=mask[step_order],
+        batch=b,
+        n_active=tuple(int(np.count_nonzero(sizes > start)) for start in range(0, m_max, b)),
         shuffled=shuffled,
-        position=np.argsort(step_order) if shuffled else None,
+        position=np.argsort(step_order),
         # a client that never shuffles keeps its rows in sample order
-        order=np.repeat([step_order[:, None] * m_max + np.arange(m_max)], cfg.local_epochs, axis=0) if shuffled else None,
-        x_epoch=np.empty_like(x) if shuffled else None,
-        y_epoch=np.empty_like(y) if shuffled else None,
+        order=np.repeat([step_order[:, None] * m_max + np.arange(m_max)], cfg.local_epochs, axis=0),
+        x_epoch=np.empty_like(x),
+        y_epoch=np.empty_like(y),
     )
 
 
@@ -392,10 +381,9 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, round_idx: int) -> np.
     (a prefix of) one (R, N, d) buffer, in step order; the result is in
     client order.
     """
-    model, cfg = task.model, task.cfg
+    model, b = task.model, task.batch
     lr = task.lr[:, :, None]
     n, m_max = task.y.shape[:2]
-    xr, yr = task.x, task.y
     if task.shuffled:
         # each client's generator draws its permutations in epoch order;
         # shuffling its rows in place draws what rng.permutation(m) would
@@ -404,24 +392,23 @@ def _pseudo_gradients(task: _PreparedTask, w: np.ndarray, round_idx: int) -> np.
             rows[:] = np.arange(i * m_max, i * m_max + m)
             for order in rows:
                 rng.shuffle(order)
-        xr, yr = task.x_epoch, task.y_epoch
     w_local = np.repeat(w[:, None], n, axis=1)
     grad_sum = np.zeros_like(w_local)
     g = np.empty_like(w_local)
-    for epoch in range(cfg.local_epochs):
-        if task.shuffled:
-            # mode="clip" leaves `out` unbuffered; the indices are in range
-            for src, dst in [(task.x, xr), (task.y, yr)]:
-                np.take(src.reshape(n * m_max, *src.shape[2:]), task.order[epoch], axis=0, out=dst, mode="clip")
-        for step in task.steps:
-            k = step.n_active
+    for epoch in range(task.cfg.local_epochs):
+        # mode="clip" leaves `out` unbuffered; the indices are in range
+        for src, dst in [(task.x, task.x_epoch), (task.y, task.y_epoch)]:
+            np.take(src.reshape(n * m_max, *src.shape[2:]), task.order[epoch], axis=0, out=dst, mode="clip")
+        for t, k in enumerate(task.n_active):
+            cols = slice(t * b, (t + 1) * b)
             g_step = g[:, :k]
-            model.gradient(w_local[:, :k], xr[:k, step.cols], yr[:k, step.cols], sample_weight=step.weight, out=g_step)
+            model.gradient(w_local[:, :k], task.x_epoch[:k, cols], task.y_epoch[:k, cols],
+                           sample_weight=task.weight[:k, cols], out=g_step)
             grad_sum[:, :k] += g_step
             g_step *= lr
             w_local[:, :k] -= g_step
     # back in client order, into the step buffer, which is free by now
-    return grad_sum if task.position is None else np.take(grad_sum, task.position, axis=1, out=g, mode="clip")
+    return np.take(grad_sum, task.position, axis=1, out=g, mode="clip")
 
 
 def run_round(w: np.ndarray, k: int, task: _PreparedTask) -> tuple[np.ndarray, dict[str, np.ndarray]]:

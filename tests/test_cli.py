@@ -140,6 +140,8 @@ def test_override_validation():
         parse_overrides(["rounds"])
     with pytest.raises(ConfigError):
         parse_overrides(["bananas=1"])
+    with pytest.raises(ConfigError, match="override 'c_grid=\\[1,'"):
+        parse_overrides(["c_grid=[1,"])
     assert parse_overrides(["rounds=7", "methods=[mac]"]) == {"rounds": 7, "methods": ["mac"]}
 
 
@@ -221,6 +223,7 @@ def test_theorem1_overflowing_eta_exits_2_naming_it(tmp_path, capsys, mode):
     (_THEOREM1_SMALL + ["--c", "inf"], "--c"),  # was exit 0 with nan bounds
     (_LEMMA1_SMALL + ["--tau", "inf"], "--tau"),  # was exit 0, every clip probability 1
     (["lemma1", "--alphas", "1.5", "--c-grid", "1,nan", "--samples", "1000"], "--c-grid"),
+    (_THEOREM1_SMALL + ["--alpha", "abc"], "--alpha"),
 ])
 def test_nonfinite_float_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
@@ -419,6 +422,8 @@ def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
     (_THEOREM1_SMALL + ["--eta-sweep", "0.05,0.05"], "--eta-sweep"),
     # the repeat dropped silently and the grid reordered
     (_THEOREM1_SMALL + ["--k-grid", "20,5,5"], "--k-grid"),
+    # not an integer
+    (_THEOREM1_SMALL + ["--k-grid", "5,x"], "--k-grid"),
 ])
 def test_repeated_list_value_exits_2_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
@@ -469,6 +474,19 @@ def test_load_config_validation(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.yaml")
+    for text, message in [
+        ("rounds: 2\nn_classes: 1\n", "n_classes"),
+        ("", "missing required field 'rounds'"),
+        ("- rounds\n- 2\n", "config root must be a mapping"),
+        # keys that YAML reads as a bool or a number were a TypeError traceback
+        ("rounds: 2\nyes: 1\n", "unknown config key\\(s\\): True"),
+        ("rounds: 2\n1: 2\n", "unknown config key\\(s\\): 1"),
+        ("rounds: 2\n1: 2\nbogus: 3\n", "unknown config key\\(s\\): 1, bogus"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["train", str(path)]) == 2
 
 
 @pytest.mark.parametrize("key, value", [
@@ -700,6 +718,7 @@ _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
     "l1.csv": "c6348299eb2ce09666b09457995df6c727db3817b38829f988dec9d586f895aa",
     "l1_chunks.csv": "9b520f58e93a24c0fd902e5373fb9585dd831b6d28d0de0fddd1196ac5acb4ef",
+    "lfull_sweep.csv": "f8ba53647423051c3026e60cebf6d38db9d72142cbb2b73d6d580cf12b5c9608",
     "mini_gnc.csv": "d8ede1df6cae5fe7b929f26e3ccf6616137ffd7ba6c8ba4ca1b0500e7da153a1",
     "mini_ideal.csv": "36c59c37e260ef8fb7664ac3fa290a1e77c0d1829fb412df40b98ac090dc9b18",
     "mini_mac.csv": "764012c49d9291c65700e5a2aec47b57d51a98a4a28d33f7ed55f0ae34b9bbf1",
@@ -711,6 +730,11 @@ _PINNED_DIGESTS = {
     "mlp4_mac.csv": "a2c63e4ba979c78a52023477d59d170dd88021a31a0823f17777fd4bbef7cb88",
     "mlp4_none.csv": "8b61e4e0643f5bbdaba67efa970977edca250995a8798459acfdebfead86a80b",
     "mlp4_summary.csv": "ec45bb0eb20ea2580213bbebd392ec01048f42eb0c297f05c7054187fca8f2d5",
+    "mlpfull_gnc.csv": "76b8b5471a18c508f1f46a2f24f430d7c55ea4a75dc632b5fc9b6e1edea996d8",
+    "mlpfull_ideal.csv": "b54e3e13e3f19cefb4734fd60727b2f7195f157cfd035953da54437b0bca590a",
+    "mlpfull_mac.csv": "42e3629c745757f51c5df31bac746f95a45eddceaf3a562087d35a584eced371",
+    "mlpfull_none.csv": "b4e73c457d9488ff90c367ee7daedf509f4566e1be0a6c9283421877eae4c50e",
+    "mlpfull_summary.csv": "e3a8b4acfb44076854decfefd53032705c1490dcdaa0a5b4db7e3169722d17db",
     "t1.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
     "t1_eta.csv": "ef3a7a6069f9186854d56c33785b5fa73b770206addc0c3e764559ba0429ee25",
     "t1_ideal.csv": "383cdb066b1d0e41a67eb098b345a43dc62e92acadb1335ebbdae6d50088be58",
@@ -721,8 +745,9 @@ _PINNED_DIGESTS = {
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
     run diverges, theorem1 with an eta sweep on the noisy and on the ideal
-    channel, lemma1 within one and across two sample chunks, and train on a
-    small shuffling MLP config: {file: sha256}."""
+    channel, lemma1 within one and across two sample chunks, train on a small
+    shuffling MLP config, and train (MLP) and sweep (3-class logistic) on
+    full-batch configs whose clients differ in size: {file: sha256}."""
     cfg = minimal_config(
         tmp_path, model="logistic", methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60,
         feature_dim=3, rounds=6, batch_size=5, local_epochs=2, fading="rayleigh", alpha=0.5, tau=1.0,
@@ -747,6 +772,20 @@ def _pinned_csvs(tmp_path):
         mac_threshold=0.5, gnc_threshold=3.0, n_seeds=2, eval_every=2, seed=4,
     )
     assert main(["train", str(mlp)]) == 0
+    # full batch on clients of unequal size: one step of the largest-first plan
+    mlp_full = minimal_config(
+        tmp_path, name="mlpfull", model="mlp", hidden_units=3, mlp_loss="squared_error", partition="dirichlet",
+        methods="[ideal, mac, gnc, none]", n_clients=5, n_samples=90, feature_dim=3, rounds=6,
+        batch_size=1000, local_epochs=3, fading="rayleigh", alpha=1.5, tau=0.5, learning_rate=0.2,
+        mac_threshold=0.5, gnc_threshold=3.0, eval_every=2, seed=4,
+    )
+    assert main(["train", str(mlp_full)]) == 0
+    logistic_full = minimal_config(
+        tmp_path, name="lfull", model="logistic", n_classes=3, partition="dirichlet", n_clients=4,
+        n_samples=80, feature_dim=3, rounds=5, batch_size=1000, local_epochs=2, fading="rayleigh",
+        alpha=1.2, tau=0.5, learning_rate=0.3, c_grid="{mac: [0.3, 1.0], gnc: [2.0]}", n_seeds=2, seed=6,
+    )
+    assert main(["sweep", str(logistic_full)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import global_gradient, local_update
 from otafl import (
     ChannelConfig,
     ClipMethod,
+    Dataset,
     FadingModel,
     FLConfig,
     LogisticModel,
@@ -148,8 +150,6 @@ def test_engine_matches_per_client_reference():
     rng = np.random.default_rng(4)
     p = 4
     model = LogisticModel(p, 2)
-    from otafl import Dataset
-
     clients = []
     for m in [7, 10, 13, 3]:
         x = rng.normal(size=(m, p))
@@ -179,6 +179,43 @@ def test_engine_matches_reference_quadratic():
         reference = local_update(model, w, data, epochs=4, batch_size=1, lr=0.1,
                                  rng=client_rng(cfg.seed, 0, n))
         np.testing.assert_allclose(stacked[n], reference, rtol=1e-10)
+
+
+def test_local_compute_plan_matches_per_client_oracle_fuzz():
+    # Seeded fuzz: ragged clients (one-sample ones included), a batch below,
+    # at or above the largest client, 1-3 epochs, 1 or 3 rows each at its
+    # own rate and parameters, on a 2- or 3-class logistic model or an MLP.
+    # Row r, client n must be local_update at row r's rate and stream.
+    t0 = time.perf_counter()
+    fuzz = np.random.default_rng(2020)
+    for case in range(150):
+        p, n_classes = int(fuzz.integers(1, 4)), int(fuzz.integers(2, 4))
+        sizes = fuzz.integers(1, 12, size=int(fuzz.integers(1, 6)))
+        sizes[fuzz.random(len(sizes)) < 0.3] = 1
+        m_max = int(sizes.max())
+        batch_size = [int(fuzz.integers(1, m_max)) if m_max > 1 else 1, m_max, m_max + int(fuzz.integers(1, 5))][case % 3]
+        epochs = int(fuzz.integers(1, 4))
+        if fuzz.random() < 0.5:
+            model = LogisticModel(p, n_classes)
+        else:
+            model = MlpModel(p, int(fuzz.integers(1, 4)), n_classes, activation=["relu", "tanh"][case % 2],
+                             loss_kind=["cross_entropy", "squared_error"][int(fuzz.integers(2))])
+        clients = [Dataset(x=fuzz.normal(size=(m, p)), y=fuzz.integers(n_classes, size=m)) for m in sizes]
+        rates = [float(10.0 ** fuzz.uniform(-2.0, 0.0)) for _ in range([1, 3][int(fuzz.integers(2))])]
+        seed, round_idx = int(fuzz.integers(1000)), int(fuzz.integers(200))
+        cfgs = [base_config(len(sizes), 1, learning_rate=lr, local_epochs=epochs, batch_size=batch_size, seed=seed)
+                for lr in rates]
+        w = fuzz.normal(scale=0.5, size=(len(rates), model.dim))
+        stacked = _pseudo_gradients(prepare_task(model, clients, cfgs), w, round_idx)
+        assert stacked.shape == (len(rates), len(sizes), model.dim)
+        for r, lr in enumerate(rates):
+            for n, data in enumerate(clients):
+                reference = local_update(model, w[r], data, epochs=epochs, batch_size=batch_size, lr=lr,
+                                         rng=client_rng(seed, round_idx, n))
+                np.testing.assert_allclose(stacked[r, n], reference, rtol=1e-10, atol=1e-12,
+                                           err_msg=f"case {case}, row {r}, client {n}, sizes {sizes.tolist()}")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"150 cases took {elapsed:.2f} s"
 
 
 def test_seed_isolation_channel_does_not_touch_batches():
@@ -295,8 +332,6 @@ def test_client_count_mismatch():
 def test_labels_outside_the_classes_are_rejected(model):
     # a label outside 0..K-1 once trained on an all-zero one-hot row (and
     # the MLP's loss then raised IndexError mid-run)
-    from otafl import Dataset
-
     rng = np.random.default_rng(13)
     k = model.n_classes
     clients = [Dataset(x=rng.normal(size=(4, 4)), y=np.arange(4) % k) for _ in range(3)]
