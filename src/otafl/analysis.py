@@ -33,7 +33,6 @@ __all__ = [
     "QuadraticTestbed",
     "make_quadratic_testbed",
     "BoundCheckRow",
-    "EtaRow",
     "BoundCheckReport",
     "verify_convergence_bound",
 ]
@@ -177,7 +176,8 @@ def decompose_clip_event(g: np.ndarray, threshold: float) -> ClipDecomposition:
 
 
 def _check_integer(name: str, value, low: int) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= low):
+    # bool is an Integral, but True as a count is a slip, not a 1
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
         raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
@@ -328,13 +328,6 @@ def make_quadratic_testbed(
 @dataclass(frozen=True)
 class BoundCheckRow:
     rounds: int
-    empirical_avg: float
-    bound_rhs: float
-    margin_ratio: float
-
-
-@dataclass(frozen=True)
-class EtaRow:
     eta: float
     empirical_avg: float
     bound_rhs: float
@@ -343,8 +336,8 @@ class EtaRow:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    rows: list[BoundCheckRow]
-    eta_rows: list[EtaRow]
+    rows: list[BoundCheckRow]  # at (k, eta) for each k of k_grid
+    eta_rows: list[BoundCheckRow]  # at (max(k_grid), e) for each e of eta_grid
     eta: float
     c: float | None  # None on the ideal channel, which is not clipped
     dim: int
@@ -427,8 +420,8 @@ def verify_convergence_bound(
 
     # Every bound is evaluated before the first round, so a learning rate at
     # or beyond 2/L, in eta or in eta_grid, fails before any run starts.
-    rhs = [bound_at(k, eta) for k in k_grid]
-    eta_rhs = [bound_at(k_max, float(eta_val)) for eta_val in eta_grid]
+    points = [(k, eta) for k in k_grid] + [(k_max, float(e)) for e in eta_grid]
+    rhs = [bound_at(k, e) for k, e in points]
 
     base = FLConfig(
         n_clients=n_clients, rounds=k_max, learning_rate=eta, clip=ClipMethod.none(),
@@ -451,13 +444,9 @@ def verify_convergence_bound(
         for name, block in (("grad_norm_sq", ()), ("clipped_fraction", (-1,)), ("median_mean_gap", ()))
     )
     rows = []
-    for k, bound in zip(k_grid, rhs):
-        empirical = float(np.mean(gns[0][:, :k]))
-        rows.append(BoundCheckRow(k, empirical, bound, empirical / bound))
-    eta_rows = []
-    for eta_val, bound in zip(map(float, eta_grid), eta_rhs):
-        empirical = float(np.mean(gns[etas.index(eta_val)]))
-        eta_rows.append(EtaRow(eta_val, empirical, bound, empirical / bound))
+    for (k, e), bound in zip(points, rhs):
+        empirical = float(np.mean(gns[etas.index(e)][:, :k]))
+        rows.append(BoundCheckRow(k, e, empirical, bound, empirical / bound))
     unclipped = np.mean(1.0 - clipped[0].mean(axis=-1), axis=-1)
 
     summary = (
@@ -466,8 +455,8 @@ def verify_convergence_bound(
         f"tau={tau} fading={fading} ideal={ideal} seed={seed}"
     )
     return BoundCheckReport(
-        rows=rows,
-        eta_rows=eta_rows,
+        rows=rows[:len(k_grid)],
+        eta_rows=rows[len(k_grid):],
         eta=eta,
         c=c,
         dim=dim,

@@ -41,6 +41,9 @@ class FadingModel:
             raise ValueError(f"fading must be one of {_FADING_KINDS}, got {self.kind!r}")
         if self.kind == "deterministic" and not self.value > 0.0:
             raise ValueError(f"deterministic gain must be positive, got {self.value}")
+        # a gain that no draw applies would still be written into a run's provenance line
+        if self.kind != "deterministic" and self.value != 1.0:
+            raise ValueError(f"fading gain {self.value} applies to deterministic fading only, not to {self.kind!r}")
 
     @classmethod
     def rayleigh_unit_mean(cls) -> "FadingModel":

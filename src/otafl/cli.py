@@ -124,36 +124,24 @@ def cmd_train(args) -> int:
     summary_rows = []
     for method in cfg.methods:
         [result] = results[method]
-        records = result.records
-        rows = [
-            [
-                r.round,
-                r.global_loss,
-                r.grad_norm_sq,
-                r.snr_db,
-                r.overall_clipped_fraction,
-                r.eval_accuracy,
-                r.diverged,
-            ]
-            for r in records
-        ]
+        cols = result.columns
+        # python floats (tolist): the csv module writes a numpy float as its repr
+        losses = cols["global_loss"].tolist()
+        accuracies = [None if math.isnan(a) else a for a in cols["eval_accuracy"].tolist()]
+        rounds = range(len(losses))
+        rows = zip(
+            rounds, losses, cols["grad_norm_sq"].tolist(), cols["snr_db"].tolist(),
+            cols["clipped_fraction"].mean(axis=-1).tolist(), accuracies,
+            [k == result.diverged_round for k in rounds],
+        )
         _write_csv(
             outdir / f"{cfg.name}_{method}.csv",
             f"method={method} {resolved_summary(cfg)}",
             _TRAIN_COLUMNS,
             rows,
         )
-        accuracies = [r.eval_accuracy for r in records if r.eval_accuracy is not None]
-        summary_rows.append(
-            [
-                method,
-                records[-1].global_loss,
-                result.final_eval_accuracy,
-                max(accuracies) if accuracies else None,
-                result.diverged,
-                len(records),
-            ]
-        )
+        best = max((a for a in accuracies if a is not None), default=None)
+        summary_rows.append([method, losses[-1], result.final_eval_accuracy, best, result.diverged, len(losses)])
     _write_csv(
         outdir / f"{cfg.name}_summary.csv",
         resolved_summary(cfg),

@@ -109,10 +109,7 @@ def validate(raw: dict) -> ExperimentConfig:
         if not isinstance(methods, (list, tuple)):
             raise ConfigError(f"field 'methods' must be a method name or a list of them, got {methods!r}")
         raw["methods"] = tuple(methods)
-    try:
-        cfg = ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = ExperimentConfig(**raw)
 
     for name in ("name", "output_dir", "label_column", "dataset_csv"):
         value = getattr(cfg, name)

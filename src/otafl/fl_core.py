@@ -222,13 +222,17 @@ class TrainResult:
     """One run's outcome. Its telemetry is kept as columns, one entry per
     completed round, keyed by the RoundRecord field names (an eval_accuracy
     of nan means no evaluation that round); `records` builds the records
-    from them on access."""
+    from them on access, for readers that want one object per round. A run
+    diverged on round `diverged_round`, or not at all if it is None."""
 
     columns: dict[str, np.ndarray]
     final_w: np.ndarray
-    diverged: bool
     diverged_round: int | None = None
     final_eval_accuracy: float | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_round is not None
 
     @property
     def records(self) -> list[RoundRecord]:
@@ -528,12 +532,10 @@ def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[Tra
 
     results = []
     for r, n_rounds in enumerate(rounds_done.tolist()):
-        diverged = not alive[r]
         results.append(TrainResult(
             columns={"wall_time": wall_time[:n_rounds]} | {name: col[r, :n_rounds] for name, col in columns.items()},
             final_w=final_w[r],
-            diverged=diverged,
-            diverged_round=n_rounds - 1 if diverged else None,
+            diverged_round=None if alive[r] else n_rounds - 1,
             final_eval_accuracy=None if eval_data is None else evaluate(model, final_w[r], eval_data),
         ))
     return results

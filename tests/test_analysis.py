@@ -19,7 +19,7 @@ from otafl import (
     verify_convergence_bound,
 )
 from otafl import analysis, fl_core
-from otafl.analysis import EtaRow
+from otafl.analysis import BoundCheckRow
 from otafl.stable_noise import StableParams, sample_sas
 
 
@@ -67,6 +67,17 @@ def test_bound_regime_validation():
     assert convergence_bound(p) > 0.0
     with pytest.raises(ValueError):
         params(f0=-1.0, f_star=0.0)
+    for bad, message in [
+        (dict(l=0.0), "L must be positive"),
+        (dict(g=-1.0), "G must be >= 0"),
+        (dict(k=0), "k and d must be >= 1"),
+        (dict(d=0), "k and d must be >= 1"),
+        (dict(alpha=0.0), r"alpha must lie in \(0, 2\]"),
+        (dict(alpha=2.5), r"alpha must lie in \(0, 2\]"),
+        (dict(tau=-0.1), "tau must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            params(**bad)
     # a nan constant once gave a nan bound
     for name in ("g", "c", "tau", "f0", "f_star"):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got nan"):
@@ -97,6 +108,8 @@ def test_decompose_examples():
     dec = decompose_clip_event(mild, 10.0)
     np.testing.assert_array_equal(dec.selection, np.ones(3))
     np.testing.assert_array_equal(dec.reconstruct(mild), mild)
+    with pytest.raises(ValueError, match="threshold must be positive, got 0.0"):
+        decompose_clip_event(mild, 0.0)
 
 
 def test_decompose_symmetric_boundary_entries_cancel():
@@ -246,10 +259,13 @@ def test_verify_bound_ideal_checks_the_noise_law(monkeypatch, name, value):
 
 def test_verify_bound_eta_sweep_rows():
     report = verify_convergence_bound(
-        dim=3, n_clients=2, k_grid=(10,), n_seeds=2, seed=3, eta_grid=(0.1, 0.05)
+        dim=3, n_clients=2, k_grid=(10, 4), n_seeds=2, seed=3, eta_grid=(0.1, 0.05)
     )
-    assert [round(r.eta, 3) for r in report.eta_rows] == [0.1, 0.05]
-    for row in report.eta_rows:
+    # one row type for every (K, eta) point: the K grid at eta, the sweep at max(k_grid)
+    assert [(r.rounds, r.eta) for r in report.rows] == [(4, report.eta), (10, report.eta)]
+    assert [(r.rounds, r.eta) for r in report.eta_rows] == [(10, 0.1), (10, 0.05)]
+    for row in report.rows + report.eta_rows:
+        assert type(row) is BoundCheckRow
         assert math.isfinite(row.empirical_avg)
 
 
@@ -269,7 +285,7 @@ def test_bound_check_runs_the_base_rate_once(monkeypatch):
     report = verify_convergence_bound(**kwargs, eta_grid=(0.05, 0.1))
     assert n_rows == [4]
     [row] = base.rows
-    assert report.eta_rows == [EtaRow(0.05, row.empirical_avg, row.bound_rhs, row.margin_ratio), sweep.eta_rows[0]]
+    assert report.eta_rows == [BoundCheckRow(row.rounds, 0.05, row.empirical_avg, row.bound_rhs, row.margin_ratio), sweep.eta_rows[0]]
     assert repr(dataclasses.replace(report, eta_rows=[])) == repr(dataclasses.replace(base, eta_rows=[]))
 
 
@@ -426,8 +442,8 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
     # Seeded fuzz: each argument of the bound check (non-ideal) and of the
     # survival report in turn is nan, +-inf, 0 (where 0 is invalid), 1e200
     # (where a huge value is invalid), a random negative or a random
-    # misspelling, the others valid; a grid argument carries the bad value
-    # as its only entry. Each must raise ValueError naming the argument
+    # misspelling, or for a count True or False, the others valid; a grid
+    # argument carries the bad value as its only entry. Each must raise ValueError naming the argument
     # before any run or draw; any other exception fails the test.
     _forbid_draws(monkeypatch)
     bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta=0.05, c=None, eta_grid=(), fading="rayleigh")
@@ -451,6 +467,7 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
                     magnitude = int(fuzz.integers(1, 1000)) if name in integers else float(10.0 ** fuzz.uniform(-3.0, 3.0))
                     bads = [math.nan, math.inf, -math.inf, -magnitude] + ([] if name in valid_zero else [0])
                     bads += [] if name in valid_huge else [1e200]
+                    bads += [True, False] if name in integers else []  # a bool is no count
                 for bad in bads:
                     with pytest.raises(ValueError) as exc:
                         entry(**{**kwargs, name: (bad,) if name in grids else bad})

@@ -24,6 +24,10 @@ def test_fading_model_validation():
         FadingModel("rician")
     with pytest.raises(ValueError):
         FadingModel("deterministic", 0.0)
+    # only deterministic fading reads its gain; any other would go unused
+    for kind in ("rayleigh", "none"):
+        with pytest.raises(ValueError, match=f"fading gain 5.0 applies to deterministic fading only, not to '{kind}'"):
+            FadingModel(kind, 5.0)
     with pytest.raises(ValueError):
         sample_fading(FadingModel.no_fading(), 0, np.random.default_rng(0))
 

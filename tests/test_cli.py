@@ -3,6 +3,8 @@ import csv
 import hashlib
 import inspect
 import math
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otafl import cli
+from otafl import cli, fl_core
 from otafl.analysis import clip_survival_report, verify_convergence_bound
 from otafl.cli import build_parser, main
 from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides, validate
@@ -75,6 +77,58 @@ def test_train_all_methods_logistic(tmp_path):
     assert main(["train", str(cfg)]) == 0
     for method in ("mac", "gnc", "none", "ideal"):
         assert (tmp_path / "out" / f"mini_{method}.csv").exists()
+
+
+def test_train_and_sweep_build_no_round_records(tmp_path, monkeypatch):
+    # the per-round CSV and the summary read the telemetry columns
+    class NoRecords:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a command built a RoundRecord")
+
+    monkeypatch.setattr(fl_core, "RoundRecord", NoRecords)
+    cfg = minimal_config(tmp_path, model="logistic", n_samples=40, feature_dim=2, c_grid="[0.5, 1.0]")
+    assert main(["train", str(cfg)]) == 0
+    assert main(["sweep", str(cfg)]) == 0
+    # positive control: the patched name is the one that records builds
+    config = load_config(cfg)
+    [result] = fl_core.compare_methods(cli.build_task_factory(config), cli.to_fl_config(config), ["mac"], 1, 1.0, 1.0)["mac"]
+    with pytest.raises(AssertionError, match="built a RoundRecord"):
+        result.records
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("fading", ["rayleigh", "none"])
+def test_fading_gain_without_deterministic_fading_exits_2(tmp_path, capsys, command, fading):
+    # only deterministic fading reads the gain; another kind once ran
+    # without it, yet wrote fading_gain=5.0 into the provenance line
+    cfg = minimal_config(tmp_path, fading=fading, fading_gain=5.0, c_grid="[0.5]")
+    assert main([command, str(cfg)]) == 2
+    assert f"fading gain 5.0 applies to deterministic fading only, not to '{fading}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main([command, str(minimal_config(tmp_path, fading="deterministic", fading_gain=5.0, c_grid="[0.5]"))]) == 0
+
+
+def test_module_runs_as_a_program(tmp_path):
+    # every other test calls main() in process; here the interpreter's own
+    # exit status, from sys.exit(main()), is the one checked
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "otafl.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    small = ["theorem1", "--dim", "3", "--n-clients", "2", "--seeds", "1", "--k-grid", "5"]
+    done = run(*small)
+    assert done.returncode == 0, done.stderr
+    _, columns, rows = read_csv(tmp_path / "theorem1.csv")
+    assert columns[0] == "K" and len(rows) == 1
+    bad = run(*small, "--alpha", "5", "--out", "bad.csv")
+    assert bad.returncode == 2
+    assert "alpha" in bad.stderr and "Traceback" not in bad.stderr
+    assert not (tmp_path / "bad.csv").exists()
+    absent = run("train", "absent.yaml")
+    assert absent.returncode == 2
+    assert "cannot read config file" in absent.stderr and "Traceback" not in absent.stderr
 
 
 def test_train_missing_field_names_it(tmp_path, capsys):

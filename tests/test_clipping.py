@@ -188,6 +188,8 @@ def test_clip_statistics_examples():
     assert clip_statistics(np.array([1.0, 2.0, 3.0]), 10.0) == (0, 1.0)
     # a deviation exactly at the threshold is kept
     assert clip_statistics(np.array([0.0, 0.0, 1.0]), 1.0) == (0, 1.0)
+    with pytest.raises(ValueError, match="empty vector"):
+        clip_statistics(np.array([]), 1.0)
 
 
 def test_clip_statistics_on_pure_noise():

@@ -60,6 +60,8 @@ def test_synthetic_validation():
         make_synthetic_classification(10, 2, 3, 1.0, rng)  # more classes than dims
     with pytest.raises(ValueError):
         make_synthetic_classification(10, 2, 2, -1.0, rng)
+    with pytest.raises(ValueError, match="n_samples, feature_dim >= 1"):
+        make_synthetic_classification(0, 2, 2, 1.0, rng)
 
 
 def test_partition_iid_is_exact_and_binomial_sized():
@@ -120,6 +122,8 @@ def test_partition_determinism_and_validation():
         PartitionSpec("dirichlet", 5, concentration=0.0)
     with pytest.raises(ValueError):
         PartitionSpec("random", 5)
+    with pytest.raises(ValueError, match="n_clients must be >= 1, got 0"):
+        PartitionSpec("iid", 0)
 
 
 def test_train_test_split():
@@ -128,6 +132,10 @@ def test_train_test_split():
     assert len(train) == 80 and len(test) == 20
     with pytest.raises(ValueError):
         train_test_split(ds, 0.0, np.random.default_rng(0))
+    # 0.1 and 99.9 test samples round to an empty side
+    for fraction in (0.001, 0.999):
+        with pytest.raises(ValueError, match="split leaves an empty side"):
+            train_test_split(ds, fraction, np.random.default_rng(0))
 
 
 def test_load_csv_roundtrip(tmp_path):
@@ -159,6 +167,11 @@ def test_load_csv_errors(tmp_path):
     header_only.write_text("x1,label\n")
     with pytest.raises(ValueError, match="no rows"):
         load_csv_dataset(header_only, "label")
+
+    short = tmp_path / "short.csv"
+    short.write_text("x1,x2,label\n1.0,2.0,0\n1.0,1\n")
+    with pytest.raises(ValueError, match="row 2: expected 3 cells, got 2"):
+        load_csv_dataset(short, "label")
 
     missing = tmp_path / "missing.csv"
     missing.write_text("x1,x2\n1.0,2.0\n")

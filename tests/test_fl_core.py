@@ -264,6 +264,17 @@ def test_divergence_is_recorded_not_raised():
     assert result.diverged_round == result.records[-1].round
 
 
+def test_divergence_is_stored_once():
+    # diverged reads diverged_round, so the two cannot disagree
+    assert "diverged" not in {f.name for f in dataclasses.fields(fl_core.TrainResult)}
+    result = fl_core.TrainResult(columns={}, final_w=np.zeros(1), diverged_round=4)
+    assert result.diverged
+    assert not dataclasses.replace(result, diverged_round=None).diverged
+    assert not fl_core.TrainResult(columns={}, final_w=np.zeros(1)).diverged
+    with pytest.raises(TypeError):
+        fl_core.TrainResult(columns={}, final_w=np.zeros(1), diverged=True)
+
+
 def test_unclipped_heavy_tail_blowup_vs_mac():
     # matched seeds: the unclipped baseline sees gradient spikes orders of
     # magnitude beyond anything the clipped run experiences
@@ -465,6 +476,19 @@ def test_replica_count_validation():
         prepare_task(model, clients[:3], [cfg])
     with pytest.raises(ValueError, match="config expects 4 clients, got 3 datasets"):
         run_replicas([cfg], model, clients[:3])
+    with pytest.raises(ValueError, match="need at least one config"):
+        prepare_task(model, clients, [])
+    empty = Dataset(x=np.zeros((0, clients[0].x.shape[1])), y=np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="every client needs at least one sample"):
+        prepare_task(model, [*clients[:3], empty], [cfg])
+    # parameters carry one row per config, each of the model's dimension
+    task = prepare_task(model, clients, [cfg])
+    with pytest.raises(ValueError, match=rf"parameters must have shape \(1, {model.dim}\)"):
+        run_round(np.zeros((2, model.dim)), 0, task)
+    with pytest.raises(ValueError, match=rf"initial parameters must have shape \({model.dim},\)"):
+        run_replicas([cfg], model, clients, w0=np.zeros(model.dim + 1))
+    with pytest.raises(ValueError, match="initial parameters must be finite"):
+        run_replicas([cfg], model, clients, w0=np.full(model.dim, np.nan))
     mixed = [method_variant(dataclasses.replace(shuffling, learning_rate=lr), "mac", 0.5, 0.5) for lr in (0.1, 0.2)]
     assert len(run_replicas(mixed, model, clients)) == 2
 

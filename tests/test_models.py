@@ -271,6 +271,21 @@ def test_mlp_squared_error_values():
         MlpModel(3, 4, 2, loss_kind="hinge")
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: QuadraticClientData(a=np.zeros((2, 3)), b=np.zeros(2)), r"A must be square, got shape \(2, 3\)"),
+    (lambda: QuadraticClientData(a=np.eye(2), b=np.zeros(3)), r"b must have shape \(2,\), got \(3,\)"),
+    (lambda: QuadraticModel(0), "dim must be >= 1, got 0"),
+    (lambda: LogisticModel(0), "feature_dim must be >= 1"),
+    (lambda: MlpModel(3, 0, 2), "feature_dim, hidden_units >= 1"),
+    (lambda: MlpModel(3, 4, 2, activation="sigmoid"), "activation must be 'relu' or 'tanh', got 'sigmoid'"),
+    (lambda: compute_smoothness([QuadraticClientData(a=np.eye(2), b=np.zeros(2))], radius=0.0),
+     "radius must be positive, got 0.0"),
+])
+def test_bad_model_input_is_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_mlp_predict_and_init_determinism():
     model = MlpModel(3, 4, 2)
     w1 = model.init_params(np.random.default_rng(11))

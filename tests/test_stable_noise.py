@@ -141,6 +141,8 @@ def test_unclipped_prob_regime_violation():
     for bad in (1.0, [], [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="1-D"):
             estimate_unclipped_prob(StableParams(1.5, 0.1), bad, 0.0, 1000, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+        estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0], 0.0, 0, np.random.default_rng(0))
 
 
 def test_unclipped_prob_vector_matches_scalar_calls():
