@@ -793,13 +793,14 @@ _PINNED_DIGESTS = {
     "t1_eta.csv": "ef3a7a6069f9186854d56c33785b5fa73b770206addc0c3e764559ba0429ee25",
     "t1_ideal.csv": "383cdb066b1d0e41a67eb098b345a43dc62e92acadb1335ebbdae6d50088be58",
     "t1_ideal_eta.csv": "09cd8d7ddbfb56aaef78a38bdc2ba173702d1de6605b7bde0ec109de92d195e9",
+    "t1_nosweep.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
 }
 
 
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
     run diverges, theorem1 with an eta sweep on the noisy and on the ideal
-    channel, lemma1 within one and across two sample chunks, train on a small
+    channel and without one, lemma1 within one and across two sample chunks, train on a small
     shuffling MLP config, and train (MLP) and sweep (3-class logistic) on
     full-batch configs whose clients differ in size: {file: sha256}."""
     cfg = minimal_config(
@@ -814,6 +815,7 @@ def _pinned_csvs(tmp_path):
                                    "--out", str(out / "t1.csv")]) == 0
     assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05", "--ideal",
                                    "--out", str(out / "t1_ideal.csv")]) == 0
+    assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--out", str(out / "t1_nosweep.csv")]) == 0
     assert main(_LEMMA1_SMALL + ["--out", str(out / "l1.csv")]) == 0
     # more than one chunk, so many transform blocks, at the tangent, generic and Gaussian tail indices
     assert main(["lemma1", "--alphas", "1,1.5,2", "--c-grid", "1,2", "--samples", "1100000",
