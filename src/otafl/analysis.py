@@ -181,6 +181,12 @@ def _check_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
+def _check_not_bool(*named) -> None:
+    for name, value in named:  # True as a rate, scale or threshold is a slip, not a 1.0
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # survival probability report
 
@@ -244,6 +250,7 @@ def clip_survival_report(
         raise ValueError(f"g must be finite and >= 0, got {g}")
     if not all(0.0 < c < math.inf for c in c_grid):
         raise ValueError(f"c_grid must hold finite positive thresholds, got {list(c_grid)}")
+    _check_not_bool(("tau", tau), ("g", g), *(("alpha", a) for a in alphas), *(("c_grid", x) for x in c_grid))
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
     if difference_law not in ("exact", "sqrt2"):
@@ -345,7 +352,6 @@ class BoundCheckReport:
     ideal: bool
     p_unclipped_used: float
     p_unclipped_empirical: float
-    median_mean_gap: float
     config_summary: str
 
 
@@ -379,6 +385,7 @@ def verify_convergence_bound(
     for name, value in (("dim", dim), ("n_clients", n_clients), ("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
         _check_integer(name, value, 1)
     _check_integer("seed", seed, 0)
+    _check_not_bool(("alpha", alpha), ("tau", tau), ("eta", eta), ("c", c), *(("eta", e) for e in eta_grid))
     fading_model = FadingModel(fading)
     noise = StableParams(alpha, tau)
     if len(set(map(float, eta_grid))) < len(eta_grid):
@@ -439,9 +446,9 @@ def verify_convergence_bound(
                 f"bound-check run diverged at seed {row_cfg.seed}; the clipped "
                 f"update should stay bounded"
             )
-    gns, clipped, gaps = (
+    gns, clipped = (
         np.stack([result.columns[name] for result in results]).reshape(len(etas), n_seeds, k_max, *block)
-        for name, block in (("grad_norm_sq", ()), ("clipped_fraction", (-1,)), ("median_mean_gap", ()))
+        for name, block in (("grad_norm_sq", ()), ("clipped_fraction", (-1,)))
     )
     rows = []
     for (k, e), bound in zip(points, rhs):
@@ -464,6 +471,5 @@ def verify_convergence_bound(
         ideal=ideal,
         p_unclipped_used=p_unclipped_used,
         p_unclipped_empirical=float(np.mean(unclipped)),
-        median_mean_gap=float(np.mean(gaps[0].mean(axis=-1))),
         config_summary=summary,
     )

@@ -31,7 +31,7 @@ _RAYLEIGH_UNIT_MEAN_SCALE = math.sqrt(2.0 / math.pi)
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Per-client channel gain model; `value` is only used by "deterministic"."""
+    """Per-client channel gain model; `value` is the gain of the fixed kinds, "none" (1.0) and "deterministic"."""
 
     kind: str
     value: float = 1.0
@@ -73,7 +73,7 @@ def sample_fading(model: FadingModel, n_clients: int, rng: np.random.Generator) 
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     if model.kind == "rayleigh":
         return rng.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients)
-    return np.full(n_clients, 1.0 if model.kind == "none" else model.value)
+    return np.full(n_clients, model.value)
 
 
 def transmit(

@@ -176,22 +176,14 @@ def cmd_lemma1(args) -> int:
 
 def cmd_theorem1(args) -> int:
     report = verify_convergence_bound(**_library_kwargs(args))
-    rows = [[r.rounds, r.empirical_avg, r.bound_rhs, r.margin_ratio] for r in report.rows]
-    _write_csv(
-        Path(args.out),
-        report.config_summary,
-        ["K", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"],
-        rows,
-    )
-    if report.eta_rows:
-        out = Path(args.out)
-        eta_path = out.with_name(out.stem + "_eta.csv")
-        _write_csv(
-            eta_path,
-            report.config_summary,
-            ["eta", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"],
-            [[r.eta, r.empirical_avg, r.bound_rhs, r.margin_ratio] for r in report.eta_rows],
-        )
+    out = Path(args.out)
+    # both files on every run, under one provenance line, so no file outlives the run that wrote it
+    for path, column, field, rows in (
+        (out, "K", "rounds", report.rows),
+        (out.with_name(out.stem + "_eta.csv"), "eta", "eta", report.eta_rows),
+    ):
+        table = [[getattr(r, field), r.empirical_avg, r.bound_rhs, r.margin_ratio] for r in rows]
+        _write_csv(path, report.config_summary, [column, "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"], table)
     return 0
 
 

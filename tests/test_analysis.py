@@ -442,8 +442,9 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
     # Seeded fuzz: each argument of the bound check (non-ideal) and of the
     # survival report in turn is nan, +-inf, 0 (where 0 is invalid), 1e200
     # (where a huge value is invalid), a random negative or a random
-    # misspelling, or for a count True or False, the others valid; a grid
-    # argument carries the bad value as its only entry. Each must raise ValueError naming the argument
+    # misspelling, True, False or numpy's True (a bool is no count, rate,
+    # scale or threshold), the others valid; a grid argument carries the bad value as
+    # its only entry. Each must raise ValueError naming the argument
     # before any run or draw; any other exception fails the test.
     _forbid_draws(monkeypatch)
     bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta=0.05, c=None, eta_grid=(), fading="rayleigh")
@@ -467,7 +468,7 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
                     magnitude = int(fuzz.integers(1, 1000)) if name in integers else float(10.0 ** fuzz.uniform(-3.0, 3.0))
                     bads = [math.nan, math.inf, -math.inf, -magnitude] + ([] if name in valid_zero else [0])
                     bads += [] if name in valid_huge else [1e200]
-                    bads += [True, False] if name in integers else []  # a bool is no count
+                    bads += [True, False, np.True_]
                 for bad in bads:
                     with pytest.raises(ValueError) as exc:
                         entry(**{**kwargs, name: (bad,) if name in grids else bad})

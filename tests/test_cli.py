@@ -2,13 +2,14 @@ import argparse
 import csv
 import hashlib
 import inspect
+import itertools
 import math
 import os
 import subprocess
 import sys
 import time
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,25 @@ def test_output_dir_stays_out_of_provenance(tmp_path):
         assert set(settings) == {f.name for f in fields(ExperimentConfig)} - {"output_dir"}
         assert settings["seed"] == "0" and settings["rounds"] == "2" and settings["model"] == "quadratic"
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_readme_config_table_lists_every_field_with_its_default():
+    # the README's key table documents the config; a field added, renamed or
+    # given a new default in one place only would mislead a reader of the other
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2  # past the header and its rule
+    rows = [line.split("|", 3)[1:3] for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+    expected = {}
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING:
+            expected[f.name] = "required"
+        elif f.default is None:
+            expected[f.name] = "none"
+        else:
+            text = f"[{', '.join(f.default)}]" if isinstance(f.default, tuple) else str(f.default)
+            expected[f.name] = f"`{text}`"
+    assert len(rows) == len(expected)
+    assert {key.strip().strip("`"): default.strip() for key, default in rows} == expected
 
 
 def test_flag_overrides_beat_file(tmp_path):
@@ -379,6 +399,19 @@ def test_theorem1_eta_sweep_writes_second_file(tmp_path):
     _, columns, rows = read_csv(tmp_path / "t1_eta.csv")
     assert columns[0] == "eta"
     assert len(rows) == 2
+
+
+def test_theorem1_rerun_without_sweep_leaves_no_stale_eta_file(tmp_path):
+    # the two files are one result: a rerun without --eta-sweep once left the
+    # earlier run's eta rows, under the earlier run's tau, beside its K rows
+    out = tmp_path / "t.csv"
+    assert main(_THEOREM1_SMALL + ["--eta-sweep", "0.1", "--out", str(out)]) == 0
+    assert main(_THEOREM1_SMALL + ["--tau", "0.2", "--out", str(out)]) == 0
+    provenance, _, rows = read_csv(out)
+    eta_provenance, columns, eta_rows = read_csv(tmp_path / "t_eta.csv")
+    assert eta_provenance == provenance and " tau=0.2 " in provenance
+    assert columns == ["eta", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"]
+    assert len(rows) == 1 and eta_rows == []
 
 
 def test_sweep_rows_and_best_marks(tmp_path):
@@ -794,6 +827,7 @@ _PINNED_DIGESTS = {
     "t1_ideal.csv": "383cdb066b1d0e41a67eb098b345a43dc62e92acadb1335ebbdae6d50088be58",
     "t1_ideal_eta.csv": "09cd8d7ddbfb56aaef78a38bdc2ba173702d1de6605b7bde0ec109de92d195e9",
     "t1_nosweep.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
+    "t1_nosweep_eta.csv": "b03eb7364ab6507c88075c5eb99e50255e4ce2d0808962f6c4cbcd0f4309e69a",  # header only
 }
 
 
