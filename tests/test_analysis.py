@@ -443,8 +443,8 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
     # survival report in turn is nan, +-inf, 0 (where 0 is invalid), 1e200
     # (where a huge value is invalid), a random negative or a random
     # misspelling, True, False or numpy's True (a bool is no count, rate,
-    # scale or threshold), the others valid; a grid argument carries the bad value as
-    # its only entry. Each must raise ValueError naming the argument
+    # scale or threshold), the others valid; a grid argument carries the bad
+    # value as its only entry. Each must raise ValueError naming the argument
     # before any run or draw; any other exception fails the test.
     _forbid_draws(monkeypatch)
     bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta=0.05, c=None, eta_grid=(), fading="rayleigh")

@@ -834,9 +834,10 @@ _PINNED_DIGESTS = {
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
     run diverges, theorem1 with an eta sweep on the noisy and on the ideal
-    channel and without one, lemma1 within one and across two sample chunks, train on a small
-    shuffling MLP config, and train (MLP) and sweep (3-class logistic) on
-    full-batch configs whose clients differ in size: {file: sha256}."""
+    channel and without one, lemma1 within one and across two sample chunks,
+    train on a small shuffling MLP config, and train (MLP) and sweep
+    (3-class logistic) on full-batch configs whose clients differ in size:
+    {file: sha256}."""
     cfg = minimal_config(
         tmp_path, model="logistic", methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60,
         feature_dim=3, rounds=6, batch_size=5, local_epochs=2, fading="rayleigh", alpha=0.5, tau=1.0,
