@@ -9,7 +9,6 @@ probability that an entry survives clipping together with its tail exponent.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +17,7 @@ from .channel import ChannelConfig, FadingModel
 from .clipping import ClipMethod, vector_median
 from .fl_core import FLConfig, method_variant, run_replicas
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
-from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
+from .stable_noise import RegimeError, StableParams, _check_integer, estimate_unclipped_prob, tail_prob_simplified
 
 __all__ = [
     "BoundParams",
@@ -173,12 +172,6 @@ def decompose_clip_event(g: np.ndarray, threshold: float) -> ClipDecomposition:
     selection = (np.abs(deviation) <= threshold).astype(float)
     boundary = np.sign(deviation) * threshold
     return ClipDecomposition(median=m, selection=selection, boundary=boundary)
-
-
-def _check_integer(name: str, value, low: int) -> None:
-    # bool is an Integral, but True as a count is a slip, not a 1
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
-        raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
 def _check_not_bool(*named) -> None:

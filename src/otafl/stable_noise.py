@@ -8,7 +8,11 @@ survival function P(|X| > x) decays like x**(-alpha).
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import numbers
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -23,11 +27,22 @@ __all__ = [
 ]
 
 
-# Samples drawn per pass of estimate_unclipped_prob: large enough that the
-# per-chunk overhead is negligible. sample_sas transforms in place, so a pass
-# peaks at about three chunk arrays (25 MB), two at alpha = 1, for any n_samples.
+# Samples drawn per pass of estimate_unclipped_prob: enough that per-chunk overhead is
+# negligible. sample_sas transforms in place, so a pass peaks near three chunk arrays
+# (25 MB), two at alpha = 1, plus two blocks (256 KB) of scratch per transform thread.
 _CHUNK = 2**20
 _BLOCK = 2**14  # samples per slice of the CMS transform: its temporaries stay in cache
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache  # made on the first multi-span draw, and again in a forked child, which has none of its threads
+def _thread_pool():
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_CORES)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_thread_pool.cache_clear)
 
 
 class RegimeError(ValueError):
@@ -48,6 +63,14 @@ class StableParams:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    # bool is an Integral, but True as a count is a slip, not a 1; an int skips the slower ABC check
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `dim` i.i.d. symmetric alpha-stable variates (Chambers-Mallows-Stuck).
 
@@ -56,26 +79,39 @@ def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.n
     are exactly c times the samples at scale tau under the same generator
     state. alpha = 1 short-circuits to the Cauchy tangent form and never
     touches the exponential draw. All of u is drawn, then all of w; the
-    transform runs over ``_BLOCK``-sample slices and overwrites u with x.
+    transform runs over ``_BLOCK``-sample slices and overwrites u with x, in
+    spans of whole slices, one per usable core, on a thread pool under the
+    caller's ``np.errstate``. The bits do not depend on the core count.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_integer("dim", dim, 1)
     alpha = params.alpha
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=dim)
     if alpha == 1.0:
         return np.multiply(np.tan(u, out=u), params.tau, out=u)
-    w = rng.standard_exponential(dim).reshape(-1)
+    x, w, tau = u.reshape(-1), rng.standard_exponential(dim).reshape(-1), params.tau
+    span = _BLOCK * -(-x.size // (_BLOCK * _CORES))  # whole slices, one span per core
+    if span >= x.size:  # one span: no thread hop
+        _transform(x, w, alpha, tau)
+    else:  # each span runs in a copy of the caller's context, which holds its np.errstate
+        spans = [(x[s : s + span], w[s : s + span], alpha, tau) for s in range(0, x.size, span)]
+        futures = [_thread_pool().submit(contextvars.copy_context().run, _transform, *args) for args in spans]
+        for error in [done.exception() for done in futures]:  # every span ends before any error is raised
+            if error is not None:
+                raise error
+    return x.reshape(u.shape)
+
+
+def _transform(x: np.ndarray, w: np.ndarray, alpha: float, tau: float) -> None:
     # Generic CMS transform over flat slices, so (R, dim) draws loop alike. At alpha = 2 it
     # reduces to 2*sqrt(w)*sin(u), a Gaussian with variance 2, without any division by zero.
-    x, (a, b) = u.reshape(-1), np.empty((2, min(_BLOCK, u.size)))
+    a, b = np.empty((2, min(_BLOCK, x.size)))
     for s in range(0, x.size, _BLOCK):
         xs, sa, sb = x[s : s + _BLOCK], a[: x.size - s], b[: x.size - s]
         np.sin(np.multiply(xs, alpha, out=sa), out=sa)
         sa /= np.power(np.cos(xs, out=sb), 1.0 / alpha, out=sb)
         np.cos(np.multiply(xs, 1.0 - alpha, out=sb), out=sb)
         np.power(np.divide(sb, w[s : s + _BLOCK], out=sb), (1.0 - alpha) / alpha, out=sb)
-        np.multiply(np.multiply(sa, sb, out=sa), params.tau, out=xs)
-    return x.reshape(u.shape)
+        np.multiply(np.multiply(sa, sb, out=sa), tau, out=xs)
 
 
 def tail_prob_simplified(params: StableParams, threshold: float) -> float:
@@ -131,8 +167,7 @@ def estimate_unclipped_prob(
             raise RegimeError(
                 f"clip threshold must exceed sqrt(2)*G: C={threshold}, sqrt(2)*G={sqrt2_g}"
             )
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_integer("n_samples", n_samples, 1)
     if difference_law not in ("exact", "sqrt2"):
         raise ValueError(f"unknown difference_law {difference_law!r}")
     margins = thresholds - sqrt2_g
