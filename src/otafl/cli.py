@@ -308,7 +308,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and RegimeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MemoryError) as exc:
+    except (OSError, MemoryError, RuntimeError) as exc:
+        from concurrent.futures.process import BrokenProcessPool  # a seed's worker process died
+        if isinstance(exc, RuntimeError) and not isinstance(exc, BrokenProcessPool):
+            raise
         print(f"infrastructure error: {exc}", file=sys.stderr)
         return 3
 

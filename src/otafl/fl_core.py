@@ -18,11 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import stable_noise
 from .channel import ChannelConfig, measure_snr, sample_fading, transmit
 from .clipping import ClipMethod, apply_blockwise, gnc_clip, vector_median
 
@@ -573,22 +575,42 @@ def method_variant(cfg: FLConfig, method: str, mac_threshold: float, gnc_thresho
 
 
 def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[list[TrainResult]]:
-    """The one matched-seed loop. Seed s builds its task once, at the base
-    seed + s that every variant carries, and runs every variant on it at
-    that seed, as the rows of one round loop, before the next seed's task is
-    built. Returns one list of n_seeds results per variant."""
+    """The one matched-seed loop. Seed s builds its task at the base seed + s
+    that every variant carries and runs every variant on it at that seed, as
+    the rows of one round loop. The caller builds every task first, in seed
+    order; the seeds then run on min(n_seeds, usable cores) forked workers,
+    or in the caller if that is one, with the same bits either way. An error
+    is the lowest failing seed's, as in one loop. Returns one list of
+    n_seeds results per variant."""
     if not variants:
         raise ValueError("nothing to run: no method or threshold given")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    stable_noise._check_integer("n_seeds", n_seeds, 1)
     if len(set(variants)) < len(variants):
         raise ValueError("methods, and thresholds per method, must be distinct: two runs would repeat each other")
-    per_seed = []
-    for s in range(n_seeds):
-        seed = variants[0].seed + s
-        model, client_datas, eval_data = task_factory(seed)
-        per_seed.append(run_replicas([replace(cfg, seed=seed) for cfg in variants], model, client_datas, eval_data))
+    seeds = [variants[0].seed + s for s in range(n_seeds)]
+    tasks = [task_factory(seed) for seed in seeds]
+
+    def run(s):
+        model, client_datas, eval_data = tasks[s]
+        return run_replicas([replace(cfg, seed=seeds[s]) for cfg in variants], model, client_datas, eval_data)
+
+    workers = min(n_seeds, stable_noise._CORES)
+    if workers == 1 or not hasattr(os, "fork"):
+        per_seed = [run(s) for s in range(n_seeds)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # a forked worker inherits `run` and the tasks: only seed numbers and results are pickled
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _worker.__setitem__, ("run", run)) as pool:
+            per_seed = list(pool.map(_run_seed, range(n_seeds)))  # an error cancels the seeds not yet started
     return [list(results) for results in zip(*per_seed)]
+
+
+_worker: dict = {}  # a forked worker's seed runner, put here by its pool's initializer
+
+
+def _run_seed(s: int) -> list[TrainResult]:
+    return _worker["run"](s)
 
 
 def compare_methods(
@@ -601,7 +623,8 @@ def compare_methods(
 ) -> dict[str, list[TrainResult]]:
     """Run every method under matched seeds: seed s uses base seed + s for
     model init, data, channel and batching alike. Every method is resolved,
-    and so checked, before the first run."""
+    and so checked, before the first task is built. Seeds run on the usable
+    cores, with the results of one seed after the other (see _matched_runs)."""
     variants = [method_variant(base_cfg, m, mac_threshold, gnc_threshold) for m in methods]
     return dict(zip(methods, _matched_runs(task_factory, variants, n_seeds)))
 

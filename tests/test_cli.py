@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otafl import cli, fl_core
+from otafl import cli, fl_core, stable_noise
 from otafl.analysis import clip_survival_report, verify_convergence_bound
 from otafl.cli import build_parser, main
 from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides, validate
@@ -794,6 +795,45 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_train", cmd_train)
     assert main(["train", str(minimal_config(tmp_path))]) == 3
     assert "infrastructure error: Unable to allocate" in capsys.readouterr().err
+
+
+def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monkeypatch):
+    # seeds run in worker processes: an error of the run comes back as it
+    # was raised, and a worker that dies is an infrastructure failure
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    cfg = minimal_config(tmp_path, n_seeds=3, c_grid="[0.5, 1.0]", seed=0)
+    parent, run_replicas = os.getpid(), fl_core.run_replicas
+
+    def failing(cfgs, *args):
+        assert os.getpid() != parent
+        if cfgs[0].seed == 1:
+            raise ValueError("seed 1 diverged beyond repair")
+        return run_replicas(cfgs, *args)
+
+    monkeypatch.setattr(fl_core, "run_replicas", failing)
+    assert main(["sweep", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: seed 1 diverged beyond repair\n"
+    assert multiprocessing.active_children() == []
+
+    def dying(cfgs, *args):
+        assert os.getpid() != parent  # never ends the test process
+        os._exit(1)
+
+    monkeypatch.setattr(fl_core, "run_replicas", dying)
+    assert main(["sweep", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infrastructure error: A process in the process pool was terminated abruptly")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "mini_sweep.csv").exists()
+    assert multiprocessing.active_children() == []
+
+    # any other RuntimeError is a fault of the program, with its traceback
+    def cmd_sweep(args):
+        raise RuntimeError("not a pool failure")
+
+    monkeypatch.setattr(cli, "cmd_sweep", cmd_sweep)
+    with pytest.raises(RuntimeError, match="not a pool failure"):
+        main(["sweep", str(cfg)])
 
 
 # SHA-256 of every CSV that _pinned_csvs writes, recorded with numpy 2.4.6

@@ -1,6 +1,10 @@
 import dataclasses
+import multiprocessing
+import os
+import signal
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from otafl import (
     transmit,
 )
 from otafl import channel as channel_module
-from otafl import fl_core
+from otafl import fl_core, stable_noise
 from otafl.analysis import make_quadratic_testbed
 from otafl.fl_core import (
     SweepRow,
@@ -507,6 +511,9 @@ def test_compare_methods_matched_seeds(monkeypatch):
         return run_round(*args, **kwargs)
 
     monkeypatch.setattr(fl_core, "run_round", counting)
+    # seeds run in this process only on one usable core: a worker's calls
+    # would be counted in the worker
+    monkeypatch.setattr(stable_noise, "_CORES", 1)
     cfg = base_config(
         4, 5, learning_rate=0.3,
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
@@ -579,6 +586,8 @@ def test_forbid_runs_reaches_the_engine_on_valid_plans(monkeypatch):
         ({"mac": [0.2]}, 0, "n_seeds"),
         ({"mac": [0.2]}, -1, "n_seeds"),
         ({"gnc": [1.0], "mac": [0.2, 0.4, 0.2]}, 2, "distinct"),
+        ({"mac": [0.2]}, True, "n_seeds"),  # once ran one seed
+        ({"mac": [0.2]}, 2.5, "n_seeds"),  # once a TypeError from range
     ],
 )
 def test_sweep_checks_the_whole_plan_before_any_run(monkeypatch, grid, n_seeds, match):
@@ -599,6 +608,8 @@ def test_sweep_checks_the_whole_plan_before_any_run(monkeypatch, grid, n_seeds, 
         (["mac"], 0.5, 5.0, 0, "n_seeds"),
         (["mac"], 0.5, 5.0, -1, "n_seeds"),
         (["mac", "none", "mac"], 0.5, 5.0, 2, "distinct"),
+        (["mac"], 0.5, 5.0, True, "n_seeds"),
+        (["mac"], 0.5, 5.0, 2.5, "n_seeds"),
     ],
 )
 def test_compare_methods_checks_the_whole_plan_before_any_run(
@@ -656,6 +667,124 @@ def test_sweep_matches_one_comparison_per_threshold():
         expected += [dataclasses.replace(r, best=r is best) for r in mine]
     # repr compares the floats bit for bit, and the types too
     assert repr(rows) == repr(expected)
+
+
+def _fingerprint(results):
+    """Everything of a {method: [TrainResult]} map but wall time, as bytes
+    and exact values."""
+    return [
+        (method, r.final_w.tobytes(), r.diverged_round, r.final_eval_accuracy,
+         [(name, col.dtype.str, col.shape, col.tobytes()) for name, col in sorted(r.columns.items()) if name != "wall_time"])
+        for method, runs in results.items() for r in runs
+    ]
+
+
+def _diverging_config():
+    # padded, shuffling clients under alpha = 0.5 noise: the none rows diverge
+    return base_config(
+        5, 10, learning_rate=0.3, local_epochs=2, batch_size=4, seed=1, eval_every=3,
+        channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(0.5, 1.0)),
+    )
+
+
+@pytest.mark.parametrize("cores, fork", [(1, True), (2, True), (2, False)])
+def test_seeds_on_worker_processes_equal_one_loop(monkeypatch, cores, fork):
+    # 3 seeds on 2 workers split unevenly; rounds counted here show where
+    # the seeds ran: in this process on one core or without os.fork
+    rounds = []
+    run_round = fl_core.run_round
+
+    def counting(*args, **kwargs):
+        rounds.append(args[1])
+        return run_round(*args, **kwargs)
+
+    def both(n_cores):
+        monkeypatch.setattr(stable_noise, "_CORES", n_cores)
+        methods = compare_methods(_padded_shuffling_task, _diverging_config(), ["ideal", "mac", "gnc", "none"], 3, 0.3, 1.0)
+        rows = run_threshold_sweep(_padded_shuffling_task, _diverging_config(), {"mac": [0.3, 1.0], "gnc": [1.0]}, n_seeds=3)
+        assert multiprocessing.active_children() == []
+        return methods, rows
+
+    serial = both(1)
+    monkeypatch.setattr(fl_core, "run_round", counting)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    methods, rows = both(cores)
+    assert len(rounds) == (0 if cores > 1 and fork else 2 * 3 * 10)
+    assert any(r.diverged for r in methods["none"]) and not all(r.diverged for r in methods["ideal"])
+    assert _fingerprint(methods) == _fingerprint(serial[0])
+    assert repr(rows) == repr(serial[1])
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_the_lowest_failing_seed_raises_its_error(monkeypatch, tmp_path, cores):
+    # seed 2 fails at once and seed 1 later, and seed 1's error is raised,
+    # as in one loop. Once it is, the seeds not yet handed to the pool's
+    # queue never start: with 2 workers, seeds 3 and 4 run and 5-7 are
+    # queued, and each takes 0.6 s, so seed 8 would be queued 0.4 s later
+    monkeypatch.setattr(stable_noise, "_CORES", cores)
+    run_replicas = fl_core.run_replicas
+
+    def failing(cfgs, *args):
+        seed = cfgs[0].seed
+        (tmp_path / f"seed{seed}").touch()
+        time.sleep({0: 0.0, 1: 0.2, 2: 0.0}.get(seed, 0.6))
+        if seed in (1, 2):
+            raise ValueError(f"seed {seed} failed")
+        return run_replicas(cfgs, *args)
+
+    monkeypatch.setattr(fl_core, "run_replicas", failing)
+    with pytest.raises(ValueError) as raised:
+        compare_methods(classification_task, _noisy_config(), ["mac", "none"], 10, 0.5, 5.0)
+    assert type(raised.value) is ValueError and str(raised.value) == "seed 1 failed"
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "seed8").exists() and not (tmp_path / "seed9").exists()
+
+
+def test_a_dead_worker_fails_the_call_at_once(monkeypatch):
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    parent = os.getpid()
+
+    def dying(*args):
+        assert os.getpid() != parent  # never ends the test process
+        os._exit(1)
+
+    monkeypatch.setattr(fl_core, "run_replicas", dying)
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        compare_methods(classification_task, _noisy_config(), ["mac", "none"], 3, 0.5, 5.0)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def _wide_task(seed):
+    # 6001 parameters: the three noisy rows of a seed draw their noise in
+    # two spans, on the transform threads
+    return classification_task(seed, p=6000)
+
+
+def _compare_after_a_multi_span_draw(want):
+    os.setpgrp()  # its seed workers join its process group, so a hang is killed whole
+    sample_sas(StableParams(1.5, 0.3), 4 * stable_noise._BLOCK, np.random.default_rng(9))
+    assert stable_noise._thread_pool.cache_info().currsize == 1  # this process's transform threads are up
+    got = compare_methods(_wide_task, _noisy_config(), ["mac", "gnc", "none"], 2, 0.5, 5.0)
+    raise SystemExit(0 if _fingerprint(got) == want and not multiprocessing.active_children() else 1)
+
+
+def test_seed_workers_fork_from_a_process_with_transform_threads(monkeypatch):
+    # a seed worker forked while its parent's transform threads are up
+    # makes its own threads rather than wait on the parent's; the check
+    # runs in a child so that a hang times out
+    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    want = _fingerprint(compare_methods(_wide_task, _noisy_config(), ["mac", "gnc", "none"], 2, 0.5, 5.0))
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    child = multiprocessing.get_context("fork").Process(target=_compare_after_a_multi_span_draw, args=(want,))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        os.killpg(child.pid, signal.SIGKILL)
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_rows_equal_standalone_runs():
