@@ -17,7 +17,8 @@ from .channel import ChannelConfig, FadingModel
 from .clipping import ClipMethod, vector_median
 from .fl_core import FLConfig, method_variant, run_replicas
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
-from .stable_noise import RegimeError, StableParams, _check_integer, estimate_unclipped_prob, tail_prob_simplified
+from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
+from .stable_noise import _check_integer, _check_not_bool, _check_positive
 
 __all__ = [
     "BoundParams",
@@ -75,20 +76,18 @@ class BoundParams:
         for name in ("g", "c", "tau", "f0", "f_star"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.l > 0.0:
-            raise ValueError(f"L must be positive, got {self.l}")
+        _check_positive("L", self.l)
         if self.g < 0.0:
             raise ValueError(f"G must be >= 0, got {self.g}")
         if self.f0 < self.f_star:
             raise ValueError(f"f0={self.f0} below the lower bound f_star={self.f_star}")
-        if self.k < 1 or self.d < 1:
-            raise ValueError("k and d must be >= 1")
+        for name in ("k", "d"):
+            _check_integer(name, getattr(self, name), 1)
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.tau < 0.0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        _check_positive("eta", self.eta)
         if self.eta * self.l >= 2.0:
             raise RegimeError(
                 f"learning rate at boundary: eta*L = {self.eta * self.l} but the "
@@ -128,8 +127,7 @@ def convergence_bound(params: BoundParams) -> float:
 
 def classical_descent_bound(f0: float, f_star: float, eta: float, l: float, k: float) -> float:
     """Noiseless full-gradient descent bound, the ideal-channel special case."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_positive("eta", eta)
     if eta * l >= 2.0:
         raise RegimeError(f"learning rate at boundary: eta*L = {eta * l}, requires eta < 2/L")
     descent = 2.0 * (f0 - f_star) / (k * (2.0 - eta * l) * eta)
@@ -164,20 +162,13 @@ class ClipDecomposition:
 
 
 def decompose_clip_event(g: np.ndarray, threshold: float) -> ClipDecomposition:
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_positive("threshold", threshold)
     g = np.asarray(g, dtype=float)
     m = vector_median(g)
     deviation = g - m
     selection = (np.abs(deviation) <= threshold).astype(float)
     boundary = np.sign(deviation) * threshold
     return ClipDecomposition(median=m, selection=selection, boundary=boundary)
-
-
-def _check_not_bool(*named) -> None:
-    for name, value in named:  # True as a rate, scale or threshold is a slip, not a 1.0
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +228,13 @@ def clip_survival_report(
     shared draw, so its clip probability never rises with C.
     """
     for name, grid in (("alphas", alphas), ("c_grid", c_grid)):
-        if len(set(map(float, grid))) < len(grid):  # a repeat would run twice and count twice in a fit
-            raise ValueError(f"{name} must be distinct, got {list(grid)}")
+        if len(grid) == 0 or len(set(map(float, grid))) < len(grid):  # a repeat would run twice and count twice in a fit
+            raise ValueError(f"{name} must be distinct and non-empty, got {list(grid)}")
     if not 0.0 <= g < math.inf:
         raise ValueError(f"g must be finite and >= 0, got {g}")
     if not all(0.0 < c < math.inf for c in c_grid):
         raise ValueError(f"c_grid must hold finite positive thresholds, got {list(c_grid)}")
-    _check_not_bool(("tau", tau), ("g", g), *(("alpha", a) for a in alphas), *(("c_grid", x) for x in c_grid))
+    _check_not_bool(("g", g), *(("c_grid", x) for x in c_grid))
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
     if difference_law not in ("exact", "sqrt2"):
@@ -309,6 +300,8 @@ def make_quadratic_testbed(
     for open-ended training runs; the G bound then carries the extra ||b_n||
     slack.
     """
+    for name, value, low in (("dim", dim, 1), ("n_clients", n_clients, 1), ("seed", seed, 0)):
+        _check_integer(name, value, low)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     datas = []
     for _ in range(n_clients):
@@ -375,10 +368,9 @@ def verify_convergence_bound(
     the noiseless channel and the classical descent bound, and takes neither
     a threshold ``c`` nor a ``fading``.
     """
-    for name, value in (("dim", dim), ("n_clients", n_clients), ("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
+    for name, value in (("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
         _check_integer(name, value, 1)
-    _check_integer("seed", seed, 0)
-    _check_not_bool(("alpha", alpha), ("tau", tau), ("eta", eta), ("c", c), *(("eta", e) for e in eta_grid))
+    _check_not_bool(("eta", eta), ("c", c), *(("eta", e) for e in eta_grid))
     fading_model = FadingModel(fading)
     noise = StableParams(alpha, tau)
     if len(set(map(float, eta_grid))) < len(eta_grid):

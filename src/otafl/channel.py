@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_noise import StableParams, sample_sas
+from .stable_noise import StableParams, _check_integer, _check_positive, sample_sas
 
 __all__ = [
     "FadingModel",
@@ -39,10 +39,9 @@ class FadingModel:
     def __post_init__(self) -> None:
         if self.kind not in _FADING_KINDS:
             raise ValueError(f"fading must be one of {_FADING_KINDS}, got {self.kind!r}")
-        if self.kind == "deterministic" and not self.value > 0.0:
-            raise ValueError(f"deterministic gain must be positive, got {self.value}")
-        # a gain that no draw applies would still be written into a run's provenance line
-        if self.kind != "deterministic" and self.value != 1.0:
+        if self.kind == "deterministic":
+            _check_positive("deterministic gain", self.value)
+        elif self.value != 1.0:  # a gain that no draw applies would still be written into a run's provenance line
             raise ValueError(f"fading gain {self.value} applies to deterministic fading only, not to {self.kind!r}")
 
     @classmethod
@@ -69,8 +68,7 @@ class ChannelConfig:
 
 def sample_fading(model: FadingModel, n_clients: int, rng: np.random.Generator) -> np.ndarray:
     """One gain per client for one round."""
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be >= 1, got {n_clients}")
+    _check_integer("n_clients", n_clients, 1)
     if model.kind == "rayleigh":
         return rng.rayleigh(scale=_RAYLEIGH_UNIT_MEAN_SCALE, size=n_clients)
     return np.full(n_clients, model.value)

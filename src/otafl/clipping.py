@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stable_noise import _check_positive
+
 __all__ = [
     "ClipMethod",
     "vector_median",
@@ -40,11 +42,10 @@ class ClipMethod:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "none":
-            if self.threshold is not None:
-                raise ValueError("method 'none' takes no threshold")
-        elif self.threshold is None or not self.threshold > 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if self.kind != "none":
+            _check_positive("threshold", self.threshold)
+        elif self.threshold is not None:
+            raise ValueError("method 'none' takes no threshold")
 
     @classmethod
     def mac(cls, threshold: float) -> "ClipMethod":
@@ -85,8 +86,7 @@ def mac_clip(g: np.ndarray, threshold: float) -> np.ndarray:
     the centralize/recover round trip), so the output agrees bit for bit
     with the per-entry form med + sgn(g_i - med) * min(|g_i - med|, C).
     """
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_positive("threshold", threshold)
     g = np.asarray(g, dtype=float)
     m = np.asarray(vector_median(g))[..., None]
     deviation = g - m
@@ -96,8 +96,7 @@ def mac_clip(g: np.ndarray, threshold: float) -> np.ndarray:
 
 def gnc_clip(g: np.ndarray, threshold: float) -> np.ndarray:
     """Rescale `g` so that its Euclidean norm is at most `threshold`."""
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_positive("threshold", threshold)
     g = np.asarray(g, dtype=float)
     # sqrt(vecdot) is np.linalg.norm bit for bit; the factor is exactly 1
     # wherever the norm is within the threshold

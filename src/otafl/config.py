@@ -86,7 +86,7 @@ def _check_number(name: str, value) -> None:
         raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
 
 
-def _check_positive(name: str, value, strict=True) -> None:
+def _check_field_positive(name: str, value, strict=True) -> None:
     _check_number(name, value)
     ok = value > 0 if strict else value >= 0
     if not ok:
@@ -129,11 +129,11 @@ def validate(raw: dict) -> ExperimentConfig:
         value = getattr(cfg, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-        _check_positive(name, value, strict=name != "seed")
+        _check_field_positive(name, value, strict=name != "seed")
     for name in ("learning_rate", "tau", "mac_threshold", "gnc_threshold",
                  "dirichlet_concentration", "fading_gain"):
-        _check_positive(name, getattr(cfg, name))
-    _check_positive("class_separation", cfg.class_separation, strict=False)
+        _check_field_positive(name, getattr(cfg, name))
+    _check_field_positive("class_separation", cfg.class_separation, strict=False)
     _check_number("alpha", cfg.alpha)
     if not 0.0 < cfg.alpha <= 2.0:
         raise ConfigError(f"field 'alpha' must lie in (0, 2], got {cfg.alpha}")
@@ -143,7 +143,7 @@ def validate(raw: dict) -> ExperimentConfig:
     if cfg.n_classes < 2:
         raise ConfigError(f"field 'n_classes' must be >= 2, got {cfg.n_classes}")
     if cfg.projection_radius is not None:
-        _check_positive("projection_radius", cfg.projection_radius)
+        _check_field_positive("projection_radius", cfg.projection_radius)
     if cfg.c_grid is not None:
         grid = cfg.c_grid
         lists = list(grid.values()) if isinstance(grid, dict) else [grid]
@@ -153,7 +153,7 @@ def validate(raw: dict) -> ExperimentConfig:
             )
         entries = [v for vs in lists for v in vs]
         for v in entries:
-            _check_positive("c_grid", v)
+            _check_field_positive("c_grid", v)
         if not lists or any(not vs or len(set(vs)) < len(vs) for vs in lists):
             raise ConfigError(f"field 'c_grid' must list one or more thresholds, each once per method, got {grid!r}")
         if isinstance(grid, dict):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .stable_noise import _check_integer, _check_positive
+
 __all__ = [
     "Dataset",
     "PartitionSpec",
@@ -57,10 +59,10 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("iid", "dirichlet"):
             raise ValueError(f"kind must be 'iid' or 'dirichlet', got {self.kind!r}")
-        if self.n_clients < 1:
-            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.kind == "dirichlet" and not self.concentration > 0.0:
-            raise ValueError(f"concentration must be positive, got {self.concentration}")
+        for name, low in (("n_clients", 1), ("seed", 0)):
+            _check_integer(name, getattr(self, name), low)
+        if self.kind == "dirichlet":
+            _check_positive("concentration", self.concentration)
 
 
 def make_synthetic_classification(
@@ -78,8 +80,8 @@ def make_synthetic_classification(
     rounding and shuffled. Zero separation collapses all means onto the
     origin.
     """
-    if n_samples < 1 or feature_dim < 1 or n_classes < 2:
-        raise ValueError("n_samples, feature_dim >= 1 and n_classes >= 2 required")
+    for name, value, low in (("n_samples", n_samples, 1), ("feature_dim", feature_dim, 1), ("n_classes", n_classes, 2)):
+        _check_integer(name, value, low)
     if class_separation < 0.0:
         raise ValueError(f"class_separation must be >= 0, got {class_separation}")
     if n_classes > feature_dim:

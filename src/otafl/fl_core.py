@@ -189,14 +189,11 @@ class FLConfig:
     projection_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1 or self.rounds < 1:
-            raise ValueError("n_clients and rounds must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.local_epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("local_epochs, batch_size and eval_every must be >= 1")
-        if self.projection_radius is not None and not self.projection_radius > 0.0:
-            raise ValueError("projection_radius must be positive when set")
+        for name in ("n_clients", "rounds", "local_epochs", "batch_size", "eval_every", "seed"):
+            stable_noise._check_integer(name, getattr(self, name), 0 if name == "seed" else 1)
+        stable_noise._check_positive("learning_rate", self.learning_rate)
+        if self.projection_radius is not None:
+            stable_noise._check_positive("projection_radius", self.projection_radius)
 
 
 @dataclass(frozen=True, slots=True)

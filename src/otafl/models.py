@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stable_noise import _check_integer, _check_positive
+
 __all__ = [
     "QuadraticClientData",
     "QuadraticModel",
@@ -68,8 +70,7 @@ class QuadraticModel:
     is_classifier = False
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        _check_integer("dim", dim, 1)
         self.dim = dim
         self.block_layout = [dim]
 
@@ -140,8 +141,8 @@ class LogisticModel:
     is_classifier = True
 
     def __init__(self, feature_dim: int, n_classes: int = 2):
-        if feature_dim < 1 or n_classes < 2:
-            raise ValueError("feature_dim must be >= 1 and n_classes >= 2")
+        for name, value, low in (("feature_dim", feature_dim, 1), ("n_classes", n_classes, 2)):
+            _check_integer(name, value, low)
         self.feature_dim = feature_dim
         self.n_classes = n_classes
         if n_classes == 2:
@@ -224,8 +225,8 @@ class MlpModel:
         activation: str = "relu",
         loss_kind: str = "cross_entropy",
     ):
-        if feature_dim < 1 or hidden_units < 1 or n_classes < 2:
-            raise ValueError("feature_dim, hidden_units >= 1 and n_classes >= 2 required")
+        for name, value, low in (("feature_dim", feature_dim, 1), ("hidden_units", hidden_units, 1), ("n_classes", n_classes, 2)):
+            _check_integer(name, value, low)
         if activation not in ("relu", "tanh"):
             raise ValueError(f"activation must be 'relu' or 'tanh', got {activation!r}")
         if loss_kind not in ("cross_entropy", "squared_error"):
@@ -340,8 +341,7 @@ def compute_smoothness(client_datas, radius: float) -> SmoothnessInfo:
     max_n (lambda_max(A_n) * radius + ||b_n||), and f_star is evaluated at
     the exact minimizer.
     """
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_positive("radius", radius)
     a_mean = np.mean([d.a for d in client_datas], axis=0)
     b_mean = np.mean([d.b for d in client_datas], axis=0)
     l = float(np.linalg.eigvalsh(a_mean)[-1])

@@ -57,10 +57,18 @@ class StableParams:
     tau: float
 
     def __post_init__(self) -> None:
+        _check_not_bool(("alpha", self.alpha))
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        _check_positive("tau", self.tau)
+        if self.tau == math.inf:
+            raise ValueError(f"tau must be finite, got {self.tau}")
+
+
+def _check_not_bool(*named) -> None:
+    for name, value in named:  # True as a rate, scale or threshold is a slip, not a 1.0
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
 
 
 def _check_integer(name: str, value, low: int) -> None:
@@ -69,6 +77,13 @@ def _check_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if type(value) is not float or not value > 0.0:  # a positive float, as at every round's clip, skips the rest
+        _check_not_bool((name, value))
+        if not (isinstance(value, numbers.Real) and value > 0.0):  # nan and None fail here
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,8 +136,7 @@ def tail_prob_simplified(params: StableParams, threshold: float) -> float:
     at clip threshold C. The value is clamped to [0, 1] because the power law
     exceeds one below C = tau, where the asymptote carries no information.
     """
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_positive("threshold", threshold)
     # tested first, so that a huge tau/C never reaches the float power
     return 1.0 if threshold <= params.tau else (params.tau / threshold) ** params.alpha
 

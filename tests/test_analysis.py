@@ -70,8 +70,8 @@ def test_bound_regime_validation():
     for bad, message in [
         (dict(l=0.0), "L must be positive"),
         (dict(g=-1.0), "G must be >= 0"),
-        (dict(k=0), "k and d must be >= 1"),
-        (dict(d=0), "k and d must be >= 1"),
+        (dict(k=0), "k must be >= 1, got 0"),
+        (dict(d=0), "d must be >= 1, got 0"),
         (dict(alpha=0.0), r"alpha must lie in \(0, 2\]"),
         (dict(alpha=2.5), r"alpha must lie in \(0, 2\]"),
         (dict(tau=-0.1), "tau must be >= 0"),
@@ -405,6 +405,11 @@ def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
         clip_survival_report([1.5, 1.5], 0.1, [1.0, 2.0], 0.0, 100)
     with pytest.raises(ValueError, match="c_grid must be distinct"):
         clip_survival_report([1.5], 0.1, [1.0, 1.0, 2.0], 0.0, 100)
+    # an empty grid gave an empty report, with tau=True in its summary line
+    with pytest.raises(ValueError, match="alphas must be distinct and non-empty"):
+        clip_survival_report([], True, [1.0, 2.0], 0.0, 100)
+    with pytest.raises(ValueError, match="c_grid must be distinct and non-empty"):
+        clip_survival_report([1.5], 0.1, np.array([]), 0.0, 100)
     with pytest.raises(ValueError, match="eta_grid must be distinct"):
         verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=(0.05, 0.05))
     # a repeated K was dropped silently

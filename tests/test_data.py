@@ -60,7 +60,7 @@ def test_synthetic_validation():
         make_synthetic_classification(10, 2, 3, 1.0, rng)  # more classes than dims
     with pytest.raises(ValueError):
         make_synthetic_classification(10, 2, 2, -1.0, rng)
-    with pytest.raises(ValueError, match="n_samples, feature_dim >= 1"):
+    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
         make_synthetic_classification(0, 2, 2, 1.0, rng)
 
 

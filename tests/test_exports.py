@@ -5,7 +5,8 @@ A name left in a module's ``__all__`` after its function is deleted makes
 ``from otafl.<module> import *`` raise; an import whose last use was deleted
 is a stale name of another kind, and a private helper whose last caller was
 deleted a third. The package root publishes exactly its library modules'
-``__all__``.
+``__all__``, and each rule for a count or a positive number has one
+implementation.
 """
 
 import ast
@@ -131,3 +132,50 @@ def test_every_private_name_in_the_package_is_read():
     # a helper whose last caller is deleted should go with it
     sources = {p.stem: p.read_text(encoding="utf-8") for p in Path(otafl.__file__).parent.glob("*.py")}
     assert _unread_private_names(sources) == []
+
+
+_NUMBER_RULES = ("_check_not_bool", "_check_integer", "_check_positive")
+
+
+def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
+    """Where a module of ``sources`` ({module: source}) defines a number rule
+    helper or builds a "must be positive" message, as the qualified name of
+    the enclosing definition, other than in stable_noise, their one owner.
+    config is exempt from the message scan: it raises its own ConfigError,
+    naming "field 'x'"."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scope = {tree: module}
+        for node in ast.walk(tree):  # breadth first: a node's scope is set before its children's
+            inner = scope[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{inner}.{node.name}"
+                if node.name in _NUMBER_RULES:
+                    found.append(inner)
+            for child in ast.iter_child_nodes(node):
+                scope[child] = inner
+                # a docstring or other bare string statement builds no message
+                message = isinstance(child, ast.Constant) and isinstance(child.value, str) and not isinstance(node, ast.Expr)
+                if message and "must be positive" in child.value and module != "config":
+                    found.append(inner)
+    return sorted(set(found) - {f"stable_noise.{name}" for name in _NUMBER_RULES})
+
+
+def test_hand_written_number_rule_finder_finds_them():
+    sources = {
+        "stable_noise": "def _check_positive(name, value):\n    raise ValueError(f'{name} must be positive, got {value}')\n"
+                        "def _check_integer(name, value, low):\n    pass\n",
+        "a": "class A:\n    '''rate must be positive.'''\n    def f(self, x):\n        if not x > 0:\n"
+             "            raise ValueError(f'x must be positive when set, got {x}')\n",
+        "b": "MESSAGE = 'rate must be positive'\ndef _check_integer(name, value, low):\n    pass\n",
+        "config": "def check(v):\n    raise ValueError('field v must be positive')\n",
+    }
+    assert _hand_written_number_rules(sources) == ["a.A.f", "b", "b._check_integer"]
+
+
+def test_number_rules_have_one_implementation():
+    # a count, rate, scale or threshold is checked by stable_noise's helpers,
+    # so that every type rejects a bool, a fraction or None alike
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in Path(otafl.__file__).parent.glob("*.py")}
+    assert _hand_written_number_rules(sources) == []

@@ -336,6 +336,12 @@ def test_config_validation():
         base_config(1, 1, projection_radius=0.0)
 
 
+def test_a_fractional_seed_is_rejected():
+    # seed=2.5 once ran seed 2's streams bit for bit: the round keys are cast to uint32
+    with pytest.raises(ValueError, match="^seed must be an integer, got 2.5$"):
+        base_config(3, 2, seed=2.5)
+
+
 def test_client_count_mismatch():
     rng = np.random.default_rng(11)
     model, datas = quadratic_clients(rng)

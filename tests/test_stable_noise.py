@@ -9,9 +9,25 @@ import pytest
 
 from conftest import cms_reference, fit_tail_exponent, gaussian_cdf, ks_distance
 from otafl import (
+    BoundParams,
+    ChannelConfig,
+    ClipMethod,
+    FadingModel,
+    FLConfig,
+    LogisticModel,
+    MlpModel,
+    PartitionSpec,
+    QuadraticClientData,
+    QuadraticModel,
     RegimeError,
     StableParams,
+    compute_smoothness,
     estimate_unclipped_prob,
+    gnc_clip,
+    mac_clip,
+    make_quadratic_testbed,
+    make_synthetic_classification,
+    sample_fading,
     sample_sas,
     tail_prob_simplified,
 )
@@ -350,3 +366,73 @@ def test_one_chunk_peaks_near_three_chunk_arrays(alpha, arrays):
         tracemalloc.stop()
     array_bytes = chunk * 8
     assert peak <= arrays * array_bytes, f"peak {peak} B is {peak / array_bytes:.2f} chunk arrays"
+
+
+# Every public type and function that takes a count or a rate, scale or
+# threshold: (call, valid arguments, counts with the least value their rule
+# allows, positive fields, fields that are numbers but no bool). An entry of
+# _NAMED is the word a field's message names it by.
+_NUMBER_FIELDS = [
+    (FLConfig,
+     dict(n_clients=2, rounds=3, learning_rate=0.1, clip=ClipMethod.none(), channel=ChannelConfig.ideal(),
+          local_epochs=1, batch_size=4, seed=0, eval_every=1, projection_radius=2.0),
+     dict(n_clients=1, rounds=1, local_epochs=1, batch_size=1, seed=0, eval_every=1),
+     {"learning_rate", "projection_radius"}, set()),
+    (ClipMethod.mac, dict(threshold=1.0), {}, {"threshold"}, set()),
+    (ClipMethod.gnc, dict(threshold=1.0), {}, {"threshold"}, set()),
+    (lambda value: FadingModel("deterministic", value), dict(value=0.5), {}, {"value"}, set()),
+    (PartitionSpec, dict(kind="dirichlet", n_clients=3, concentration=0.3, seed=0), dict(n_clients=1, seed=0),
+     {"concentration"}, set()),
+    (QuadraticModel, dict(dim=3), dict(dim=1), set(), set()),
+    (LogisticModel, dict(feature_dim=3, n_classes=3), dict(feature_dim=1, n_classes=2), set(), set()),
+    (MlpModel, dict(feature_dim=3, hidden_units=4, n_classes=2), dict(feature_dim=1, hidden_units=1, n_classes=2),
+     set(), set()),
+    (lambda **kw: make_synthetic_classification(rng=np.random.default_rng(0), **kw),
+     dict(n_samples=10, feature_dim=3, n_classes=2, class_separation=1.0), dict(n_samples=1, feature_dim=1, n_classes=2),
+     set(), set()),
+    (make_quadratic_testbed, dict(dim=2, n_clients=2, seed=0), dict(dim=1, n_clients=1, seed=0), set(), set()),
+    (BoundParams, dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, alpha=1.5, tau=0.1),
+     dict(k=1, d=1), {"l", "eta"}, set()),
+    (lambda radius: compute_smoothness([QuadraticClientData(a=np.eye(2), b=np.ones(2))], radius),
+     dict(radius=1.0), {}, {"radius"}, set()),
+    (lambda n_clients: sample_fading(FadingModel.rayleigh_unit_mean(), n_clients, np.random.default_rng(0)),
+     dict(n_clients=3), dict(n_clients=1), set(), set()),
+    (lambda threshold: mac_clip(np.arange(4.0), threshold), dict(threshold=1.0), {}, {"threshold"}, set()),
+    (lambda threshold: gnc_clip(np.arange(4.0), threshold), dict(threshold=1.0), {}, {"threshold"}, set()),
+    (lambda threshold: tail_prob_simplified(StableParams(1.5, 0.1), threshold),
+     dict(threshold=1.0), {}, {"threshold"}, set()),
+    (StableParams, dict(alpha=1.5, tau=0.1), {}, {"tau"}, {"alpha"}),
+]
+_NAMED = {"l": "L", "value": "deterministic gain"}
+
+
+def test_number_fields_fuzz_bad_values():
+    # Seeded fuzz: each count, positive or other numeric field of the table
+    # in turn takes a bad value, the others valid. A bool is no count, rate,
+    # scale or threshold (True once ran as 1), a fraction is no count (a
+    # seed of 2.5 once ran seed 2's streams), and nan, zero, a negative or
+    # None is no positive number. Each must raise ValueError whose message
+    # starts with the field's name; a valid value, numpy's scalars included,
+    # must still construct.
+    fuzz = np.random.default_rng(2525)
+    for _ in range(3):
+        for call, valid, counts, positives, not_bool in _NUMBER_FIELDS:
+            call(**valid)
+            for name in [*counts, *positives, *not_bool]:
+                if name in counts:
+                    low = counts[name]
+                    goods = [np.int64(valid[name])]
+                    bads = [2.5, low + float(fuzz.uniform(0.1, 0.9)), low - int(fuzz.integers(1, 1000))]
+                elif name in positives:
+                    unset = [None] if name == "projection_radius" else []  # None leaves the projection off
+                    goods = [np.float64(valid[name]), float(10.0 ** fuzz.uniform(-3.0, 0.0)), *unset]
+                    bads = [math.nan, 0, 0.0, -1, -float(10.0 ** fuzz.uniform(-3.0, 3.0)), *([] if unset else [None])]
+                else:
+                    goods, bads = [np.float64(valid[name])], []
+                for good in goods:
+                    call(**{**valid, name: good})
+                for bad in bads + [True, False, np.True_]:
+                    with pytest.raises(ValueError) as exc:
+                        call(**{**valid, name: bad})
+                    word = _NAMED.get(name, name)
+                    assert str(exc.value).startswith(f"{word} must be"), (call, name, bad, str(exc.value))
