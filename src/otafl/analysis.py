@@ -73,6 +73,7 @@ class BoundParams:
     tau: float
 
     def __post_init__(self) -> None:
+        _check_not_bool(*((name, getattr(self, name)) for name in ("g", "c", "tau", "f0", "f_star", "alpha")))
         for name in ("g", "c", "tau", "f0", "f_star"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

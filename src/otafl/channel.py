@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_noise import StableParams, _check_integer, _check_positive, sample_sas
+from .stable_noise import StableParams, _check_integer, _check_not_bool, _check_positive, sample_sas
 
 __all__ = [
     "FadingModel",
@@ -41,8 +41,10 @@ class FadingModel:
             raise ValueError(f"fading must be one of {_FADING_KINDS}, got {self.kind!r}")
         if self.kind == "deterministic":
             _check_positive("deterministic gain", self.value)
-        elif self.value != 1.0:  # a gain that no draw applies would still be written into a run's provenance line
-            raise ValueError(f"fading gain {self.value} applies to deterministic fading only, not to {self.kind!r}")
+        else:
+            _check_not_bool(("fading gain", self.value))  # True equals 1.0 but would make the gains bools
+            if self.value != 1.0:  # a gain that no draw applies would still be written into a run's provenance line
+                raise ValueError(f"fading gain {self.value} applies to deterministic fading only, not to {self.kind!r}")
 
     @classmethod
     def rayleigh_unit_mean(cls) -> "FadingModel":

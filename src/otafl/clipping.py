@@ -26,7 +26,6 @@ __all__ = [
     "gnc_clip",
     "apply_blockwise",
     "clip_statistics",
-    "split_blocks",
 ]
 
 _KINDS = ("mac", "gnc", "none")
@@ -111,18 +110,21 @@ def apply_blockwise(g: np.ndarray, layout: list[int], method: ClipMethod) -> tup
     beyond the median-anchored threshold for mac, 1 or 0 by the block norm
     for gnc, and 0 for none."""
     g = np.asarray(g, dtype=float)
-    blocks = split_blocks(g, layout)
+    if sum(layout) != g.shape[-1]:
+        raise ValueError(f"block layout {layout} does not sum to vector length {g.shape[-1]}")
     fractions = np.zeros(g.shape[:-1] + (len(layout),))
     if method.kind == "none":
         return g.copy(), fractions
     clipped = np.empty_like(g)
-    for j, (block, out) in enumerate(zip(blocks, split_blocks(clipped, layout))):
+    start = 0
+    for j, size in enumerate(layout):
+        block = (..., slice(start, start := start + size))
         if method.kind == "mac":
-            out[...] = mac_clip(block, method.threshold)
-            fractions[..., j] = 1.0 - clip_statistics(block, method.threshold)[1]
+            clipped[block] = mac_clip(g[block], method.threshold)
+            fractions[..., j] = 1.0 - clip_statistics(g[block], method.threshold)[1]
         else:
-            out[...] = gnc_clip(block, method.threshold)
-            fractions[..., j] = np.sqrt(np.vecdot(block, block)) > method.threshold
+            clipped[block] = gnc_clip(g[block], method.threshold)
+            fractions[..., j] = np.sqrt(np.vecdot(g[block], g[block])) > method.threshold
     return clipped, fractions
 
 
@@ -139,12 +141,3 @@ def clip_statistics(g: np.ndarray, threshold: float) -> tuple[int | np.ndarray, 
     clipped = np.count_nonzero(deviation > threshold, axis=-1)
     return clipped, 1.0 - clipped / g.shape[-1]
 
-
-def split_blocks(flat: np.ndarray, layout: list[int]) -> list[np.ndarray]:
-    """Split a flat parameter vector (the last axis) into consecutive blocks
-    of given lengths."""
-    flat = np.asarray(flat)
-    if sum(layout) != flat.shape[-1]:
-        raise ValueError(f"block layout {layout} does not sum to vector length {flat.shape[-1]}")
-    bounds = np.cumsum(layout)[:-1]
-    return np.split(flat, bounds, axis=-1)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stable_noise import _check_integer, _check_positive
+from .stable_noise import _check_integer, _check_not_bool, _check_positive
 
 __all__ = [
     "Dataset",
@@ -82,6 +82,7 @@ def make_synthetic_classification(
     """
     for name, value, low in (("n_samples", n_samples, 1), ("feature_dim", feature_dim, 1), ("n_classes", n_classes, 2)):
         _check_integer(name, value, low)
+    _check_not_bool(("class_separation", class_separation))
     if class_separation < 0.0:
         raise ValueError(f"class_separation must be >= 0, got {class_separation}")
     if n_classes > feature_dim:

@@ -596,10 +596,18 @@ def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[
         per_seed = [run(s) for s in range(n_seeds)]
     else:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         # a forked worker inherits `run` and the tasks: only seed numbers and results are pickled
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _worker.__setitem__, ("run", run)) as pool:
-            per_seed = list(pool.map(_run_seed, range(n_seeds)))  # an error cancels the seeds not yet started
+            futures, running = [], set()
+            for s in range(n_seeds):
+                if len(running) == workers:  # a seed starts only on a free worker, and none after a failure
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    if any(f.exception() is not None for f in done):
+                        break
+                futures.append(pool.submit(_run_seed, s))
+                running.add(futures[-1])
+            per_seed = [f.result() for f in futures]  # in seed order: the lowest failing seed's error
     return [list(results) for results in zip(*per_seed)]
 
 

@@ -170,6 +170,7 @@ def estimate_unclipped_prob(
     inf - inf of two draws of one sign is nan, which counts as clipped. The
     floating-point warnings they raise are silenced.
     """
+    _check_not_bool(("g", g))
     if not g >= 0.0:
         raise ValueError(f"gradient bound g must be >= 0, got {g}")
     thresholds = np.asarray(c, dtype=float)

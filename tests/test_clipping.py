@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from otafl import (
     clip_statistics,
     gnc_clip,
     mac_clip,
-    split_blocks,
     vector_median,
 )
 from otafl.stable_noise import StableParams, sample_sas
@@ -164,10 +165,10 @@ def test_apply_blockwise():
 
     # a stack of vectors is clipped and counted row by row, as each alone
     rows = np.stack([g, g[::-1]])
-    for method in (ClipMethod.mac(1.0), ClipMethod.gnc(5.0)):
-        out, fractions = apply_blockwise(rows, [3, 3], method)
+    for method, layout in itertools.product((ClipMethod.mac(1.0), ClipMethod.gnc(5.0)), ([3, 3], [2, 1, 3])):
+        out, fractions = apply_blockwise(rows, layout, method)
         for r in range(2):
-            alone, alone_fractions = apply_blockwise(rows[r], [3, 3], method)
+            alone, alone_fractions = apply_blockwise(rows[r], layout, method)
             assert out[r].tobytes() == alone.tobytes()
             assert fractions[r].tobytes() == alone_fractions.tobytes()
 
@@ -208,10 +209,8 @@ def test_clip_statistics_on_pure_noise():
     assert (1.0 - pair_draw) == pytest.approx(2.0 * (1.0 - frac), rel=0.25)
 
 
-def test_split_and_merge_blocks():
-    flat = np.arange(10.0)
-    blocks = split_blocks(flat, [3, 3, 4])
-    assert [len(b) for b in blocks] == [3, 3, 4]
-    np.testing.assert_array_equal(np.concatenate(blocks), flat)
-    with pytest.raises(ValueError):
-        split_blocks(flat, [3, 3])
+def test_apply_blockwise_rejects_a_layout_of_the_wrong_length():
+    # checked before the none method's early return, so every method rejects it
+    for method in (ClipMethod.mac(1.0), ClipMethod.gnc(1.0), ClipMethod.none()):
+        with pytest.raises(ValueError, match=r"^block layout \[3, 3\] does not sum to vector length 10$"):
+            apply_blockwise(np.arange(10.0), [3, 3], method)

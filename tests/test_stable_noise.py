@@ -381,6 +381,7 @@ _NUMBER_FIELDS = [
     (ClipMethod.mac, dict(threshold=1.0), {}, {"threshold"}, set()),
     (ClipMethod.gnc, dict(threshold=1.0), {}, {"threshold"}, set()),
     (lambda value: FadingModel("deterministic", value), dict(value=0.5), {}, {"value"}, set()),
+    (lambda gain: FadingModel("none", gain), dict(gain=1.0), {}, set(), {"gain"}),
     (PartitionSpec, dict(kind="dirichlet", n_clients=3, concentration=0.3, seed=0), dict(n_clients=1, seed=0),
      {"concentration"}, set()),
     (QuadraticModel, dict(dim=3), dict(dim=1), set(), set()),
@@ -389,21 +390,23 @@ _NUMBER_FIELDS = [
      set(), set()),
     (lambda **kw: make_synthetic_classification(rng=np.random.default_rng(0), **kw),
      dict(n_samples=10, feature_dim=3, n_classes=2, class_separation=1.0), dict(n_samples=1, feature_dim=1, n_classes=2),
-     set(), set()),
+     set(), {"class_separation"}),
     (make_quadratic_testbed, dict(dim=2, n_clients=2, seed=0), dict(dim=1, n_clients=1, seed=0), set(), set()),
     (BoundParams, dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, alpha=1.5, tau=0.1),
-     dict(k=1, d=1), {"l", "eta"}, set()),
+     dict(k=1, d=1), {"l", "eta"}, {"g", "c", "tau", "f0", "f_star", "alpha"}),
     (lambda radius: compute_smoothness([QuadraticClientData(a=np.eye(2), b=np.ones(2))], radius),
      dict(radius=1.0), {}, {"radius"}, set()),
     (lambda n_clients: sample_fading(FadingModel.rayleigh_unit_mean(), n_clients, np.random.default_rng(0)),
      dict(n_clients=3), dict(n_clients=1), set(), set()),
     (lambda threshold: mac_clip(np.arange(4.0), threshold), dict(threshold=1.0), {}, {"threshold"}, set()),
     (lambda threshold: gnc_clip(np.arange(4.0), threshold), dict(threshold=1.0), {}, {"threshold"}, set()),
+    (lambda g, n_samples: estimate_unclipped_prob(StableParams(1.5, 0.1), [2.0], g, n_samples, np.random.default_rng(0)),
+     dict(g=0.5, n_samples=10), dict(n_samples=1), set(), {"g"}),
     (lambda threshold: tail_prob_simplified(StableParams(1.5, 0.1), threshold),
      dict(threshold=1.0), {}, {"threshold"}, set()),
     (StableParams, dict(alpha=1.5, tau=0.1), {}, {"tau"}, {"alpha"}),
 ]
-_NAMED = {"l": "L", "value": "deterministic gain"}
+_NAMED = {"l": "L", "value": "deterministic gain", "gain": "fading gain"}
 
 
 def test_number_fields_fuzz_bad_values():
