@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelConfig, FadingModel
 from .clipping import ClipMethod, vector_median
-from .fl_core import FLConfig, method_variant, run_replicas
+from .fl_core import FLConfig, _run_calls, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
 from .stable_noise import _check_integer, _check_not_bool, _check_positive
@@ -361,13 +361,13 @@ def verify_convergence_bound(
 
     One run of max(k_grid) rounds per seed provides every K via prefix
     averages, so the K comparison uses matched noise streams. Every
-    (learning rate, seed) pair runs as a row of one round loop, each bit for
-    bit the run it would be alone, and their telemetry is kept as
-    (learning rates x seeds x rounds) columns. The default
-    channel has no fading: the bound treats unit-mean fades as their mean, and
-    the check isolates exactly what the bound controls. ``ideal`` switches to
-    the noiseless channel and the classical descent bound, and takes neither
-    a threshold ``c`` nor a ``fading``.
+    (learning rate, seed) pair is a row of one run_replicas call, cut into
+    blocks on the usable cores, each row bit for bit its run alone; a row's
+    wall_time is its block's and reaches no file. The default channel has no
+    fading: the bound treats unit-mean fades as their mean, and the check
+    isolates exactly what the bound controls. ``ideal`` switches to the
+    noiseless channel and the classical descent bound, and takes neither a
+    threshold ``c`` nor a ``fading``.
     """
     for name, value in (("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
         _check_integer(name, value, 1)
@@ -425,7 +425,7 @@ def verify_convergence_bound(
     # a sweep rate equal to eta reads eta's rows: the same seeds at the same rate
     etas = list(dict.fromkeys([eta, *map(float, eta_grid)]))
     cfgs = [replace(cfg, learning_rate=e, seed=seed + s) for e in etas for s in range(n_seeds)]
-    results = run_replicas(cfgs, testbed.model, testbed.client_datas, w0=testbed.w0)
+    [results] = _run_calls([(cfgs, testbed.model, testbed.client_datas, None, testbed.w0)])
     for row_cfg, result in zip(cfgs, results):
         if result.diverged:
             raise RegimeError(

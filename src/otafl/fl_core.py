@@ -483,9 +483,9 @@ def run_replicas(cfgs, model, client_datas, eval_data=None, w0=None) -> list[Tra
     Row r starts from `w0` or else from `init_params(init_rng(cfgs[r].seed))`
     and draws its channel from `channel_rng(cfgs[r].seed, k)`; its result
     equals `run_training(cfgs[r], ...)` bit for bit, but for `wall_time`,
-    which is the batched round's. prepare_task checks that the rows may
-    share one loop. The telemetry of all rows is kept in (R, rounds)
-    columns; each result holds views of its row.
+    the round time of all the call's rows (no CSV holds it). prepare_task
+    checks that the rows may share one loop. The telemetry of all rows is
+    kept in (R, rounds) columns; each result holds views of its row.
 
     Divergence (loss beyond 1e6 times the initial loss, or any non-finite
     value) is recorded on the terminal round rather than raised: the
@@ -572,50 +572,60 @@ def method_variant(cfg: FLConfig, method: str, mac_threshold: float, gnc_thresho
 
 
 def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[list[TrainResult]]:
-    """The one matched-seed loop. Seed s builds its task at the base seed + s
-    that every variant carries and runs every variant on it at that seed, as
-    the rows of one round loop. The caller builds every task first, in seed
-    order; the seeds then run on min(n_seeds, usable cores) forked workers,
-    or in the caller if that is one, with the same bits either way. An error
-    is the lowest failing seed's, as in one loop. Returns one list of
-    n_seeds results per variant."""
+    """The one matched-seed loop. Every seed s, in order before any run,
+    builds its task at base seed + s and runs every variant on it at that
+    seed as the rows of one call (see _run_calls). One result list per variant."""
     if not variants:
         raise ValueError("nothing to run: no method or threshold given")
     stable_noise._check_integer("n_seeds", n_seeds, 1)
     if len(set(variants)) < len(variants):
         raise ValueError("methods, and thresholds per method, must be distinct: two runs would repeat each other")
-    seeds = [variants[0].seed + s for s in range(n_seeds)]
-    tasks = [task_factory(seed) for seed in seeds]
+    calls = [([replace(cfg, seed=seed) for cfg in variants], *task_factory(seed), None)
+             for seed in range(variants[0].seed, variants[0].seed + n_seeds)]
+    return [list(results) for results in zip(*_run_calls(calls))]
 
-    def run(s):
-        model, client_datas, eval_data = tasks[s]
-        return run_replicas([replace(cfg, seed=seeds[s]) for cfg in variants], model, client_datas, eval_data)
 
-    workers = min(n_seeds, stable_noise._CORES)
-    if workers == 1 or not hasattr(os, "fork"):
-        per_seed = [run(s) for s in range(n_seeds)]
+def _run_calls(calls: list[tuple]) -> list[list[TrainResult]]:
+    """run_replicas(*call) per (cfgs, model, client_datas, eval_data, w0) of
+    `calls`, as units on min(units, usable cores) forked workers, or in the
+    caller if that is one or without os.fork. A unit is a call or, with fewer
+    calls than cores, a block of its rows, each row bit for bit its run alone.
+    A unit starts only on a free worker, none after a failure, and the error
+    raised is the lowest failing unit's, in row order."""
+    cores = stable_noise._CORES if hasattr(os, "fork") else 1
+    units = []
+    for i, (cfgs, model, client_datas, eval_data, _) in enumerate(calls):
+        n_blocks = min(len(cfgs), -(-cores // len(calls)))
+        if n_blocks > 1:  # the checks that span rows see them all, before any block runs
+            prepare_task(model, client_datas, cfgs, eval_data)
+        units += [(i, slice(len(cfgs) * b // n_blocks, len(cfgs) * (b + 1) // n_blocks)) for b in range(n_blocks)]
+
+    def run(u):
+        i, rows = units[u]
+        return run_replicas(calls[i][0][rows], *calls[i][1:])  # the module's name, which tests may patch
+
+    workers = min(len(units), cores)
+    if workers == 1:
+        per_unit = [run(u) for u in range(len(units))]
     else:
         import multiprocessing
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        # a forked worker inherits `run` and the tasks: only seed numbers and results are pickled
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _worker.__setitem__, ("run", run)) as pool:
+        # a forked worker inherits `run` and the calls: only unit numbers and results are pickled
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), setattr, (_run_unit, "run", run)) as pool:
             futures, running = [], set()
-            for s in range(n_seeds):
-                if len(running) == workers:  # a seed starts only on a free worker, and none after a failure
+            for u in range(len(units)):
+                if len(running) == workers:  # a unit starts only on a free worker, and none after a failure
                     done, running = wait(running, return_when=FIRST_COMPLETED)
                     if any(f.exception() is not None for f in done):
                         break
-                futures.append(pool.submit(_run_seed, s))
+                futures.append(pool.submit(_run_unit, u))
                 running.add(futures[-1])
-            per_seed = [f.result() for f in futures]  # in seed order: the lowest failing seed's error
-    return [list(results) for results in zip(*per_seed)]
+            per_unit = [f.result() for f in futures]  # in row order: the lowest failing unit's error
+    return [[r for (i, _), results in zip(units, per_unit) if i == call for r in results] for call in range(len(calls))]
 
 
-_worker: dict = {}  # a forked worker's seed runner, put here by its pool's initializer
-
-
-def _run_seed(s: int) -> list[TrainResult]:
-    return _worker["run"](s)
+def _run_unit(u: int) -> list[TrainResult]:
+    return _run_unit.run(u)  # the runner that a forked worker's pool initializer set
 
 
 def compare_methods(
@@ -627,9 +637,9 @@ def compare_methods(
     gnc_threshold: float,
 ) -> dict[str, list[TrainResult]]:
     """Run every method under matched seeds: seed s uses base seed + s for
-    model init, data, channel and batching alike. Every method is resolved,
-    and so checked, before the first task is built. Seeds run on the usable
-    cores, with the results of one seed after the other (see _matched_runs)."""
+    model init, data, channel and batching alike. Every method is checked
+    before the first task is built. Seeds, or blocks of one seed's methods,
+    run on the usable cores (see _run_calls): wall_time is per block, in no CSV."""
     variants = [method_variant(base_cfg, m, mac_threshold, gnc_threshold) for m in methods]
     return dict(zip(methods, _matched_runs(task_factory, variants, n_seeds)))
 

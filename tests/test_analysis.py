@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import math
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -18,7 +20,7 @@ from otafl import (
     make_quadratic_testbed,
     verify_convergence_bound,
 )
-from otafl import analysis, fl_core
+from otafl import analysis, fl_core, stable_noise
 from otafl.analysis import BoundCheckRow
 from otafl.stable_noise import StableParams, sample_sas
 
@@ -275,13 +277,15 @@ def test_bound_check_runs_the_base_rate_once(monkeypatch):
     base = verify_convergence_bound(**kwargs)
     sweep = verify_convergence_bound(**kwargs, eta_grid=(0.1,))
     n_rows = []
-    run_replicas = analysis.run_replicas
+    run_replicas = fl_core.run_replicas
 
     def counting(cfgs, *args, **kw):
         n_rows.append(len(cfgs))
         return run_replicas(cfgs, *args, **kw)
 
-    monkeypatch.setattr(analysis, "run_replicas", counting)
+    # one usable core keeps the rows in one call in this process, where they are counted
+    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    monkeypatch.setattr(fl_core, "run_replicas", counting)
     report = verify_convergence_bound(**kwargs, eta_grid=(0.05, 0.1))
     assert n_rows == [4]
     [row] = base.rows
@@ -300,8 +304,36 @@ def test_bound_check_batches_its_seeds(monkeypatch):
         return run_round(*args, **kwargs)
 
     monkeypatch.setattr(fl_core, "run_round", counting)
+    # on one usable core, so that no row runs in a worker, where its calls would be counted
+    monkeypatch.setattr(stable_noise, "_CORES", 1)
     verify_convergence_bound(dim=3, n_clients=2, k_grid=(7,), n_seeds=4, eta_grid=(0.1, 0.05))
     assert calls == list(range(7))
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_bound_check_rows_on_workers_equal_one_loop(monkeypatch, fork):
+    # the 9 rows (3 rates x 3 seeds) of one call run as blocks on 2 workers,
+    # or without os.fork as one loop in this process, where rounds are counted
+    kwargs = dict(dim=3, n_clients=2, k_grid=(4, 9), n_seeds=3, seed=3, fading="rayleigh", eta_grid=(0.1, 0.05))
+    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    want = verify_convergence_bound(**kwargs)
+    calls = []
+    run_round = fl_core.run_round
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(fl_core, "run_round", counting)
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    got = verify_convergence_bound(**kwargs)
+    assert multiprocessing.active_children() == []
+    assert calls == ([] if fork else list(range(9)))
+    # repr compares the floats bit for bit
+    for name in ("rows", "eta_rows", "p_unclipped_empirical", "config_summary"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name))
 
 
 def test_bound_check_builds_no_round_records(monkeypatch):
@@ -322,13 +354,14 @@ class _RunStarted(AssertionError):
 
 
 def _forbid_runs(monkeypatch):
-    # Patches the engine entry point that the bound check calls. A name it
-    # does not call would let the "before any run" tests pass vacuously, so
-    # the positive control below checks that this one is reached.
+    # Patches the engine entry point that the bound check's rows reach, in
+    # this process or in a worker. A name they do not reach would let the
+    # "before any run" tests pass vacuously, so the positive control below
+    # checks that this one is reached.
     def run_replicas(*args, **kwargs):
         raise _RunStarted("a training run started before the regime check")
 
-    monkeypatch.setattr(analysis, "run_replicas", run_replicas)
+    monkeypatch.setattr(fl_core, "run_replicas", run_replicas)
 
 
 def test_forbid_runs_reaches_the_engine_on_valid_input(monkeypatch):

@@ -785,6 +785,58 @@ def test_diverged_bound_check_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_theorem1_rows_on_workers_exit_2_or_3(tmp_path, capsys, monkeypatch):
+    # the rows of seeds 1-4 run as two blocks on 2 workers; seed 3, in the
+    # second block, diverges at alpha = 0.01 and is named as in one loop. A
+    # worker that dies is an infrastructure failure
+    out = tmp_path / "t1.csv"
+    argv = ["theorem1", "--dim", "1", "--n-clients", "1", "--k-grid", "50", "--seeds", "4", "--seed", "1",
+            "--alpha", "0.01", "--out", str(out)]
+    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    assert main(argv) == 2
+    one_loop = capsys.readouterr().err
+    assert one_loop == "error: bound-check run diverged at seed 3; the clipped update should stay bounded\n"
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == one_loop
+    assert multiprocessing.active_children() == []
+    parent = os.getpid()
+
+    def dying(*args):
+        assert os.getpid() != parent  # never ends the test process
+        os._exit(1)
+
+    monkeypatch.setattr(fl_core, "run_replicas", dying)
+    assert main(["theorem1", "--dim", "2", "--n-clients", "2", "--k-grid", "5", "--seeds", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infrastructure error: A process in the process pool was terminated abruptly")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_one_usable_core_runs_theorem1_in_one_loop_with_the_same_bytes(tmp_path, monkeypatch):
+    # a child process that keeps one CPU before it imports otafl reads one
+    # usable core, so it runs the rows as one loop; its files equal those
+    # of this process at 2 cores, where the rows run as blocks on workers
+    args = ["theorem1", "--dim", "3", "--n-clients", "2", "--seeds", "3", "--k-grid", "4,9",
+            "--fading", "rayleigh", "--eta-sweep", "0.1,0.05", "--seed", "3"]
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from otafl import stable_noise; from otafl.cli import main; "
+            "print(stable_noise._CORES); sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path / "one.csv")],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "1\n"
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    assert main([*args, "--out", str(tmp_path / "two.csv")]) == 0
+    assert multiprocessing.active_children() == []
+    for suffix in ("", "_eta"):
+        assert (tmp_path / f"one{suffix}.csv").read_bytes() == (tmp_path / f"two{suffix}.csv").read_bytes()
+
+
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     # rounds: 1000000000000 once ended in a numpy _ArrayMemoryError traceback
     # with exit 1; whether that allocation fails depends on the allocator, so

@@ -21,6 +21,7 @@ from otafl import (
     PartitionSpec,
     QuadraticClientData,
     QuadraticModel,
+    RegimeError,
     StableParams,
     evaluate,
     make_synthetic_classification,
@@ -792,6 +793,119 @@ def test_seed_workers_fork_from_a_process_with_transform_threads(monkeypatch):
         os.killpg(child.pid, signal.SIGKILL)
         child.join()
     assert child.exitcode == 0
+
+
+_METHODS = ["ideal", "mac", "gnc", "none"]
+
+
+@pytest.mark.parametrize("cores, fork", [(2, True), (4, True), (2, False)])
+def test_blocks_of_one_seed_equal_one_loop(monkeypatch, cores, fork):
+    # one seed, the shape of `otafl train`: its methods are cut into blocks
+    # of rows, two at 2 cores and one each at 4, where the block of the none
+    # row, which diverges on round 3, stops early. Rounds counted here show
+    # where the blocks ran: without os.fork, in this process as one loop
+    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    serial = compare_methods(_padded_shuffling_task, _diverging_config(), _METHODS, 1, 0.3, 1.0)
+    rounds = []
+    run_round = fl_core.run_round
+
+    def counting(*args, **kwargs):
+        rounds.append(args[1])
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(fl_core, "run_round", counting)
+    monkeypatch.setattr(stable_noise, "_CORES", cores)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    split = compare_methods(_padded_shuffling_task, _diverging_config(), _METHODS, 1, 0.3, 1.0)
+    assert multiprocessing.active_children() == []
+    assert rounds == ([] if fork else list(range(10)))
+    assert split["none"][0].diverged_round == 3 and not any(split[m][0].diverged for m in _METHODS[:3])
+    assert _fingerprint(split) == _fingerprint(serial)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # each block is one seed, so each alone would pass
+        ([{"seed": 1}, {"seed": 2}], "rows with different seeds need clients that never shuffle"),
+        ([{}, {}, {"eval_every": 5}, {"eval_every": 5}], "rows may differ in seed, learning_rate, clip and channel only"),
+    ],
+)
+def test_a_split_call_checks_its_rows_whole(monkeypatch, rows, message):
+    # at 2 cores one call's rows run in two blocks; the checks that span
+    # rows see them all, before any block runs, with the messages of one loop
+    model, clients, test = _padded_shuffling_task(1)
+    cfgs = [dataclasses.replace(_diverging_config(), **row) for row in rows]
+    half = len(cfgs) // 2
+    for block in (cfgs[:half], cfgs[half:]):
+        prepare_task(model, clients, block, test)
+    with pytest.raises(ValueError, match=message) as one_loop:
+        run_replicas(cfgs, model, clients, test)
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    _forbid_runs(monkeypatch)
+    with pytest.raises(ValueError) as split:
+        fl_core._run_calls([(cfgs, model, clients, test, None)])
+    assert type(split.value) is ValueError and str(split.value) == str(one_loop.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_the_lowest_failing_block_raises_its_error(monkeypatch):
+    # one seed's 4 methods at 3 cores run as 3 blocks: [ideal], [mac] and
+    # [gnc, none]. The last fails at once and mac's later; mac's error is
+    # raised, with its type, as in one loop
+    monkeypatch.setattr(stable_noise, "_CORES", 3)
+    run_replicas = fl_core.run_replicas
+
+    def failing(cfgs, *args):
+        kind = cfgs[0].clip.kind
+        time.sleep(0.2 if kind == "mac" else 0.0)
+        if kind != "none":
+            raise RegimeError(f"the {kind} block failed")
+        return run_replicas(cfgs, *args)
+
+    monkeypatch.setattr(fl_core, "run_replicas", failing)
+    with pytest.raises(ValueError) as raised:
+        compare_methods(classification_task, _noisy_config(), _METHODS, 1, 0.5, 5.0)
+    assert type(raised.value) is RegimeError and str(raised.value) == "the mac block failed"
+    assert multiprocessing.active_children() == []
+
+
+def test_no_block_starts_after_a_failure(monkeypatch, tmp_path):
+    # 2 seeds at 3 cores: each seed's 4 methods run as 2 blocks, so 4 blocks
+    # share 3 workers. Blocks 0, 1 and 2 start; block 0 fails late and the
+    # other two at once, so the first block to end is a failing one and
+    # block 3 never starts. Block 0's error is raised
+    monkeypatch.setattr(stable_noise, "_CORES", 3)
+
+    def failing(cfgs, *args):
+        block = f"seed{cfgs[0].seed}-{cfgs[0].clip.kind}"
+        (tmp_path / block).touch()
+        time.sleep(0.2 if block == "seed0-none" else 0.0)
+        raise ValueError(f"{block} failed")
+
+    monkeypatch.setattr(fl_core, "run_replicas", failing)
+    with pytest.raises(ValueError, match="^seed0-none failed$"):
+        compare_methods(classification_task, _noisy_config(), _METHODS, 2, 0.5, 5.0)
+    assert multiprocessing.active_children() == []
+    assert {p.name for p in tmp_path.iterdir()} == {"seed0-none", "seed0-gnc", "seed1-none"}
+
+
+def test_a_dead_block_worker_fails_the_call_at_once(monkeypatch):
+    # one seed's two methods, one block each
+    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    parent = os.getpid()
+
+    def dying(*args):
+        assert os.getpid() != parent  # never ends the test process
+        os._exit(1)
+
+    monkeypatch.setattr(fl_core, "run_replicas", dying)
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        compare_methods(classification_task, _noisy_config(), ["mac", "none"], 1, 0.5, 5.0)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
 
 
 def test_rows_equal_standalone_runs():
