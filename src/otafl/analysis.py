@@ -1,9 +1,9 @@
 """Quantitative verification of the clipping math and the convergence bound.
 
-Three checks live here: the closed-form bound on the running average of
-squared gradient norms under median-anchored clipping, the selection-matrix
-decomposition of a clipped update, and Monte Carlo measurement of the
-probability that an entry survives clipping together with its tail exponent.
+Three checks live here: Theorem 1's closed-form bound on the running average
+of squared gradient norms, one formula for the clipped and the ideal channel;
+the selection-matrix decomposition of a clipped update; and Monte Carlo
+measurement of the probability that an entry survives clipping, and its tail.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from .clipping import ClipMethod, vector_median
 from .fl_core import FLConfig, _run_calls, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
-from .stable_noise import _check_integer, _check_not_bool, _check_positive
+from .stable_noise import _check_integer, _check_not_bool, _check_positive, _check_window
 
 __all__ = [
     "BoundParams",
     "convergence_bound",
-    "classical_descent_bound",
     "ClipDecomposition",
     "decompose_clip_event",
     "SurvivalRow",
@@ -57,8 +56,8 @@ class BoundParams:
 
     l and g are the smoothness constant and per-client gradient bound, f0 and
     f_star bracket the objective, eta is the server learning rate, c the clip
-    threshold, k the number of rounds, d the parameter dimension, and
-    (alpha, tau) the noise law. tau = 0 expresses the noiseless limit.
+    threshold (None: unclipped), k the number of rounds, d the parameter
+    dimension, and noise the noise law (None: noiseless, as in ChannelConfig).
     """
 
     l: float
@@ -66,15 +65,15 @@ class BoundParams:
     f0: float
     f_star: float
     eta: float
-    c: float
+    c: float | None
     k: int
     d: int
-    alpha: float
-    tau: float
+    noise: StableParams | None
 
     def __post_init__(self) -> None:
-        _check_not_bool(*((name, getattr(self, name)) for name in ("g", "c", "tau", "f0", "f_star", "alpha")))
-        for name in ("g", "c", "tau", "f0", "f_star"):
+        reals = ("g", "f0", "f_star") if self.c is None else ("g", "c", "f0", "f_star")
+        _check_not_bool(*((name, getattr(self, name)) for name in reals))
+        for name in reals:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         _check_positive("L", self.l)
@@ -84,37 +83,38 @@ class BoundParams:
             raise ValueError(f"f0={self.f0} below the lower bound f_star={self.f_star}")
         for name in ("k", "d"):
             _check_integer(name, getattr(self, name), 1)
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
         _check_positive("eta", self.eta)
         if self.eta * self.l >= 2.0:
             raise RegimeError(
                 f"learning rate at boundary: eta*L = {self.eta * self.l} but the "
                 f"bound divides by (2 - eta*L), so eta < 2/L is required"
             )
-        if self.c < math.sqrt(2.0) * self.g:
-            raise RegimeError(
-                f"clip threshold below regime: C = {self.c} < sqrt(2)*G = "
-                f"{math.sqrt(2.0) * self.g}"
-            )
+        if self.c is None:
+            if self.noise is not None:
+                raise RegimeError(f"an unclipped channel with noise {self.noise} has no bound; give a threshold c")
+        elif self.c < math.sqrt(2.0) * self.g:  # the bound's own regime: C = sqrt(2)*G closes the window
+            raise RegimeError(f"clip threshold below regime: C = {self.c} < sqrt(2)*G = {math.sqrt(2.0) * self.g}")
 
     def simplified_p_unclipped(self) -> float:
-        if self.tau == 0.0:
+        if self.noise is None:
             return 1.0
-        p = 1.0 - tail_prob_simplified(StableParams(self.alpha, self.tau), self.c)
+        p = 1.0 - tail_prob_simplified(self.noise, self.c)
         return min(1.0, max(p, _P_FLOOR))
 
 
 def convergence_bound(params: BoundParams) -> float:
-    """Upper bound on (1/K) * sum_k E||grad f(w_k)||^2 under median-anchored
-    clipping, at the simplified power-law survival probability p.
+    """Theorem 1: upper bound on (1/K) * sum_k E||grad f(w_k)||^2 under
+    median-anchored clipping, at the simplified power-law survival probability p.
 
-    Its descent term is the classical one over K*p effective rounds.
+    Its descent term is the classical one over K*p effective rounds; without a
+    threshold (the ideal channel) p is 1 and that term is the whole bound.
     """
     p = params.simplified_p_unclipped()
-    descent = classical_descent_bound(params.f0, params.f_star, params.eta, params.l, params.k * p)
+    descent = 2.0 * (params.f0 - params.f_star) / (params.k * p * (2.0 - params.eta * params.l) * params.eta)
+    if not math.isfinite(descent):
+        raise RegimeError(f"the descent term is not finite at eta = {params.eta}")
+    if params.c is None:
+        return descent
     half_window = math.sqrt(2.0) / 2.0 * params.c - params.g
     # squares by multiplication: a float ** overflows with an exception, not to inf
     residual = 0.5 * (params.eta * params.eta) * params.d * params.l * (
@@ -124,17 +124,6 @@ def convergence_bound(params: BoundParams) -> float:
     if not math.isfinite(bound):
         raise RegimeError(f"the bound is not finite at c = {params.c}")
     return bound
-
-
-def classical_descent_bound(f0: float, f_star: float, eta: float, l: float, k: float) -> float:
-    """Noiseless full-gradient descent bound, the ideal-channel special case."""
-    _check_positive("eta", eta)
-    if eta * l >= 2.0:
-        raise RegimeError(f"learning rate at boundary: eta*L = {eta * l}, requires eta < 2/L")
-    descent = 2.0 * (f0 - f_star) / (k * (2.0 - eta * l) * eta)
-    if not math.isfinite(descent):
-        raise RegimeError(f"the descent term is not finite at eta = {eta}")
-    return descent
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +171,12 @@ def gaussian_unclipped_prob(tau: float, c: float, g: float) -> float:
     The deviation is the difference of two centered Gaussians with variance
     2*tau^2 each, i.e. N(0, 4*tau^2); the survival window is c - sqrt(2)*g.
     """
-    margin = c - math.sqrt(2.0) * g
-    if margin <= 0.0:
-        raise RegimeError(f"clip threshold must exceed sqrt(2)*G: C={c}, G={g}")
-    return math.erf(margin / (2.0 * tau * math.sqrt(2.0)))
+    _check_positive("tau", tau)
+    _check_not_bool(("c", c), ("g", g))
+    if g < 0.0:
+        raise ValueError(f"g must be >= 0, got {g}")
+    _check_window(c, g)
+    return math.erf((c - math.sqrt(2.0) * g) / (2.0 * tau * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -303,6 +294,9 @@ def make_quadratic_testbed(
     """
     for name, value, low in (("dim", dim, 1), ("n_clients", n_clients, 1), ("seed", seed, 0)):
         _check_integer(name, value, low)
+    _check_not_bool(("b_scale", b_scale))
+    if not math.isfinite(b_scale):
+        raise ValueError(f"b_scale must be finite, got {b_scale}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     datas = []
     for _ in range(n_clients):
@@ -366,8 +360,8 @@ def verify_convergence_bound(
     wall_time is its block's and reaches no file. The default channel has no
     fading: the bound treats unit-mean fades as their mean, and the check
     isolates exactly what the bound controls. ``ideal`` switches to the
-    noiseless channel and the classical descent bound, and takes neither a
-    threshold ``c`` nor a ``fading``.
+    noiseless, unclipped channel, and takes neither a threshold ``c`` nor a
+    ``fading``. Both channels' bounds come from convergence_bound.
     """
     for name, value in (("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
         _check_integer(name, value, 1)
@@ -390,37 +384,25 @@ def verify_convergence_bound(
             raise ValueError(f"the ideal channel is not clipped, so it takes no threshold; got c={c}")
         if fading != "none":
             raise ValueError(f"the ideal channel is not faded, so it takes no fading; got fading={fading!r}")
-        method, p_unclipped_used = "ideal", 1.0
-
-        def bound_at(k: int, eta_val: float) -> float:
-            return classical_descent_bound(f0, info.f_star, eta_val, info.l, k)
     else:
         if c is None:
             c = 2.0 * math.sqrt(2.0) * info.g
-        if c <= math.sqrt(2.0) * info.g:
-            raise RegimeError(
-                f"clip threshold outside the theorem's regime: C = {c} <= sqrt(2)*G = "
-                f"{math.sqrt(2.0) * info.g}"
-            )
-        params = BoundParams(
-            l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=eta,
-            c=c, k=k_max, d=dim, alpha=alpha, tau=tau,
-        )
-        method, p_unclipped_used = "mac", params.simplified_p_unclipped()
-
-        def bound_at(k: int, eta_val: float) -> float:
-            return convergence_bound(replace(params, k=k, eta=eta_val))
+        _check_window(c, info.g)
+    params = BoundParams(
+        l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=eta,
+        c=c, k=k_max, d=dim, noise=None if ideal else noise,
+    )
 
     # Every bound is evaluated before the first round, so a learning rate at
     # or beyond 2/L, in eta or in eta_grid, fails before any run starts.
     points = [(k, eta) for k in k_grid] + [(k_max, float(e)) for e in eta_grid]
-    rhs = [bound_at(k, e) for k, e in points]
+    rhs = [convergence_bound(replace(params, k=k, eta=e)) for k, e in points]
 
     base = FLConfig(
         n_clients=n_clients, rounds=k_max, learning_rate=eta, clip=ClipMethod.none(),
         channel=ChannelConfig(fading_model, noise), seed=seed, projection_radius=info.radius,
     )
-    cfg = method_variant(base, method, c, c)  # the ideal channel takes no threshold
+    cfg = method_variant(base, "ideal" if ideal else "mac", c, c)  # the ideal channel takes no threshold
 
     # a sweep rate equal to eta reads eta's rows: the same seeds at the same rate
     etas = list(dict.fromkeys([eta, *map(float, eta_grid)]))
@@ -455,7 +437,7 @@ def verify_convergence_bound(
         dim=dim,
         n_seeds=n_seeds,
         ideal=ideal,
-        p_unclipped_used=p_unclipped_used,
+        p_unclipped_used=params.simplified_p_unclipped(),
         p_unclipped_empirical=float(np.mean(unclipped)),
         config_summary=summary,
     )

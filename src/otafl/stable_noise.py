@@ -86,6 +86,12 @@ def _check_positive(name: str, value) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _check_window(c, g) -> None:
+    # Lemma 1's survival window c - sqrt(2)*g must be open; a nan threshold fails too
+    if not c > math.sqrt(2.0) * g:
+        raise RegimeError(f"clip threshold must exceed sqrt(2)*G: C={c}, sqrt(2)*G={math.sqrt(2.0) * g}")
+
+
 def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `dim` i.i.d. symmetric alpha-stable variates (Chambers-Mallows-Stuck).
 
@@ -176,16 +182,12 @@ def estimate_unclipped_prob(
     thresholds = np.asarray(c, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise ValueError(f"c must be a non-empty 1-D sequence of thresholds, got {c!r}")
-    sqrt2_g = math.sqrt(2.0) * g
     for threshold in thresholds:
-        if not threshold > sqrt2_g:  # a nan threshold fails too
-            raise RegimeError(
-                f"clip threshold must exceed sqrt(2)*G: C={threshold}, sqrt(2)*G={sqrt2_g}"
-            )
+        _check_window(threshold, g)
     _check_integer("n_samples", n_samples, 1)
     if difference_law not in ("exact", "sqrt2"):
         raise ValueError(f"unknown difference_law {difference_law!r}")
-    margins = thresholds - sqrt2_g
+    margins = thresholds - math.sqrt(2.0) * g
     inside = np.zeros(margins.size, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n_samples, _CHUNK):

@@ -11,7 +11,6 @@ import pytest
 from otafl import (
     BoundParams,
     RegimeError,
-    classical_descent_bound,
     clip_survival_report,
     convergence_bound,
     decompose_clip_event,
@@ -22,11 +21,12 @@ from otafl import (
 )
 from otafl import analysis, fl_core, stable_noise
 from otafl.analysis import BoundCheckRow
+from otafl.models import global_loss
 from otafl.stable_noise import StableParams, sample_sas
 
 
 def params(**overrides):
-    base = dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, alpha=1.5, tau=0.1)
+    base = dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, noise=StableParams(1.5, 0.1))
     base.update(overrides)
     return BoundParams(**base)
 
@@ -34,11 +34,11 @@ def params(**overrides):
 def test_bound_collapses_to_descent_term():
     # noiseless limit with the window closed: the residual term vanishes and
     # only the descent term survives
-    p = params(tau=0.0, g=1.0, c=math.sqrt(2.0))
+    p = params(noise=None, g=1.0, c=math.sqrt(2.0))
     assert p.simplified_p_unclipped() == 1.0
     expected = 2.0 * 5.0 / (100 * (2.0 - 0.5) * 0.5)
     assert convergence_bound(p) == pytest.approx(expected, rel=1e-12)
-    assert classical_descent_bound(5.0, 0.0, 0.5, 1.0, 100) == pytest.approx(expected)
+    assert convergence_bound(params(noise=None, c=None)) == pytest.approx(expected)
 
 
 def test_bound_at_optimum_is_residual_only():
@@ -53,10 +53,10 @@ def test_bound_learning_rate_boundary_errors():
     with pytest.raises(RegimeError, match="boundary"):
         params(l=2.0, eta=1.0)
     with pytest.raises(RegimeError):
-        classical_descent_bound(1.0, 0.0, 1.0, 2.0, 10)
+        params(f0=1.0, eta=1.0, l=2.0, k=10, c=None, noise=None)
     # a tiny positive eta overflows the descent term: named, not inf
     with pytest.raises(RegimeError, match="not finite at eta = 1e-320"):
-        classical_descent_bound(1.0, 0.0, 1e-320, 2.0, 10)
+        convergence_bound(params(f0=1.0, eta=1e-320, l=2.0, k=10, c=None, noise=None))
     with pytest.raises(RegimeError, match="not finite at eta = 1e-320"):
         convergence_bound(params(eta=1e-320))
 
@@ -74,16 +74,27 @@ def test_bound_regime_validation():
         (dict(g=-1.0), "G must be >= 0"),
         (dict(k=0), "k must be >= 1, got 0"),
         (dict(d=0), "d must be >= 1, got 0"),
-        (dict(alpha=0.0), r"alpha must lie in \(0, 2\]"),
-        (dict(alpha=2.5), r"alpha must lie in \(0, 2\]"),
-        (dict(tau=-0.1), "tau must be >= 0"),
     ]:
         with pytest.raises(ValueError, match=message):
             params(**bad)
     # a nan constant once gave a nan bound
-    for name in ("g", "c", "tau", "f0", "f_star"):
+    for name in ("g", "c", "f0", "f_star"):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got nan"):
             params(**{name: math.nan})
+    # the ideal channel's bound, its descent term alone, once returned a
+    # negative bound for f0 < f_star or K < 0, a value for L < 0, and
+    # divided by zero at K = 0
+    for bad, message in [
+        (dict(f0=-1.0), "^f0=-1.0 below the lower bound"),
+        (dict(k=0), "^k must be >= 1, got 0"),
+        (dict(k=-10), "^k must be >= 1, got -10"),
+        (dict(l=-1.0), "^L must be positive, got -1.0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            params(c=None, noise=None, **bad)
+    # an unclipped heavy-tailed channel has no bound
+    with pytest.raises(RegimeError, match="unclipped channel with noise"):
+        params(c=None, noise=StableParams(1.5, 0.1))
 
 
 def test_bound_monotonicity():
@@ -94,8 +105,9 @@ def test_bound_monotonicity():
     assert convergence_bound(params(d=20)) > convergence_bound(base)
     assert convergence_bound(params(l=1.5)) > convergence_bound(base)
     # a wider noise law lowers the survival probability, which never helps
-    assert params(tau=0.5).simplified_p_unclipped() < base.simplified_p_unclipped()
-    assert convergence_bound(params(tau=0.5)) > convergence_bound(base)
+    wide = params(noise=StableParams(1.5, 0.5))
+    assert wide.simplified_p_unclipped() < base.simplified_p_unclipped()
+    assert convergence_bound(wide) > convergence_bound(base)
 
 
 def test_decompose_examples():
@@ -149,6 +161,19 @@ def test_gaussian_unclipped_prob_closed_form():
     assert gaussian_unclipped_prob(0.1, 0.4, 0.0) == pytest.approx(math.erf(math.sqrt(2.0)))
     with pytest.raises(RegimeError):
         gaussian_unclipped_prob(0.1, 0.5, 1.0)
+    # a negative g once returned 1.0; a bad tau is in the number-field fuzz
+    with pytest.raises(ValueError, match="^g must be >= 0, got -1.0"):
+        gaussian_unclipped_prob(0.1, 3.0, -1.0)
+    for c, g in ((3.0, math.nan), (math.nan, 0.0)):
+        with pytest.raises(RegimeError, match="must exceed sqrt"):
+            gaussian_unclipped_prob(0.1, c, g)
+
+
+@pytest.mark.parametrize("b_scale", [math.nan, math.inf, -math.inf])
+def test_testbed_rejects_a_nonfinite_b_scale(b_scale):
+    # nan once gave G = nan and f_star = nan, inf gave G = inf
+    with pytest.raises(ValueError, match=f"^b_scale must be finite, got {b_scale}"):
+        make_quadratic_testbed(dim=2, n_clients=2, b_scale=b_scale)
 
 
 def test_survival_report_flags_and_slope():
@@ -240,6 +265,22 @@ def test_verify_bound_ideal_matches_classical():
     assert report.p_unclipped_used == 1.0
     for row in report.rows:
         assert row.margin_ratio <= 1.0
+
+
+def test_verify_bound_ideal_rows_are_the_one_bound_bit_for_bit():
+    # the ideal rows go through convergence_bound without a clip or a noise
+    # law, which gives the classical descent bound 2(f0 - f*)/(K(2 - eta*L)eta)
+    kwargs = dict(dim=3, n_clients=2, seed=5)
+    report = verify_convergence_bound(k_grid=(5, 20), n_seeds=1, ideal=True, eta_grid=(0.1, 0.05), **kwargs)
+    bed = make_quadratic_testbed(**kwargs)
+    l, f_star = bed.info.l, bed.info.f_star
+    f0 = global_loss(bed.model, bed.w0, bed.client_datas)
+    for row in report.rows + report.eta_rows:
+        k, eta = row.rounds, row.eta
+        one = BoundParams(l=l, g=bed.info.g, f0=f0, f_star=f_star, eta=eta, c=None, k=k, d=3, noise=None)
+        assert row.bound_rhs == convergence_bound(one)
+        assert row.bound_rhs == 2.0 * (f0 - f_star) / (k * (2.0 - eta * l) * eta)
+    assert len(report.rows + report.eta_rows) == 4
 
 
 def test_verify_bound_ideal_uses_no_threshold():

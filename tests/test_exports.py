@@ -5,8 +5,8 @@ A name left in a module's ``__all__`` after its function is deleted makes
 ``from otafl.<module> import *`` raise; an import whose last use was deleted
 is a stale name of another kind, and a private helper whose last caller was
 deleted a third. The package root publishes exactly its library modules'
-``__all__``, and each rule for a count or a positive number has one
-implementation.
+``__all__``, and each rule for a count, a positive number or Lemma 1's
+clip window has one implementation.
 """
 
 import ast
@@ -134,15 +134,17 @@ def test_every_private_name_in_the_package_is_read():
     assert _unread_private_names(sources) == []
 
 
-_NUMBER_RULES = ("_check_not_bool", "_check_integer", "_check_positive")
+_NUMBER_RULES = ("_check_not_bool", "_check_integer", "_check_positive", "_check_window")
+# a rule's message, and the one helper of stable_noise that builds it
+_RULE_MESSAGES = {"must be positive": "_check_positive", "must exceed sqrt(2)*G": "_check_window"}
 
 
 def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
     """Where a module of ``sources`` ({module: source}) defines a number rule
-    helper or builds a "must be positive" message, as the qualified name of
-    the enclosing definition, other than in stable_noise, their one owner.
-    config is exempt from the message scan: it raises its own ConfigError,
-    naming "field 'x'"."""
+    helper other than in stable_noise, or builds a rule's message other than
+    in the stable_noise helper that owns it, as the qualified name of the
+    enclosing definition. config is exempt from the "must be positive" scan:
+    it raises its own ConfigError, naming "field 'x'"."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -151,15 +153,17 @@ def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
             inner = scope[node]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{inner}.{node.name}"
-                if node.name in _NUMBER_RULES:
+                if node.name in _NUMBER_RULES and inner != f"stable_noise.{node.name}":
                     found.append(inner)
             for child in ast.iter_child_nodes(node):
                 scope[child] = inner
                 # a docstring or other bare string statement builds no message
                 message = isinstance(child, ast.Constant) and isinstance(child.value, str) and not isinstance(node, ast.Expr)
-                if message and "must be positive" in child.value and module != "config":
-                    found.append(inner)
-    return sorted(set(found) - {f"stable_noise.{name}" for name in _NUMBER_RULES})
+                for text, owner in _RULE_MESSAGES.items():
+                    exempt = inner == f"stable_noise.{owner}" or (module, text) == ("config", "must be positive")
+                    if message and text in child.value and not exempt:
+                        found.append(inner)
+    return sorted(set(found))
 
 
 def test_hand_written_number_rule_finder_finds_them():
@@ -172,6 +176,21 @@ def test_hand_written_number_rule_finder_finds_them():
         "config": "def check(v):\n    raise ValueError('field v must be positive')\n",
     }
     assert _hand_written_number_rules(sources) == ["a.A.f", "b", "b._check_integer"]
+
+
+def test_hand_written_window_rule_finder_finds_them():
+    # Lemma 1's window C > sqrt(2)*G once had three checks with three messages
+    sources = {
+        "stable_noise": "def _check_window(c, g):\n    raise RegimeError(f'C must exceed sqrt(2)*G: C={c}')\n"
+                        "def _check_positive(name, value):\n    raise ValueError(f'{name} must exceed sqrt(2)*G')\n",
+        "analysis": "def prob(tau, c, g):\n    '''c must exceed sqrt(2)*G.'''\n    if not c > g:\n"
+                    "        raise RegimeError(f'clip threshold must exceed sqrt(2)*G: C={c}, G={g}')\n",
+        "config": "def check(c):\n    raise ValueError('field c must exceed sqrt(2)*G')\n",
+        "b": "def _check_window(c, g):\n    pass\n",
+    }
+    assert _hand_written_number_rules(sources) == [
+        "analysis.prob", "b._check_window", "config.check", "stable_noise._check_positive",
+    ]
 
 
 def test_number_rules_have_one_implementation():

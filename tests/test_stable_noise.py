@@ -23,6 +23,7 @@ from otafl import (
     StableParams,
     compute_smoothness,
     estimate_unclipped_prob,
+    gaussian_unclipped_prob,
     gnc_clip,
     mac_clip,
     make_quadratic_testbed,
@@ -391,9 +392,11 @@ _NUMBER_FIELDS = [
     (lambda **kw: make_synthetic_classification(rng=np.random.default_rng(0), **kw),
      dict(n_samples=10, feature_dim=3, n_classes=2, class_separation=1.0), dict(n_samples=1, feature_dim=1, n_classes=2),
      set(), {"class_separation"}),
-    (make_quadratic_testbed, dict(dim=2, n_clients=2, seed=0), dict(dim=1, n_clients=1, seed=0), set(), set()),
-    (BoundParams, dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, alpha=1.5, tau=0.1),
-     dict(k=1, d=1), {"l", "eta"}, {"g", "c", "tau", "f0", "f_star", "alpha"}),
+    (make_quadratic_testbed, dict(dim=2, n_clients=2, seed=0, b_scale=1.0), dict(dim=1, n_clients=1, seed=0),
+     set(), {"b_scale"}),
+    (BoundParams, dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, noise=StableParams(1.5, 0.1)),
+     dict(k=1, d=1), {"l", "eta"}, {"g", "c", "f0", "f_star"}),
+    (gaussian_unclipped_prob, dict(tau=0.1, c=2.0, g=0.5), {}, {"tau"}, {"c", "g"}),
     (lambda radius: compute_smoothness([QuadraticClientData(a=np.eye(2), b=np.ones(2))], radius),
      dict(radius=1.0), {}, {"radius"}, set()),
     (lambda n_clients: sample_fading(FadingModel.rayleigh_unit_mean(), n_clients, np.random.default_rng(0)),
