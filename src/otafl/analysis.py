@@ -18,7 +18,8 @@ from .clipping import ClipMethod, vector_median
 from .fl_core import FLConfig, _run_calls, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
-from .stable_noise import _check_integer, _check_not_bool, _check_positive, _check_window
+from .stable_noise import _DIFFERENCE_LAWS, _check_choice, _check_finite, _check_integer, _check_law
+from .stable_noise import _check_nonnegative, _check_not_bool, _check_positive, _check_window
 
 __all__ = [
     "BoundParams",
@@ -71,14 +72,11 @@ class BoundParams:
     noise: StableParams | None
 
     def __post_init__(self) -> None:
-        reals = ("g", "f0", "f_star") if self.c is None else ("g", "c", "f0", "f_star")
-        _check_not_bool(*((name, getattr(self, name)) for name in reals))
-        for name in reals:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_nonnegative("g", self.g)
+        for name in ("f0", "f_star") if self.c is None else ("c", "f0", "f_star"):
+            _check_finite(name, getattr(self, name))
         _check_positive("L", self.l)
-        if self.g < 0.0:
-            raise ValueError(f"G must be >= 0, got {self.g}")
+        _check_law("noise", self.noise)
         if self.f0 < self.f_star:
             raise ValueError(f"f0={self.f0} below the lower bound f_star={self.f_star}")
         for name in ("k", "d"):
@@ -172,9 +170,8 @@ def gaussian_unclipped_prob(tau: float, c: float, g: float) -> float:
     2*tau^2 each, i.e. N(0, 4*tau^2); the survival window is c - sqrt(2)*g.
     """
     _check_positive("tau", tau)
-    _check_not_bool(("c", c), ("g", g))
-    if g < 0.0:
-        raise ValueError(f"g must be >= 0, got {g}")
+    _check_not_bool(("c", c))
+    _check_nonnegative("g", g)
     _check_window(c, g)
     return math.erf((c - math.sqrt(2.0) * g) / (2.0 * tau * math.sqrt(2.0)))
 
@@ -219,18 +216,16 @@ def clip_survival_report(
     Gaussian value. All thresholds of one tail index are scored on one
     shared draw, so its clip probability never rises with C.
     """
+    for x in c_grid:
+        _check_positive("c_grid", x)
+        _check_finite("c_grid", x)
     for name, grid in (("alphas", alphas), ("c_grid", c_grid)):
         if len(grid) == 0 or len(set(map(float, grid))) < len(grid):  # a repeat would run twice and count twice in a fit
             raise ValueError(f"{name} must be distinct and non-empty, got {list(grid)}")
-    if not 0.0 <= g < math.inf:
-        raise ValueError(f"g must be finite and >= 0, got {g}")
-    if not all(0.0 < c < math.inf for c in c_grid):
-        raise ValueError(f"c_grid must hold finite positive thresholds, got {list(c_grid)}")
-    _check_not_bool(("g", g), *(("c_grid", x) for x in c_grid))
+    _check_nonnegative("g", g)
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
-    if difference_law not in ("exact", "sqrt2"):
-        raise ValueError(f"unknown difference_law {difference_law!r}")
+    _check_choice("difference_law", difference_law, _DIFFERENCE_LAWS)
     laws = [StableParams(alpha, tau) for alpha in alphas]
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
@@ -294,9 +289,7 @@ def make_quadratic_testbed(
     """
     for name, value, low in (("dim", dim, 1), ("n_clients", n_clients, 1), ("seed", seed, 0)):
         _check_integer(name, value, low)
-    _check_not_bool(("b_scale", b_scale))
-    if not math.isfinite(b_scale):
-        raise ValueError(f"b_scale must be finite, got {b_scale}")
+    _check_finite("b_scale", b_scale)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     datas = []
     for _ in range(n_clients):
@@ -309,7 +302,10 @@ def make_quadratic_testbed(
     w0 = rng.normal(size=dim)
     w0 *= _W0_NORM / np.linalg.norm(w0)
     model = QuadraticModel(dim)
-    info = compute_smoothness(datas, radius=_W0_NORM)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge b_scale overflows ||b_n|| and f_star
+        info = compute_smoothness(datas, radius=_W0_NORM)
+    if not (math.isfinite(info.g) and math.isfinite(info.f_star)):
+        raise ValueError(f"b_scale must keep G and f_star finite, got {b_scale}: G={info.g}, f_star={info.f_star}")
     return QuadraticTestbed(model=model, client_datas=datas, w0=w0, info=info)
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_noise import StableParams, _check_integer, _check_not_bool, _check_positive, sample_sas
+from .stable_noise import StableParams, sample_sas
+from .stable_noise import _check_choice, _check_integer, _check_law, _check_not_bool, _check_positive
 
 __all__ = [
     "FadingModel",
@@ -37,8 +38,7 @@ class FadingModel:
     value: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _FADING_KINDS:
-            raise ValueError(f"fading must be one of {_FADING_KINDS}, got {self.kind!r}")
+        _check_choice("fading", self.kind, _FADING_KINDS)
         if self.kind == "deterministic":
             _check_positive("deterministic gain", self.value)
         else:
@@ -62,6 +62,9 @@ class ChannelConfig:
 
     fading: FadingModel
     noise: StableParams | None
+
+    def __post_init__(self) -> None:
+        _check_law("noise", self.noise)
 
     @classmethod
     def ideal(cls) -> "ChannelConfig":

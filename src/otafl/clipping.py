@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_noise import _check_positive
+from .stable_noise import _check_choice, _check_positive
 
 __all__ = [
     "ClipMethod",
@@ -39,8 +39,7 @@ class ClipMethod:
     threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        _check_choice("kind", self.kind, _KINDS)
         if self.kind != "none":
             _check_positive("threshold", self.threshold)
         elif self.threshold is not None:

@@ -8,11 +8,12 @@ errors surface with the parser's line/column marker.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
+
+from .stable_noise import _check_choice, _check_finite, _check_integer, _check_nonnegative, _check_positive
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides"]
 
@@ -70,27 +71,17 @@ class ExperimentConfig:
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 _REQUIRED = ("rounds",)
+# every integer field, with its least value
+_LEAST = {"seed": 0, "n_classes": 2, "rounds": 1, "n_clients": 1, "local_epochs": 1, "batch_size": 1, "eval_every": 1,
+          "hidden_units": 1, "quadratic_dim": 1, "feature_dim": 1, "n_samples": 1, "n_seeds": 1}
 
 
-def _check_choice(name: str, value: str, choices) -> None:
-    if value not in choices:
-        raise ConfigError(f"field {name!r} must be one of {choices}, got {value!r}")
-
-
-def _check_number(name: str, value) -> None:
-    # bool is an int subclass, but `true` in a config is a typo, not a 1
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
-    # false for nan, +-inf and integers beyond the float range
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
-
-
-def _check_field_positive(name: str, value, strict=True) -> None:
-    _check_number(name, value)
-    ok = value > 0 if strict else value >= 0
-    if not ok:
-        raise ConfigError(f"field {name!r} must be {'positive' if strict else '>= 0'}, got {value}")
+def _field(rule, name: str, *args) -> None:
+    # stable_noise's rule, named as config names a field: "field 'x' must be ..."
+    try:
+        rule(repr(name), *args)
+    except ValueError as exc:
+        raise ConfigError(f"field {exc}") from None
 
 
 def validate(raw: dict) -> ExperimentConfig:
@@ -116,34 +107,28 @@ def validate(raw: dict) -> ExperimentConfig:
         if not isinstance(value, str) and not (name == "dataset_csv" and value is None):
             raise ConfigError(f"field {name!r} must be a string, got {value!r}")
     for method in cfg.methods:
-        _check_choice("methods", method, _METHODS)
+        _field(_check_choice, "methods", method, _METHODS)
     if not cfg.methods or len(set(cfg.methods)) < len(cfg.methods):
         raise ConfigError(f"field 'methods' must list one or more methods, each once, got {list(cfg.methods)}")
-    _check_choice("model", cfg.model, _MODELS)
-    _check_choice("partition", cfg.partition, _PARTITIONS)
-    _check_choice("fading", cfg.fading, _FADINGS)
-    _check_choice("activation", cfg.activation, _ACTIVATIONS)
-    _check_choice("mlp_loss", cfg.mlp_loss, _MLP_LOSSES)
-    for name in ("seed", "rounds", "n_clients", "local_epochs", "batch_size", "eval_every",
-                 "hidden_units", "quadratic_dim", "feature_dim", "n_classes", "n_samples", "n_seeds"):
-        value = getattr(cfg, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-        _check_field_positive(name, value, strict=name != "seed")
-    for name in ("learning_rate", "tau", "mac_threshold", "gnc_threshold",
-                 "dirichlet_concentration", "fading_gain"):
-        _check_field_positive(name, getattr(cfg, name))
-    _check_field_positive("class_separation", cfg.class_separation, strict=False)
-    _check_number("alpha", cfg.alpha)
+    for name, choices in (("model", _MODELS), ("partition", _PARTITIONS), ("fading", _FADINGS),
+                          ("activation", _ACTIVATIONS), ("mlp_loss", _MLP_LOSSES)):
+        _field(_check_choice, name, getattr(cfg, name), choices)
+    for name, low in _LEAST.items():
+        _field(_check_integer, name, getattr(cfg, name), low)
+        _field(_check_finite, name, getattr(cfg, name))
+    positives = ("learning_rate", "tau", "mac_threshold", "gnc_threshold", "dirichlet_concentration", "fading_gain")
+    if cfg.projection_radius is not None:  # null means no projection
+        positives += ("projection_radius",)
+    for name in positives:
+        _field(_check_finite, name, getattr(cfg, name))
+        _field(_check_positive, name, getattr(cfg, name))
+    _field(_check_nonnegative, "class_separation", cfg.class_separation)
+    _field(_check_finite, "alpha", cfg.alpha)
     if not 0.0 < cfg.alpha <= 2.0:
         raise ConfigError(f"field 'alpha' must lie in (0, 2], got {cfg.alpha}")
-    _check_number("test_fraction", cfg.test_fraction)
+    _field(_check_finite, "test_fraction", cfg.test_fraction)
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(f"field 'test_fraction' must lie in (0, 1), got {cfg.test_fraction}")
-    if cfg.n_classes < 2:
-        raise ConfigError(f"field 'n_classes' must be >= 2, got {cfg.n_classes}")
-    if cfg.projection_radius is not None:
-        _check_field_positive("projection_radius", cfg.projection_radius)
     if cfg.c_grid is not None:
         grid = cfg.c_grid
         lists = list(grid.values()) if isinstance(grid, dict) else [grid]
@@ -153,12 +138,13 @@ def validate(raw: dict) -> ExperimentConfig:
             )
         entries = [v for vs in lists for v in vs]
         for v in entries:
-            _check_field_positive("c_grid", v)
+            _field(_check_finite, "c_grid", v)
+            _field(_check_positive, "c_grid", v)
         if not lists or any(not vs or len(set(vs)) < len(vs) for vs in lists):
             raise ConfigError(f"field 'c_grid' must list one or more thresholds, each once per method, got {grid!r}")
         if isinstance(grid, dict):
             for key in grid:
-                _check_choice("c_grid", key, ("mac", "gnc"))
+                _field(_check_choice, "c_grid", key, ("mac", "gnc"))
     return cfg
 
 

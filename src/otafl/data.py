@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stable_noise import _check_integer, _check_not_bool, _check_positive
+from .stable_noise import _check_choice, _check_integer, _check_nonnegative, _check_positive
 
 __all__ = [
     "Dataset",
@@ -57,8 +57,7 @@ class PartitionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("iid", "dirichlet"):
-            raise ValueError(f"kind must be 'iid' or 'dirichlet', got {self.kind!r}")
+        _check_choice("kind", self.kind, ("iid", "dirichlet"))
         for name, low in (("n_clients", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), low)
         if self.kind == "dirichlet":
@@ -82,9 +81,7 @@ def make_synthetic_classification(
     """
     for name, value, low in (("n_samples", n_samples, 1), ("feature_dim", feature_dim, 1), ("n_classes", n_classes, 2)):
         _check_integer(name, value, low)
-    _check_not_bool(("class_separation", class_separation))
-    if class_separation < 0.0:
-        raise ValueError(f"class_separation must be >= 0, got {class_separation}")
+    _check_nonnegative("class_separation", class_separation)
     if n_classes > feature_dim:
         raise ValueError(
             f"need feature_dim >= n_classes for orthogonal class means, "
@@ -164,17 +161,20 @@ def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
     """Read a numeric CSV with a header row into a dataset.
 
     All non-label columns are parsed as finite floats in file order; the
-    label column must hold non-negative integers. Parse failures report the
-    offending data row (1-based) and column name.
+    label column must hold non-negative integers. Column names must be
+    distinct, and a leading byte-order mark is dropped. Parse failures report
+    the offending data row (1-based) and column name.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # spreadsheets save "CSV UTF-8" with a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: no rows (empty file)") from None
         header = [name.strip() for name in header]
+        if len(set(header)) < len(header):  # a second label column would be read as a feature
+            raise ValueError(f"{path}: repeated column name {next(n for n in header if header.count(n) > 1)!r}")
         if label_column not in header:
             raise ValueError(f"{path}: missing label column {label_column!r}")
         label_idx = header.index(label_column)

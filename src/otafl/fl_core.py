@@ -560,15 +560,14 @@ def evaluate(model, w, data) -> float | None:
 def method_variant(cfg: FLConfig, method: str, mac_threshold: float, gnc_threshold: float) -> FLConfig:
     """Specialize a base config to one of ideal / mac / gnc / none; the
     three noisy methods keep the base channel."""
+    stable_noise._check_choice("method", method, ("ideal", "mac", "gnc", "none"))
     if method == "ideal":
         return replace(cfg, clip=ClipMethod.none(), channel=ChannelConfig.ideal())
     if method == "mac":
         return replace(cfg, clip=ClipMethod.mac(mac_threshold))
     if method == "gnc":
         return replace(cfg, clip=ClipMethod.gnc(gnc_threshold))
-    if method == "none":
-        return replace(cfg, clip=ClipMethod.none())
-    raise ValueError(f"unknown method {method!r}")
+    return replace(cfg, clip=ClipMethod.none())
 
 
 def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[list[TrainResult]]:
@@ -679,9 +678,8 @@ def run_threshold_sweep(
     and so checked, before the first run."""
     if not c_grid or any(len(v) == 0 for v in c_grid.values()):
         raise ValueError("sweep needs a non-empty threshold grid per method")
-    other = [m for m in c_grid if m not in ("mac", "gnc")]
-    if other:
-        raise ValueError(f"sweep supports 'mac' and 'gnc', got {other[0]!r}")
+    for method in c_grid:
+        stable_noise._check_choice("method", method, ("mac", "gnc"))
     plan = [(method, c) for method, thresholds in c_grid.items() for c in thresholds]
     runs = _matched_runs(task_factory, [method_variant(base_cfg, m, c, c) for m, c in plan], n_seeds)
     rows = [_sweep_row(m, c, results) for (m, c), results in zip(plan, runs)]

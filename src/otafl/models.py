@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_noise import _check_integer, _check_positive
+from .stable_noise import _check_choice, _check_integer, _check_positive
 
 __all__ = [
     "QuadraticClientData",
@@ -227,12 +227,8 @@ class MlpModel:
     ):
         for name, value, low in (("feature_dim", feature_dim, 1), ("hidden_units", hidden_units, 1), ("n_classes", n_classes, 2)):
             _check_integer(name, value, low)
-        if activation not in ("relu", "tanh"):
-            raise ValueError(f"activation must be 'relu' or 'tanh', got {activation!r}")
-        if loss_kind not in ("cross_entropy", "squared_error"):
-            raise ValueError(
-                f"loss_kind must be 'cross_entropy' or 'squared_error', got {loss_kind!r}"
-            )
+        _check_choice("activation", activation, ("relu", "tanh"))
+        _check_choice("loss_kind", loss_kind, ("cross_entropy", "squared_error"))
         self.feature_dim = feature_dim
         self.hidden_units = hidden_units
         self.n_classes = n_classes

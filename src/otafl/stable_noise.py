@@ -13,6 +13,7 @@ import functools
 import math
 import numbers
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
 # (25 MB), two at alpha = 1, plus two blocks (256 KB) of scratch per transform thread.
 _CHUNK = 2**20
 _BLOCK = 2**14  # samples per slice of the CMS transform: its temporaries stay in cache
+_DIFFERENCE_LAWS = ("exact", "sqrt2")
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -57,12 +59,11 @@ class StableParams:
     tau: float
 
     def __post_init__(self) -> None:
-        _check_not_bool(("alpha", self.alpha))
+        _check_finite("alpha", self.alpha)
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         _check_positive("tau", self.tau)
-        if self.tau == math.inf:
-            raise ValueError(f"tau must be finite, got {self.tau}")
+        _check_finite("tau", self.tau)
 
 
 def _check_not_bool(*named) -> None:
@@ -84,6 +85,28 @@ def _check_positive(name: str, value) -> None:
         _check_not_bool((name, value))
         if not (isinstance(value, numbers.Real) and value > 0.0):  # nan and None fail here
             raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_finite(name: str, value) -> None:
+    _check_not_bool((name, value))
+    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):  # nan, inf, 10**400 fail
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    _check_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _check_law(name: str, value) -> None:
+    if value is not None and not isinstance(value, StableParams):  # a bare (alpha, tau) pair has no .tau
+        raise ValueError(f"{name} must be a StableParams or None, got {value!r}")
 
 
 def _check_window(c, g) -> None:
@@ -176,17 +199,14 @@ def estimate_unclipped_prob(
     inf - inf of two draws of one sign is nan, which counts as clipped. The
     floating-point warnings they raise are silenced.
     """
-    _check_not_bool(("g", g))
-    if not g >= 0.0:
-        raise ValueError(f"gradient bound g must be >= 0, got {g}")
+    _check_nonnegative("g", g)
     thresholds = np.asarray(c, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise ValueError(f"c must be a non-empty 1-D sequence of thresholds, got {c!r}")
     for threshold in thresholds:
         _check_window(threshold, g)
     _check_integer("n_samples", n_samples, 1)
-    if difference_law not in ("exact", "sqrt2"):
-        raise ValueError(f"unknown difference_law {difference_law!r}")
+    _check_choice("difference_law", difference_law, _DIFFERENCE_LAWS)
     margins = thresholds - math.sqrt(2.0) * g
     inside = np.zeros(margins.size, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

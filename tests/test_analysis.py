@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_bound_regime_validation():
         params(f0=-1.0, f_star=0.0)
     for bad, message in [
         (dict(l=0.0), "L must be positive"),
-        (dict(g=-1.0), "G must be >= 0"),
+        (dict(g=-1.0), "g must be >= 0"),
         (dict(k=0), "k must be >= 1, got 0"),
         (dict(d=0), "d must be >= 1, got 0"),
     ]:
@@ -79,7 +80,7 @@ def test_bound_regime_validation():
             params(**bad)
     # a nan constant once gave a nan bound
     for name in ("g", "c", "f0", "f_star"):
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got nan"):
             params(**{name: math.nan})
     # the ideal channel's bound, its descent term alone, once returned a
     # negative bound for f0 < f_star or K < 0, a value for L < 0, and
@@ -95,6 +96,13 @@ def test_bound_regime_validation():
     # an unclipped heavy-tailed channel has no bound
     with pytest.raises(RegimeError, match="unclipped channel with noise"):
         params(c=None, noise=StableParams(1.5, 0.1))
+
+
+def test_bound_noise_is_a_stable_law_or_none():
+    # a bare (alpha, tau) pair once constructed, and convergence_bound raised AttributeError
+    for noise in ((1.5, 0.1), 0.1):
+        with pytest.raises(ValueError, match="^noise must be a StableParams or None"):
+            params(noise=noise)
 
 
 def test_bound_monotonicity():
@@ -164,16 +172,26 @@ def test_gaussian_unclipped_prob_closed_form():
     # a negative g once returned 1.0; a bad tau is in the number-field fuzz
     with pytest.raises(ValueError, match="^g must be >= 0, got -1.0"):
         gaussian_unclipped_prob(0.1, 3.0, -1.0)
-    for c, g in ((3.0, math.nan), (math.nan, 0.0)):
-        with pytest.raises(RegimeError, match="must exceed sqrt"):
-            gaussian_unclipped_prob(0.1, c, g)
+    with pytest.raises(ValueError, match="^g must be a finite number, got nan"):
+        gaussian_unclipped_prob(0.1, 3.0, math.nan)
+    with pytest.raises(RegimeError, match="must exceed sqrt"):
+        gaussian_unclipped_prob(0.1, math.nan, 0.0)
 
 
 @pytest.mark.parametrize("b_scale", [math.nan, math.inf, -math.inf])
 def test_testbed_rejects_a_nonfinite_b_scale(b_scale):
     # nan once gave G = nan and f_star = nan, inf gave G = inf
-    with pytest.raises(ValueError, match=f"^b_scale must be finite, got {b_scale}"):
+    with pytest.raises(ValueError, match=f"^b_scale must be a finite number, got {b_scale}"):
         make_quadratic_testbed(dim=2, n_clients=2, b_scale=b_scale)
+
+
+def test_testbed_rejects_a_b_scale_that_overflows_its_constants():
+    # 1e300 once returned G = inf and f_star = nan, with four overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^b_scale must keep G and f_star finite, got 1e[+]300"):
+            make_quadratic_testbed(dim=2, n_clients=2, b_scale=1e300)
+        assert math.isfinite(make_quadratic_testbed(dim=2, n_clients=2, b_scale=1e100).info.g)
 
 
 def test_survival_report_flags_and_slope():

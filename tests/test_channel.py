@@ -32,6 +32,14 @@ def test_fading_model_validation():
         sample_fading(FadingModel.no_fading(), 0, np.random.default_rng(0))
 
 
+def test_channel_noise_is_a_stable_law_or_none():
+    # a bare (alpha, tau) pair once constructed, and failed only at the first noisy round
+    for noise in ((1.5, 0.1), 0.1, "cauchy"):
+        with pytest.raises(ValueError, match="^noise must be a StableParams or None"):
+            ChannelConfig(FadingModel.no_fading(), noise)
+    assert ChannelConfig(FadingModel.no_fading(), None) == ChannelConfig.ideal()
+
+
 def test_no_fading_gains_are_ones():
     gains = sample_fading(FadingModel.no_fading(), 5, np.random.default_rng(0))
     np.testing.assert_array_equal(gains, np.ones(5))

@@ -639,6 +639,17 @@ def test_csv_nonfinite_feature_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_csv_repeated_column_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("label,a,label\n" + "".join(f"{i % 2},{i}.0,{i % 2}\n" for i in range(10)))
+    cfg = minimal_config(
+        tmp_path, model="logistic", n_clients=2, dataset_csv=str(data), methods="[ideal]",
+    )
+    assert main(["train", str(cfg)]) == 2
+    assert "repeated column name 'label'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dataset_csv_null_means_synthetic_data(tmp_path):
     cfg = minimal_config(tmp_path, model="logistic", dataset_csv="null", methods="[ideal]")
     assert load_config(cfg).dataset_csv is None

@@ -190,6 +190,23 @@ def test_load_csv_errors(tmp_path):
         load_csv_dataset(negative, "label")
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # spreadsheets save "CSV UTF-8" with one, which once hid a first label column
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbflabel,a\n1,2.0\n0,3.0\n")
+    ds = load_csv_dataset(marked, "label")
+    np.testing.assert_array_equal(ds.y, [1, 0])
+    np.testing.assert_array_equal(ds.x, [[2.0], [3.0]])
+
+
+def test_load_csv_rejects_a_repeated_column_name(tmp_path):
+    # a second label column was once read as a feature, leaking the labels
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("label,a,label\n0,1.0,0\n1,3.0,1\n")
+    with pytest.raises(ValueError, match="repeated column name 'label'"):
+        load_csv_dataset(repeated, "label")
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((3, 2)), y=np.zeros(4))

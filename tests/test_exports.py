@@ -5,8 +5,8 @@ A name left in a module's ``__all__`` after its function is deleted makes
 ``from otafl.<module> import *`` raise; an import whose last use was deleted
 is a stale name of another kind, and a private helper whose last caller was
 deleted a third. The package root publishes exactly its library modules'
-``__all__``, and each rule for a count, a positive number or Lemma 1's
-clip window has one implementation.
+``__all__``, and each rule for a count, a positive, finite or non-negative
+number, a choice or Lemma 1's clip window has one implementation.
 """
 
 import ast
@@ -134,17 +134,22 @@ def test_every_private_name_in_the_package_is_read():
     assert _unread_private_names(sources) == []
 
 
-_NUMBER_RULES = ("_check_not_bool", "_check_integer", "_check_positive", "_check_window")
+_NUMBER_RULES = (
+    "_check_not_bool", "_check_integer", "_check_positive", "_check_window",
+    "_check_choice", "_check_finite", "_check_nonnegative",
+)
 # a rule's message, and the one helper of stable_noise that builds it
-_RULE_MESSAGES = {"must be positive": "_check_positive", "must exceed sqrt(2)*G": "_check_window"}
+_RULE_MESSAGES = {
+    "must be positive": "_check_positive", "must exceed sqrt(2)*G": "_check_window",
+    "must be one of": "_check_choice", "must be a finite number": "_check_finite", "must be >= 0": "_check_nonnegative",
+}
 
 
 def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
     """Where a module of ``sources`` ({module: source}) defines a number rule
     helper other than in stable_noise, or builds a rule's message other than
     in the stable_noise helper that owns it, as the qualified name of the
-    enclosing definition. config is exempt from the "must be positive" scan:
-    it raises its own ConfigError, naming "field 'x'"."""
+    enclosing definition."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -160,8 +165,7 @@ def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
                 # a docstring or other bare string statement builds no message
                 message = isinstance(child, ast.Constant) and isinstance(child.value, str) and not isinstance(node, ast.Expr)
                 for text, owner in _RULE_MESSAGES.items():
-                    exempt = inner == f"stable_noise.{owner}" or (module, text) == ("config", "must be positive")
-                    if message and text in child.value and not exempt:
+                    if message and text in child.value and inner != f"stable_noise.{owner}":
                         found.append(inner)
     return sorted(set(found))
 
@@ -169,13 +173,21 @@ def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
 def test_hand_written_number_rule_finder_finds_them():
     sources = {
         "stable_noise": "def _check_positive(name, value):\n    raise ValueError(f'{name} must be positive, got {value}')\n"
-                        "def _check_integer(name, value, low):\n    pass\n",
+                        "def _check_integer(name, value, low):\n    pass\n"
+                        "def _check_choice(name, value, choices):\n    raise ValueError(f'{name} must be one of {choices}')\n",
         "a": "class A:\n    '''rate must be positive.'''\n    def f(self, x):\n        if not x > 0:\n"
              "            raise ValueError(f'x must be positive when set, got {x}')\n",
         "b": "MESSAGE = 'rate must be positive'\ndef _check_integer(name, value, low):\n    pass\n",
+        # config once kept its own rules; it raises the shared ones now
         "config": "def check(v):\n    raise ValueError('field v must be positive')\n",
+        "c": "def pick(kind):\n    if kind not in ('a', 'b'):\n        raise ValueError(f'kind must be one of (a, b), got {kind!r}')\n",
+        "d": "class D:\n    def __post_init__(self):\n        raise ValueError(f'tau must be a finite number, got {self.tau}')\n",
+        "e": "def _check_finite(name, value):\n    pass\ndef sep(s):\n    if s < 0:\n"
+             "        raise ValueError(f'class_separation must be >= 0, got {s}')\n",
     }
-    assert _hand_written_number_rules(sources) == ["a.A.f", "b", "b._check_integer"]
+    assert _hand_written_number_rules(sources) == [
+        "a.A.f", "b", "b._check_integer", "c.pick", "config.check", "d.D.__post_init__", "e._check_finite", "e.sep",
+    ]
 
 
 def test_hand_written_window_rule_finder_finds_them():

@@ -277,7 +277,7 @@ def test_mlp_squared_error_values():
     (lambda: QuadraticModel(0), "dim must be >= 1, got 0"),
     (lambda: LogisticModel(0), "feature_dim must be >= 1"),
     (lambda: MlpModel(3, 0, 2), "hidden_units must be >= 1, got 0"),
-    (lambda: MlpModel(3, 4, 2, activation="sigmoid"), "activation must be 'relu' or 'tanh', got 'sigmoid'"),
+    (lambda: MlpModel(3, 4, 2, activation="sigmoid"), r"activation must be one of \('relu', 'tanh'\), got 'sigmoid'"),
     (lambda: compute_smoothness([QuadraticClientData(a=np.eye(2), b=np.zeros(2))], radius=0.0),
      "radius must be positive, got 0.0"),
 ])

@@ -21,6 +21,7 @@ from otafl import (
     QuadraticModel,
     RegimeError,
     StableParams,
+    clip_survival_report,
     compute_smoothness,
     estimate_unclipped_prob,
     gaussian_unclipped_prob,
@@ -28,6 +29,8 @@ from otafl import (
     mac_clip,
     make_quadratic_testbed,
     make_synthetic_classification,
+    method_variant,
+    run_threshold_sweep,
     sample_fading,
     sample_sas,
     tail_prob_simplified,
@@ -150,7 +153,7 @@ def test_unclipped_prob_regime_violation():
     with pytest.raises(ValueError):
         estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0], -0.5, 1000, np.random.default_rng(0))
     # a nan bound once scored every entry as clipped
-    with pytest.raises(ValueError, match="g must be >= 0, got nan"):
+    with pytest.raises(ValueError, match="g must be a finite number, got nan"):
         estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0, 2.0], math.nan, 1000, np.random.default_rng(0))
     # so was a nan threshold
     with pytest.raises(RegimeError, match="C=nan"):
@@ -369,72 +372,118 @@ def test_one_chunk_peaks_near_three_chunk_arrays(alpha, arrays):
     assert peak <= arrays * array_bytes, f"peak {peak} B is {peak / array_bytes:.2f} chunk arrays"
 
 
-# Every public type and function that takes a count or a rate, scale or
-# threshold: (call, valid arguments, counts with the least value their rule
-# allows, positive fields, fields that are numbers but no bool). An entry of
-# _NAMED is the word a field's message names it by.
+_FL = dict(n_clients=2, rounds=3, learning_rate=0.1, clip=ClipMethod.none(), channel=ChannelConfig.ideal(),
+           local_epochs=1, batch_size=4, seed=0, eval_every=1, projection_radius=2.0)
+
+
+class _Planned(Exception):
+    pass
+
+
+def _sweep_plan(method):
+    # the sweep checks its whole grid before it builds a task: building one means the plan passed
+    def stop(seed):
+        raise _Planned
+
+    with pytest.raises(_Planned):
+        run_threshold_sweep(stop, FLConfig(**_FL), {method: [1.0]}, 1)
+
+
+def _case(call, valid, counts={}, positive=(), finite=(), nonnegative=(), choices={}, number=()):
+    return call, valid, counts, set(positive), set(finite), set(nonnegative), choices, set(number)
+
+
+# Every public type and function that takes a count, a number or a choice:
+# the call, valid arguments, counts with the least value their rule allows,
+# positive, finite and non-negative fields (a field may be both positive and
+# finite), choices with their valid values, and fields that are numbers but
+# no bool. An entry of _NAMED is the word a field's message names it by.
 _NUMBER_FIELDS = [
-    (FLConfig,
-     dict(n_clients=2, rounds=3, learning_rate=0.1, clip=ClipMethod.none(), channel=ChannelConfig.ideal(),
-          local_epochs=1, batch_size=4, seed=0, eval_every=1, projection_radius=2.0),
-     dict(n_clients=1, rounds=1, local_epochs=1, batch_size=1, seed=0, eval_every=1),
-     {"learning_rate", "projection_radius"}, set()),
-    (ClipMethod.mac, dict(threshold=1.0), {}, {"threshold"}, set()),
-    (ClipMethod.gnc, dict(threshold=1.0), {}, {"threshold"}, set()),
-    (lambda value: FadingModel("deterministic", value), dict(value=0.5), {}, {"value"}, set()),
-    (lambda gain: FadingModel("none", gain), dict(gain=1.0), {}, set(), {"gain"}),
-    (PartitionSpec, dict(kind="dirichlet", n_clients=3, concentration=0.3, seed=0), dict(n_clients=1, seed=0),
-     {"concentration"}, set()),
-    (QuadraticModel, dict(dim=3), dict(dim=1), set(), set()),
-    (LogisticModel, dict(feature_dim=3, n_classes=3), dict(feature_dim=1, n_classes=2), set(), set()),
-    (MlpModel, dict(feature_dim=3, hidden_units=4, n_classes=2), dict(feature_dim=1, hidden_units=1, n_classes=2),
-     set(), set()),
-    (lambda **kw: make_synthetic_classification(rng=np.random.default_rng(0), **kw),
-     dict(n_samples=10, feature_dim=3, n_classes=2, class_separation=1.0), dict(n_samples=1, feature_dim=1, n_classes=2),
-     set(), {"class_separation"}),
-    (make_quadratic_testbed, dict(dim=2, n_clients=2, seed=0, b_scale=1.0), dict(dim=1, n_clients=1, seed=0),
-     set(), {"b_scale"}),
-    (BoundParams, dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, noise=StableParams(1.5, 0.1)),
-     dict(k=1, d=1), {"l", "eta"}, {"g", "c", "f0", "f_star"}),
-    (gaussian_unclipped_prob, dict(tau=0.1, c=2.0, g=0.5), {}, {"tau"}, {"c", "g"}),
-    (lambda radius: compute_smoothness([QuadraticClientData(a=np.eye(2), b=np.ones(2))], radius),
-     dict(radius=1.0), {}, {"radius"}, set()),
-    (lambda n_clients: sample_fading(FadingModel.rayleigh_unit_mean(), n_clients, np.random.default_rng(0)),
-     dict(n_clients=3), dict(n_clients=1), set(), set()),
-    (lambda threshold: mac_clip(np.arange(4.0), threshold), dict(threshold=1.0), {}, {"threshold"}, set()),
-    (lambda threshold: gnc_clip(np.arange(4.0), threshold), dict(threshold=1.0), {}, {"threshold"}, set()),
-    (lambda g, n_samples: estimate_unclipped_prob(StableParams(1.5, 0.1), [2.0], g, n_samples, np.random.default_rng(0)),
-     dict(g=0.5, n_samples=10), dict(n_samples=1), set(), {"g"}),
-    (lambda threshold: tail_prob_simplified(StableParams(1.5, 0.1), threshold),
-     dict(threshold=1.0), {}, {"threshold"}, set()),
-    (StableParams, dict(alpha=1.5, tau=0.1), {}, {"tau"}, {"alpha"}),
+    _case(FLConfig, _FL,
+          counts=dict(n_clients=1, rounds=1, local_epochs=1, batch_size=1, seed=0, eval_every=1),
+          positive={"learning_rate", "projection_radius"}),
+    _case(ClipMethod.mac, dict(threshold=1.0), positive={"threshold"}),
+    _case(ClipMethod.gnc, dict(threshold=1.0), positive={"threshold"}),
+    _case(ClipMethod, dict(kind="mac", threshold=1.0), choices=dict(kind=("mac", "gnc", "none"))),
+    _case(lambda value: FadingModel("deterministic", value), dict(value=0.5), positive={"value"}),
+    _case(lambda gain: FadingModel("none", gain), dict(gain=1.0), number={"gain"}),
+    _case(lambda fading: FadingModel(fading), dict(fading="rayleigh"),
+          choices=dict(fading=("rayleigh", "none", "deterministic"))),
+    _case(PartitionSpec, dict(kind="dirichlet", n_clients=3, concentration=0.3, seed=0),
+          counts=dict(n_clients=1, seed=0), positive={"concentration"}, choices=dict(kind=("iid", "dirichlet"))),
+    _case(QuadraticModel, dict(dim=3), counts=dict(dim=1)),
+    _case(LogisticModel, dict(feature_dim=3, n_classes=3), counts=dict(feature_dim=1, n_classes=2)),
+    _case(MlpModel, dict(feature_dim=3, hidden_units=4, n_classes=2, activation="relu", loss_kind="cross_entropy"),
+          counts=dict(feature_dim=1, hidden_units=1, n_classes=2),
+          choices=dict(activation=("relu", "tanh"), loss_kind=("cross_entropy", "squared_error"))),
+    _case(lambda **kw: make_synthetic_classification(rng=np.random.default_rng(0), **kw),
+          dict(n_samples=10, feature_dim=3, n_classes=2, class_separation=1.0),
+          counts=dict(n_samples=1, feature_dim=1, n_classes=2), nonnegative={"class_separation"}),
+    _case(make_quadratic_testbed, dict(dim=2, n_clients=2, seed=0, b_scale=1.0),
+          counts=dict(dim=1, n_clients=1, seed=0), finite={"b_scale"}),
+    _case(BoundParams, dict(l=1.0, g=1.0, f0=5.0, f_star=0.0, eta=0.5, c=3.0, k=100, d=10, noise=StableParams(1.5, 0.1)),
+          counts=dict(k=1, d=1), positive={"l", "eta"}, finite={"c", "f0", "f_star"}, nonnegative={"g"}),
+    _case(gaussian_unclipped_prob, dict(tau=0.1, c=2.0, g=0.5), positive={"tau"}, nonnegative={"g"}, number={"c"}),
+    _case(lambda radius: compute_smoothness([QuadraticClientData(a=np.eye(2), b=np.ones(2))], radius),
+          dict(radius=1.0), positive={"radius"}),
+    _case(lambda n_clients: sample_fading(FadingModel.rayleigh_unit_mean(), n_clients, np.random.default_rng(0)),
+          dict(n_clients=3), counts=dict(n_clients=1)),
+    _case(lambda threshold: mac_clip(np.arange(4.0), threshold), dict(threshold=1.0), positive={"threshold"}),
+    _case(lambda threshold: gnc_clip(np.arange(4.0), threshold), dict(threshold=1.0), positive={"threshold"}),
+    _case(lambda g, n_samples, difference_law: estimate_unclipped_prob(
+              StableParams(1.5, 0.1), [2.0], g, n_samples, np.random.default_rng(0), difference_law),
+          dict(g=0.5, n_samples=10, difference_law="exact"), counts=dict(n_samples=1), nonnegative={"g"},
+          choices=dict(difference_law=("exact", "sqrt2"))),
+    _case(lambda c_grid, **kw: clip_survival_report(alphas=(1.5,), tau=0.1, c_grid=(c_grid,), **kw),
+          dict(c_grid=2.0, g=0.5, n_samples=10, seed=0, difference_law="exact"),
+          counts=dict(n_samples=1, seed=0), positive={"c_grid"}, finite={"c_grid"}, nonnegative={"g"},
+          choices=dict(difference_law=("exact", "sqrt2"))),
+    _case(lambda threshold: tail_prob_simplified(StableParams(1.5, 0.1), threshold),
+          dict(threshold=1.0), positive={"threshold"}),
+    _case(StableParams, dict(alpha=1.5, tau=0.1), positive={"tau"}, finite={"alpha", "tau"}),
+    _case(lambda method: method_variant(FLConfig(**_FL), method, 1.0, 1.0),
+          dict(method="mac"), choices=dict(method=("ideal", "mac", "gnc", "none"))),
+    _case(_sweep_plan, dict(method="mac"), choices=dict(method=("mac", "gnc"))),
 ]
 _NAMED = {"l": "L", "value": "deterministic gain", "gain": "fading gain"}
 
 
 def test_number_fields_fuzz_bad_values():
-    # Seeded fuzz: each count, positive or other numeric field of the table
-    # in turn takes a bad value, the others valid. A bool is no count, rate,
-    # scale or threshold (True once ran as 1), a fraction is no count (a
-    # seed of 2.5 once ran seed 2's streams), and nan, zero, a negative or
-    # None is no positive number. Each must raise ValueError whose message
-    # starts with the field's name; a valid value, numpy's scalars included,
-    # must still construct.
+    # Seeded fuzz: each count, number or choice field of the table in turn
+    # takes a bad value, the others valid. A bool is no count, number or
+    # choice (True once ran as 1), a fraction is no count (a seed of 2.5 once
+    # ran seed 2's streams), nan, zero, a negative or None is no positive
+    # number, nan or +-inf is no finite number, a negative is not >= 0, and
+    # a misspelling or None is no choice. Each must raise ValueError whose
+    # message starts with the field's name; a valid value, numpy's scalars
+    # included, must still construct.
     fuzz = np.random.default_rng(2525)
     for _ in range(3):
-        for call, valid, counts, positives, not_bool in _NUMBER_FIELDS:
+        for call, valid, counts, positives, finites, nonnegatives, choices, numbers in _NUMBER_FIELDS:
             call(**valid)
-            for name in [*counts, *positives, *not_bool]:
+            for name in [*counts, *sorted(positives | finites | nonnegatives | numbers), *choices]:
+                goods, bads = [], []
                 if name in counts:
                     low = counts[name]
                     goods = [np.int64(valid[name])]
                     bads = [2.5, low + float(fuzz.uniform(0.1, 0.9)), low - int(fuzz.integers(1, 1000))]
-                elif name in positives:
+                if name in positives:
                     unset = [None] if name == "projection_radius" else []  # None leaves the projection off
                     goods = [np.float64(valid[name]), float(10.0 ** fuzz.uniform(-3.0, 0.0)), *unset]
                     bads = [math.nan, 0, 0.0, -1, -float(10.0 ** fuzz.uniform(-3.0, 3.0)), *([] if unset else [None])]
-                else:
-                    goods, bads = [np.float64(valid[name])], []
+                if name in finites | nonnegatives | numbers:
+                    goods = goods or [np.float64(valid[name])]
+                if name in finites | nonnegatives:
+                    bads += [math.nan, math.inf, -math.inf]
+                if name in nonnegatives:
+                    goods += [0.0]
+                    bads += [-float(10.0 ** fuzz.uniform(-3.0, 3.0))]
+                if name in choices:
+                    goods = [valid[name]]
+                    for choice in choices[name]:  # one letter dropped
+                        i = int(fuzz.integers(len(choice)))
+                        bads.append(choice[:i] + choice[i + 1:])
+                    bads.append(None)
                 for good in goods:
                     call(**{**valid, name: good})
                 for bad in bads + [True, False, np.True_]:
