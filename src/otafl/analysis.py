@@ -18,7 +18,7 @@ from .clipping import ClipMethod, vector_median
 from .fl_core import FLConfig, _run_calls, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
-from .stable_noise import _DIFFERENCE_LAWS, _check_choice, _check_finite, _check_integer, _check_law
+from .stable_noise import _DIFFERENCE_LAWS, _check_choice, _check_finite, _check_grid, _check_integer, _check_law
 from .stable_noise import _check_nonnegative, _check_not_bool, _check_positive, _check_window
 
 __all__ = [
@@ -216,17 +216,16 @@ def clip_survival_report(
     Gaussian value. All thresholds of one tail index are scored on one
     shared draw, so its clip probability never rises with C.
     """
+    laws = [StableParams(alpha, tau) for alpha in alphas]
+    _check_grid("alphas", alphas)
     for x in c_grid:
         _check_positive("c_grid", x)
         _check_finite("c_grid", x)
-    for name, grid in (("alphas", alphas), ("c_grid", c_grid)):
-        if len(grid) == 0 or len(set(map(float, grid))) < len(grid):  # a repeat would run twice and count twice in a fit
-            raise ValueError(f"{name} must be distinct and non-empty, got {list(grid)}")
+    _check_grid("c_grid", c_grid)
     _check_nonnegative("g", g)
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
     _check_choice("difference_law", difference_law, _DIFFERENCE_LAWS)
-    laws = [StableParams(alpha, tau) for alpha in alphas]
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
     sqrt2_g = math.sqrt(2.0) * g
@@ -320,9 +319,7 @@ class BoundCheckRow:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    rows: list[BoundCheckRow]  # at (k, eta) for each k of k_grid
-    eta_rows: list[BoundCheckRow]  # at (max(k_grid), e) for each e of eta_grid
-    eta: float
+    rows: list[BoundCheckRow]  # at (k, e) for each e of eta_grid, then each k of k_grid
     c: float | None  # None on the ideal channel, which is not clipped
     dim: int
     n_seeds: int
@@ -340,39 +337,40 @@ def verify_convergence_bound(
     alpha: float = 1.5,
     tau: float = 0.1,
     seed: int = 0,
-    eta: float | None = None,
+    eta_grid=None,
     c: float | None = None,
     fading: str = "none",
     ideal: bool = False,
-    eta_grid=(),
 ) -> BoundCheckReport:
     """Monte Carlo check that the running average of ||grad f||^2 stays below
     the closed-form bound on a quadratic testbed with certified constants.
 
-    One run of max(k_grid) rounds per seed provides every K via prefix
-    averages, so the K comparison uses matched noise streams. Every
-    (learning rate, seed) pair is a row of one run_replicas call, cut into
-    blocks on the usable cores, each row bit for bit its run alone; a row's
-    wall_time is its block's and reaches no file. The default channel has no
-    fading: the bound treats unit-mean fades as their mean, and the check
-    isolates exactly what the bound controls. ``ideal`` switches to the
-    noiseless, unclipped channel, and takes neither a threshold ``c`` nor a
-    ``fading``. Both channels' bounds come from convergence_bound.
+    Every (K, eta) of k_grid x eta_grid (default: 1/L) is one row, K inner.
+    One run of max(k_grid) rounds per (rate, seed) gives every K by prefix
+    averages over matched noise streams; these runs are the rows of one
+    run_replicas call, cut into blocks on the usable cores, each bit for bit
+    its run alone (its wall_time is its block's and reaches no file).
+    p_unclipped_empirical is measured on the first rate's rows. The default
+    channel has no fading: the bound treats unit-mean fades as their mean.
+    ``ideal`` switches to the noiseless, unclipped channel, and takes neither
+    a threshold ``c`` nor a ``fading``. Both channels' bounds come from
+    convergence_bound.
     """
     for name, value in (("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
         _check_integer(name, value, 1)
-    _check_not_bool(("eta", eta), ("c", c), *(("eta", e) for e in eta_grid))
+    _check_grid("k_grid", k_grid)
+    if eta_grid is not None:
+        for e in eta_grid:
+            _check_finite("eta", e)
+            _check_positive("eta", e)
+        _check_grid("eta_grid", eta_grid)
+    _check_not_bool(("c", c))
     fading_model = FadingModel(fading)
     noise = StableParams(alpha, tau)
-    if len(set(map(float, eta_grid))) < len(eta_grid):
-        raise ValueError(f"eta_grid must be distinct, got {list(eta_grid)}")
-    if not k_grid or len(set(k_grid)) < len(k_grid):
-        raise ValueError(f"k_grid must be distinct and non-empty, got {list(k_grid)}")
     k_grid = sorted(int(k) for k in k_grid)
     testbed = make_quadratic_testbed(dim=dim, n_clients=n_clients, seed=seed)
     info = testbed.info
-    if eta is None:
-        eta = 1.0 / info.l
+    etas = [1.0 / info.l] if eta_grid is None else list(map(float, eta_grid))
     f0 = global_loss(testbed.model, testbed.w0, testbed.client_datas)
     k_max = k_grid[-1]
     if ideal:
@@ -385,23 +383,20 @@ def verify_convergence_bound(
             c = 2.0 * math.sqrt(2.0) * info.g
         _check_window(c, info.g)
     params = BoundParams(
-        l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=eta,
+        l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=etas[0],
         c=c, k=k_max, d=dim, noise=None if ideal else noise,
     )
 
     # Every bound is evaluated before the first round, so a learning rate at
-    # or beyond 2/L, in eta or in eta_grid, fails before any run starts.
-    points = [(k, eta) for k in k_grid] + [(k_max, float(e)) for e in eta_grid]
+    # or beyond 2/L fails before any run starts.
+    points = [(k, e) for e in etas for k in k_grid]
     rhs = [convergence_bound(replace(params, k=k, eta=e)) for k, e in points]
 
     base = FLConfig(
-        n_clients=n_clients, rounds=k_max, learning_rate=eta, clip=ClipMethod.none(),
+        n_clients=n_clients, rounds=k_max, learning_rate=etas[0], clip=ClipMethod.none(),
         channel=ChannelConfig(fading_model, noise), seed=seed, projection_radius=info.radius,
     )
     cfg = method_variant(base, "ideal" if ideal else "mac", c, c)  # the ideal channel takes no threshold
-
-    # a sweep rate equal to eta reads eta's rows: the same seeds at the same rate
-    etas = list(dict.fromkeys([eta, *map(float, eta_grid)]))
     cfgs = [replace(cfg, learning_rate=e, seed=seed + s) for e in etas for s in range(n_seeds)]
     [results] = _run_calls([(cfgs, testbed.model, testbed.client_datas, None, testbed.w0)])
     for row_cfg, result in zip(cfgs, results):
@@ -414,21 +409,17 @@ def verify_convergence_bound(
         np.stack([result.columns[name] for result in results]).reshape(len(etas), n_seeds, k_max, *block)
         for name, block in (("grad_norm_sq", ()), ("clipped_fraction", (-1,)))
     )
-    rows = []
-    for (k, e), bound in zip(points, rhs):
-        empirical = float(np.mean(gns[etas.index(e)][:, :k]))
-        rows.append(BoundCheckRow(k, e, empirical, bound, empirical / bound))
+    avgs = [float(np.mean(gn[:, :k])) for gn in gns for k in k_grid]  # in the order of points
+    rows = [BoundCheckRow(k, e, avg, bound, avg / bound) for (k, e), avg, bound in zip(points, avgs, rhs)]
     unclipped = np.mean(1.0 - clipped[0].mean(axis=-1), axis=-1)
 
     summary = (
-        f"dim={dim} n_clients={n_clients} seeds={n_seeds} eta={eta} c={c} "
+        f"dim={dim} n_clients={n_clients} seeds={n_seeds} eta={','.join(map(str, etas))} c={c} "
         f"L={info.l} G={info.g} f0={f0} f_star={info.f_star} alpha={alpha} "
         f"tau={tau} fading={fading} ideal={ideal} seed={seed}"
     )
     return BoundCheckReport(
-        rows=rows[:len(k_grid)],
-        eta_rows=rows[len(k_grid):],
-        eta=eta,
+        rows=rows,
         c=c,
         dim=dim,
         n_seeds=n_seeds,

@@ -176,14 +176,8 @@ def cmd_lemma1(args) -> int:
 
 def cmd_theorem1(args) -> int:
     report = verify_convergence_bound(**_library_kwargs(args))
-    out = Path(args.out)
-    # both files on every run, under one provenance line, so no file outlives the run that wrote it
-    for path, column, field, rows in (
-        (out, "K", "rounds", report.rows),
-        (out.with_name(out.stem + "_eta.csv"), "eta", "eta", report.eta_rows),
-    ):
-        table = [[getattr(r, field), r.empirical_avg, r.bound_rhs, r.margin_ratio] for r in rows]
-        _write_csv(path, report.config_summary, [column, "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"], table)
+    table = [[r.rounds, r.eta, r.empirical_avg, r.bound_rhs, r.margin_ratio] for r in report.rows]
+    _write_csv(Path(args.out), report.config_summary, ["K", "eta", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"], table)
     return 0
 
 
@@ -284,12 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--seeds", dest="n_seeds", metavar="SEEDS", type=int)
     t1.add_argument("--alpha", type=_finite_float)
     t1.add_argument("--tau", type=_finite_float)
-    t1.add_argument("--eta", type=_finite_float, help="defaults to 1/L")
+    t1.add_argument("--eta", dest="eta_grid", metavar="ETA", type=_float_list, help="comma list; defaults to 1/L")
     t1.add_argument("--c", type=_finite_float, help="defaults to 2*sqrt(2)*G")
     t1.add_argument("--seed", type=int)
     t1.add_argument("--fading", choices=["none", "rayleigh"])
     t1.add_argument("--ideal", action="store_true", help="noiseless channel, classical bound")
-    t1.add_argument("--eta-sweep", dest="eta_grid", metavar="ETA_SWEEP", type=_float_list)
     t1.add_argument("--out", default="theorem1.csv")
     t1.set_defaults(func=cmd_theorem1)
 

@@ -104,6 +104,11 @@ def _check_choice(name: str, value, choices) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
+def _check_grid(name: str, grid) -> None:
+    if len(grid) == 0 or len(set(grid)) < len(grid):  # after each entry's rule; a repeat would run twice
+        raise ValueError(f"{name} must be distinct and non-empty, got {list(grid)}")
+
+
 def _check_law(name: str, value) -> None:
     if value is not None and not isinstance(value, StableParams):  # a bare (alpha, tau) pair has no .tau
         raise ValueError(f"{name} must be a StableParams or None, got {value!r}")

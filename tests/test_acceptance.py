@@ -196,7 +196,7 @@ def test_criterion_5_convergence_bound():
     detail = (
         f"margin_ratio(K=500)={margin:.4f} empirical 10/100/1000 = "
         f"{by_k[10].empirical_avg:.3f}/{by_k[100].empirical_avg:.3f}/"
-        f"{by_k[1000].empirical_avg:.3f} (eta=1/L={report.eta:.3f}, "
+        f"{by_k[1000].empirical_avg:.3f} (eta=1/L={by_k[1000].eta:.3f}, "
         f"C=2*sqrt(2)*G={report.c:.2f})"
     )
     _report("criterion 5 (convergence bound on quadratic testbed)", ok, detail, t0, budget=120.0)

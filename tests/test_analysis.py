@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import multiprocessing
@@ -293,12 +292,12 @@ def test_verify_bound_ideal_rows_are_the_one_bound_bit_for_bit():
     bed = make_quadratic_testbed(**kwargs)
     l, f_star = bed.info.l, bed.info.f_star
     f0 = global_loss(bed.model, bed.w0, bed.client_datas)
-    for row in report.rows + report.eta_rows:
+    for row in report.rows:
         k, eta = row.rounds, row.eta
         one = BoundParams(l=l, g=bed.info.g, f0=f0, f_star=f_star, eta=eta, c=None, k=k, d=3, noise=None)
         assert row.bound_rhs == convergence_bound(one)
         assert row.bound_rhs == 2.0 * (f0 - f_star) / (k * (2.0 - eta * l) * eta)
-    assert len(report.rows + report.eta_rows) == 4
+    assert len(report.rows) == 4
 
 
 def test_verify_bound_ideal_uses_no_threshold():
@@ -322,19 +321,18 @@ def test_verify_bound_eta_sweep_rows():
     report = verify_convergence_bound(
         dim=3, n_clients=2, k_grid=(10, 4), n_seeds=2, seed=3, eta_grid=(0.1, 0.05)
     )
-    # one row type for every (K, eta) point: the K grid at eta, the sweep at max(k_grid)
-    assert [(r.rounds, r.eta) for r in report.rows] == [(4, report.eta), (10, report.eta)]
-    assert [(r.rounds, r.eta) for r in report.eta_rows] == [(10, 0.1), (10, 0.05)]
-    for row in report.rows + report.eta_rows:
+    # one row for every (K, eta) point: the rates in their given order, each over the sorted K grid
+    assert [(r.rounds, r.eta) for r in report.rows] == [(4, 0.1), (10, 0.1), (4, 0.05), (10, 0.05)]
+    for row in report.rows:
         assert type(row) is BoundCheckRow
         assert math.isfinite(row.empirical_avg)
+    assert " eta=0.1,0.05 " in report.config_summary
 
 
-def test_bound_check_runs_the_base_rate_once(monkeypatch):
-    # a sweep rate equal to eta reads eta's rows; it once ran them again
-    kwargs = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=2, eta=0.05)
-    base = verify_convergence_bound(**kwargs)
-    sweep = verify_convergence_bound(**kwargs, eta_grid=(0.1,))
+def test_bound_check_runs_every_rate_in_one_call(monkeypatch):
+    # the rows of two rates are those of each rate alone, run as one call
+    kwargs = dict(dim=3, n_clients=2, k_grid=(2, 5), n_seeds=2)
+    alone = [verify_convergence_bound(**kwargs, eta_grid=(e,)) for e in (0.05, 0.1)]
     n_rows = []
     run_replicas = fl_core.run_replicas
 
@@ -346,10 +344,9 @@ def test_bound_check_runs_the_base_rate_once(monkeypatch):
     monkeypatch.setattr(stable_noise, "_CORES", 1)
     monkeypatch.setattr(fl_core, "run_replicas", counting)
     report = verify_convergence_bound(**kwargs, eta_grid=(0.05, 0.1))
-    assert n_rows == [4]
-    [row] = base.rows
-    assert report.eta_rows == [BoundCheckRow(row.rounds, 0.05, row.empirical_avg, row.bound_rhs, row.margin_ratio), sweep.eta_rows[0]]
-    assert repr(dataclasses.replace(report, eta_rows=[])) == repr(dataclasses.replace(base, eta_rows=[]))
+    assert n_rows == [2 * 2]
+    # repr compares the floats bit for bit
+    assert repr(report.rows) == repr(alone[0].rows + alone[1].rows)
 
 
 def test_bound_check_batches_its_seeds(monkeypatch):
@@ -373,7 +370,7 @@ def test_bound_check_batches_its_seeds(monkeypatch):
 def test_bound_check_rows_on_workers_equal_one_loop(monkeypatch, fork):
     # the 9 rows (3 rates x 3 seeds) of one call run as blocks on 2 workers,
     # or without os.fork as one loop in this process, where rounds are counted
-    kwargs = dict(dim=3, n_clients=2, k_grid=(4, 9), n_seeds=3, seed=3, fading="rayleigh", eta_grid=(0.1, 0.05))
+    kwargs = dict(dim=3, n_clients=2, k_grid=(4, 9), n_seeds=3, seed=3, fading="rayleigh", eta_grid=(0.1, 0.05, 0.02))
     monkeypatch.setattr(stable_noise, "_CORES", 1)
     want = verify_convergence_bound(**kwargs)
     calls = []
@@ -391,7 +388,7 @@ def test_bound_check_rows_on_workers_equal_one_loop(monkeypatch, fork):
     assert multiprocessing.active_children() == []
     assert calls == ([] if fork else list(range(9)))
     # repr compares the floats bit for bit
-    for name in ("rows", "eta_rows", "p_unclipped_empirical", "config_summary"):
+    for name in ("rows", "p_unclipped_empirical", "config_summary"):
         assert repr(getattr(got, name)) == repr(getattr(want, name))
 
 
@@ -460,7 +457,7 @@ def test_verify_bound_ideal_takes_no_threshold(monkeypatch):
             verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, ideal=True, c=c)
 
 
-@pytest.mark.parametrize("bad", [dict(eta=0.0), dict(eta_grid=(0.0,))])
+@pytest.mark.parametrize("bad", [dict(eta_grid=(0.0,)), dict(eta_grid=(0.05, 0.0))])
 def test_verify_bound_ideal_rejects_zero_eta_before_any_run(monkeypatch, bad):
     # the classical bound divides by eta: this was a ZeroDivisionError
     _forbid_runs(monkeypatch)
@@ -477,7 +474,7 @@ def test_verify_bound_diverged_run_is_a_regime_error():
 
 def test_verify_bound_rejects_bad_eta():
     with pytest.raises(RegimeError):
-        verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, eta=100.0)
+        verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, eta_grid=(100.0,))
 
 
 def _forbid_draws(monkeypatch):
@@ -502,8 +499,10 @@ def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
         clip_survival_report([], True, [1.0, 2.0], 0.0, 100)
     with pytest.raises(ValueError, match="c_grid must be distinct and non-empty"):
         clip_survival_report([1.5], 0.1, np.array([]), 0.0, 100)
-    with pytest.raises(ValueError, match="eta_grid must be distinct"):
+    with pytest.raises(ValueError, match="eta_grid must be distinct and non-empty"):
         verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=(0.05, 0.05))
+    with pytest.raises(ValueError, match="eta_grid must be distinct and non-empty"):
+        verify_convergence_bound(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, eta_grid=())
     # a repeated K was dropped silently
     with pytest.raises(ValueError, match="k_grid must be distinct"):
         verify_convergence_bound(dim=3, n_clients=2, k_grid=(20, 5, 5), n_seeds=1, seed=4)
@@ -541,10 +540,12 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
     # (where a huge value is invalid), a random negative or a random
     # misspelling, True, False or numpy's True (a bool is no count, rate,
     # scale or threshold), the others valid; a grid argument carries the bad
-    # value as its only entry. Each must raise ValueError naming the argument
-    # before any run or draw; any other exception fails the test.
+    # value, or None or a string, as its only entry. Each must raise
+    # ValueError naming the argument before any run or draw; any other
+    # exception fails the test. A grid entry of None or 'x' once raised
+    # TypeError, or a ValueError of float() that named no argument.
     _forbid_draws(monkeypatch)
-    bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta=0.05, c=None, eta_grid=(), fading="rayleigh")
+    bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta_grid=(0.05,), c=None, fading="rayleigh")
     survival = dict(alphas=[1.5], tau=0.1, c_grid=[1.0, 2.0], g=0.0, n_samples=100, seed=0, difference_law="exact")
     # both reach their draws with nothing bad in them
     for entry, kwargs in ((verify_convergence_bound, bound), (clip_survival_report, survival)):
@@ -565,7 +566,7 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
                     magnitude = int(fuzz.integers(1, 1000)) if name in integers else float(10.0 ** fuzz.uniform(-3.0, 3.0))
                     bads = [math.nan, math.inf, -math.inf, -magnitude] + ([] if name in valid_zero else [0])
                     bads += [] if name in valid_huge else [1e200]
-                    bads += [True, False, np.True_]
+                    bads += [True, False, np.True_] + ([None, "x"] if name in grids else [])
                 for bad in bads:
                     with pytest.raises(ValueError) as exc:
                         entry(**{**kwargs, name: (bad,) if name in grids else bad})

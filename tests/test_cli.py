@@ -263,8 +263,8 @@ def test_theorem1_monotone_rows(tmp_path):
     ])
     assert code == 0
     _, columns, rows = read_csv(out)
-    assert columns == ["K", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"]
-    empirical = [float(r[1]) for r in rows]
+    assert columns == ["K", "eta", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"]
+    empirical = [float(r[2]) for r in rows]
     assert empirical[0] > empirical[1] > empirical[2]
 
 
@@ -316,7 +316,7 @@ def test_theorem1_ideal_flag(tmp_path):
         "--seeds", "1", "--ideal", "--out", str(out),
     ]) == 0
     _, _, rows = read_csv(out)
-    assert all(float(r[3]) <= 1.0 for r in rows)
+    assert all(float(r[4]) <= 1.0 for r in rows)
 
 
 def test_theorem1_ideal_refuses_c(tmp_path, capsys):
@@ -391,28 +391,18 @@ def test_check_without_flags_calls_the_library_with_no_arguments(tmp_path, monke
     assert calls == [((), {})]
 
 
-def test_theorem1_eta_sweep_writes_second_file(tmp_path):
+def test_theorem1_eta_list_fills_the_eta_column(tmp_path):
+    # one file holds every (K, eta) point: each rate, in the given order, over the K grid
     out = tmp_path / "t1.csv"
     assert main([
-        "theorem1", "--dim", "3", "--n-clients", "2", "--k-grid", "5",
-        "--seeds", "1", "--eta-sweep", "0.1,0.05", "--out", str(out),
+        "theorem1", "--dim", "3", "--n-clients", "2", "--k-grid", "20,5",
+        "--seeds", "1", "--eta", "0.1,0.05", "--out", str(out),
     ]) == 0
-    _, columns, rows = read_csv(tmp_path / "t1_eta.csv")
-    assert columns[0] == "eta"
-    assert len(rows) == 2
-
-
-def test_theorem1_rerun_without_sweep_leaves_no_stale_eta_file(tmp_path):
-    # the two files are one result: a rerun without --eta-sweep once left the
-    # earlier run's eta rows, under the earlier run's tau, beside its K rows
-    out = tmp_path / "t.csv"
-    assert main(_THEOREM1_SMALL + ["--eta-sweep", "0.1", "--out", str(out)]) == 0
-    assert main(_THEOREM1_SMALL + ["--tau", "0.2", "--out", str(out)]) == 0
-    provenance, _, rows = read_csv(out)
-    eta_provenance, columns, eta_rows = read_csv(tmp_path / "t_eta.csv")
-    assert eta_provenance == provenance and " tau=0.2 " in provenance
-    assert columns == ["eta", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"]
-    assert len(rows) == 1 and eta_rows == []
+    provenance, columns, rows = read_csv(out)
+    assert columns == ["K", "eta", "empirical_avg_grad_sq", "bound_rhs", "margin_ratio"]
+    assert [row[:2] for row in rows] == [["5", "0.1"], ["20", "0.1"], ["5", "0.05"], ["20", "0.05"]]
+    assert " eta=0.1,0.05 " in provenance
+    assert [p.name for p in tmp_path.iterdir()] == ["t1.csv"]
 
 
 def test_sweep_rows_and_best_marks(tmp_path):
@@ -507,7 +497,7 @@ def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
     # the repeated point counted twice in the slope fit
     (["lemma1", "--alphas", "1.5", "--c-grid", "1,1,2", "--samples", "1000"], "--c-grid"),
     # the learning rate run twice and its row written twice
-    (_THEOREM1_SMALL + ["--eta-sweep", "0.05,0.05"], "--eta-sweep"),
+    (_THEOREM1_SMALL + ["--eta", "0.05,0.05"], "--eta"),
     # the repeat dropped silently and the grid reordered
     (_THEOREM1_SMALL + ["--k-grid", "20,5,5"], "--k-grid"),
     # not an integer
@@ -751,7 +741,7 @@ def test_validate_fuzz_yields_finite_config_or_config_error():
 # Scalars a check flag may be given: zero, negative, extreme and ordinary.
 _CHECK_FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "0.01", "1e-5", "0.5", "1", "2", "3")
 _CHECK_FUZZ_FLAGS = {
-    "theorem1": ("--alpha", "--tau", "--eta", "--c", "--eta-sweep"),
+    "theorem1": ("--alpha", "--tau", "--eta", "--c"),
     "lemma1": ("--alphas", "--tau", "--c-grid", "--g"),
 }
 
@@ -759,7 +749,7 @@ _CHECK_FUZZ_FLAGS = {
 def test_check_commands_fuzz_exit_0_or_2(tmp_path, capsys):
     # seeded: theorem1 and lemma1 on tiny shapes with one or two scalar flags
     # set from _CHECK_FUZZ_VALUES; each run exits 0 or 2, never a traceback.
-    # --ideal --eta-sweep 0 once raised ZeroDivisionError, and
+    # --ideal --eta 0 once raised ZeroDivisionError, and
     # --alpha 1e-300 --tau 0.01 a RuntimeError from a diverged run.
     t0 = time.perf_counter()
     fuzz = np.random.default_rng(18)
@@ -829,10 +819,10 @@ def test_theorem1_rows_on_workers_exit_2_or_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_one_usable_core_runs_theorem1_in_one_loop_with_the_same_bytes(tmp_path, monkeypatch):
     # a child process that keeps one CPU before it imports otafl reads one
-    # usable core, so it runs the rows as one loop; its files equal those
+    # usable core, so it runs the rows as one loop; its file equals that
     # of this process at 2 cores, where the rows run as blocks on workers
     args = ["theorem1", "--dim", "3", "--n-clients", "2", "--seeds", "3", "--k-grid", "4,9",
-            "--fading", "rayleigh", "--eta-sweep", "0.1,0.05", "--seed", "3"]
+            "--fading", "rayleigh", "--eta", "0.1,0.05,0.02", "--seed", "3"]
     code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
             "from otafl import stable_noise; from otafl.cli import main; "
             "print(stable_noise._CORES); sys.exit(main(sys.argv[1:]))")
@@ -844,8 +834,7 @@ def test_one_usable_core_runs_theorem1_in_one_loop_with_the_same_bytes(tmp_path,
     monkeypatch.setattr(stable_noise, "_CORES", 2)
     assert main([*args, "--out", str(tmp_path / "two.csv")]) == 0
     assert multiprocessing.active_children() == []
-    for suffix in ("", "_eta"):
-        assert (tmp_path / f"one{suffix}.csv").read_bytes() == (tmp_path / f"two{suffix}.csv").read_bytes()
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -902,7 +891,9 @@ def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monk
 # SHA-256 of every CSV that _pinned_csvs writes, recorded with numpy 2.4.6
 # before methods, thresholds and learning rates became rows of one round
 # loop (the mlp4 files: before the server step clipped and counted its
-# blocks in one pass). Any change to the engine must leave them
+# blocks in one pass; the t1 files: when theorem1 wrote its (K, eta) points
+# as one table, with an eta column and every rate in the provenance line,
+# each float as before). Any change to the engine must leave them
 # byte-identical.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
@@ -925,19 +916,16 @@ _PINNED_DIGESTS = {
     "mlpfull_mac.csv": "42e3629c745757f51c5df31bac746f95a45eddceaf3a562087d35a584eced371",
     "mlpfull_none.csv": "b4e73c457d9488ff90c367ee7daedf509f4566e1be0a6c9283421877eae4c50e",
     "mlpfull_summary.csv": "e3a8b4acfb44076854decfefd53032705c1490dcdaa0a5b4db7e3169722d17db",
-    "t1.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
-    "t1_eta.csv": "ef3a7a6069f9186854d56c33785b5fa73b770206addc0c3e764559ba0429ee25",
-    "t1_ideal.csv": "383cdb066b1d0e41a67eb098b345a43dc62e92acadb1335ebbdae6d50088be58",
-    "t1_ideal_eta.csv": "09cd8d7ddbfb56aaef78a38bdc2ba173702d1de6605b7bde0ec109de92d195e9",
-    "t1_nosweep.csv": "b4bc30b38848c5206bc282831c110cfbe3b334ed0a1b8ee4d39f8cf673b6d7fb",
-    "t1_nosweep_eta.csv": "b03eb7364ab6507c88075c5eb99e50255e4ce2d0808962f6c4cbcd0f4309e69a",  # header only
+    "t1.csv": "a8deb6e0f32d6775810a1bbe8a5387c286b59a7503a92b04476177bbaf301d22",
+    "t1_ideal.csv": "47e8074f2cb0385d6bbdb2e86b6fa0468d03a02d6ee9fbfecfbb492a8df0dd62",
+    "t1_nosweep.csv": "86ef550a2d5c668372b52b7cf7c02b874f1d965cd66e3d28df9bd02ea3b59bfa",
 }
 
 
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
-    run diverges, theorem1 with an eta sweep on the noisy and on the ideal
-    channel and without one, lemma1 within one and across two sample chunks,
+    run diverges, theorem1 at two learning rates on the noisy and on the
+    ideal channel and at the default one, lemma1 within one and across two sample chunks,
     train on a small shuffling MLP config, and train (MLP) and sweep
     (3-class logistic) on full-batch configs whose clients differ in size:
     {file: sha256}."""
@@ -949,9 +937,9 @@ def _pinned_csvs(tmp_path):
     out = tmp_path / "out"
     assert main(["train", str(cfg)]) == 0
     assert main(["sweep", str(cfg)]) == 0
-    assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05",
+    assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta", "0.1,0.05",
                                    "--out", str(out / "t1.csv")]) == 0
-    assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta-sweep", "0.1,0.05", "--ideal",
+    assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--eta", "0.1,0.05", "--ideal",
                                    "--out", str(out / "t1_ideal.csv")]) == 0
     assert main(_THEOREM1_SMALL + ["--seeds", "3", "--k-grid", "5,20", "--out", str(out / "t1_nosweep.csv")]) == 0
     assert main(_LEMMA1_SMALL + ["--out", str(out / "l1.csv")]) == 0

@@ -136,12 +136,13 @@ def test_every_private_name_in_the_package_is_read():
 
 _NUMBER_RULES = (
     "_check_not_bool", "_check_integer", "_check_positive", "_check_window",
-    "_check_choice", "_check_finite", "_check_nonnegative",
+    "_check_choice", "_check_finite", "_check_nonnegative", "_check_grid",
 )
 # a rule's message, and the one helper of stable_noise that builds it
 _RULE_MESSAGES = {
     "must be positive": "_check_positive", "must exceed sqrt(2)*G": "_check_window",
     "must be one of": "_check_choice", "must be a finite number": "_check_finite", "must be >= 0": "_check_nonnegative",
+    "must be distinct and non-empty": "_check_grid",
 }
 
 
@@ -184,9 +185,13 @@ def test_hand_written_number_rule_finder_finds_them():
         "d": "class D:\n    def __post_init__(self):\n        raise ValueError(f'tau must be a finite number, got {self.tau}')\n",
         "e": "def _check_finite(name, value):\n    pass\ndef sep(s):\n    if s < 0:\n"
              "        raise ValueError(f'class_separation must be >= 0, got {s}')\n",
+        # each grid once kept its own distinct rule
+        "f": "def report(alphas):\n    if len(set(alphas)) < len(alphas):\n"
+             "        raise ValueError(f'alphas must be distinct and non-empty, got {alphas}')\n",
     }
     assert _hand_written_number_rules(sources) == [
         "a.A.f", "b", "b._check_integer", "c.pick", "config.check", "d.D.__post_init__", "e._check_finite", "e.sep",
+        "f.report",
     ]
 
 
