@@ -170,7 +170,7 @@ def gaussian_unclipped_prob(tau: float, c: float, g: float) -> float:
     2*tau^2 each, i.e. N(0, 4*tau^2); the survival window is c - sqrt(2)*g.
     """
     _check_positive("tau", tau)
-    _check_not_bool(("c", c))
+    _check_not_bool("c", c)
     _check_nonnegative("g", g)
     _check_window(c, g)
     return math.erf((c - math.sqrt(2.0) * g) / (2.0 * tau * math.sqrt(2.0)))
@@ -220,7 +220,6 @@ def clip_survival_report(
     _check_grid("alphas", alphas)
     for x in c_grid:
         _check_positive("c_grid", x)
-        _check_finite("c_grid", x)
     _check_grid("c_grid", c_grid)
     _check_nonnegative("g", g)
     _check_integer("n_samples", n_samples, 1)
@@ -254,7 +253,7 @@ def clip_survival_report(
             rows.append(SurvivalRow(alpha, float(c), clip_prob, asymptote, oracle_err, note))
         slopes[float(alpha)] = float(np.polyfit(np.log(fit_c), np.log(fit_p), 1)[0]) if len(fit_c) >= 2 else math.nan
     summary = (
-        f"alphas={','.join(map(str, alphas))} tau={tau} g={g} "
+        f"alphas={','.join(map(str, alphas))} tau={tau} c_grid={','.join(map(str, c_grid))} g={g} "
         f"samples={n_samples} seed={seed} difference_law={difference_law}"
     )
     return SurvivalReport(rows=rows, slopes=slopes, config_summary=summary)
@@ -361,10 +360,9 @@ def verify_convergence_bound(
     _check_grid("k_grid", k_grid)
     if eta_grid is not None:
         for e in eta_grid:
-            _check_finite("eta", e)
             _check_positive("eta", e)
         _check_grid("eta_grid", eta_grid)
-    _check_not_bool(("c", c))
+    _check_not_bool("c", c)
     fading_model = FadingModel(fading)
     noise = StableParams(alpha, tau)
     k_grid = sorted(int(k) for k in k_grid)

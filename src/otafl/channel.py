@@ -42,7 +42,7 @@ class FadingModel:
         if self.kind == "deterministic":
             _check_positive("deterministic gain", self.value)
         else:
-            _check_not_bool(("fading gain", self.value))  # True equals 1.0 but would make the gains bools
+            _check_not_bool("fading gain", self.value)  # True equals 1.0 but would make the gains bools
             if self.value != 1.0:  # a gain that no draw applies would still be written into a run's provenance line
                 raise ValueError(f"fading gain {self.value} applies to deterministic fading only, not to {self.kind!r}")
 

@@ -212,34 +212,15 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
-def _finite_float(text: str) -> float:
-    """A finite number; argparse names the flag when this raises."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+# the list flags only split on commas: the library checks each value and the
+# list, so a flag's error names the library parameter; argparse names a value
+# that is no number by its type's name ("invalid floats value")
+def floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v != ""]
 
 
-def _float_list(text: str) -> list[float]:
-    values = [_finite_float(v) for v in text.split(",") if v != ""]
-    # a repeated value would run twice, write its rows twice and count twice in a fit
-    if not values or len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, none repeated, got {text!r}")
-    return values
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        values = []
-    # a repeated value would be dropped silently
-    if not values or len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, none repeated, got {text!r}")
-    return values
+def ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v != ""]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,10 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the library's default, and each dest is the library's parameter name
     l1 = sub.add_parser("lemma1", help="clip-survival probabilities and tail exponents",
                         argument_default=argparse.SUPPRESS)
-    l1.add_argument("--alphas", type=_float_list)
-    l1.add_argument("--tau", type=_finite_float)
-    l1.add_argument("--c-grid", type=_float_list)
-    l1.add_argument("--g", type=_finite_float, help="per-client gradient norm bound")
+    l1.add_argument("--alphas", type=floats)
+    l1.add_argument("--tau", type=float)
+    l1.add_argument("--c-grid", type=floats)
+    l1.add_argument("--g", type=float, help="per-client gradient norm bound")
     l1.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int)
     l1.add_argument("--seed", type=int)
     l1.add_argument("--difference-law", choices=["exact", "sqrt2"])
@@ -274,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
                         argument_default=argparse.SUPPRESS)
     t1.add_argument("--dim", type=int)
     t1.add_argument("--n-clients", type=int)
-    t1.add_argument("--k-grid", type=_int_list)
+    t1.add_argument("--k-grid", type=ints)
     t1.add_argument("--seeds", dest="n_seeds", metavar="SEEDS", type=int)
-    t1.add_argument("--alpha", type=_finite_float)
-    t1.add_argument("--tau", type=_finite_float)
-    t1.add_argument("--eta", dest="eta_grid", metavar="ETA", type=_float_list, help="comma list; defaults to 1/L")
-    t1.add_argument("--c", type=_finite_float, help="defaults to 2*sqrt(2)*G")
+    t1.add_argument("--alpha", type=float)
+    t1.add_argument("--tau", type=float)
+    t1.add_argument("--eta", dest="eta_grid", metavar="ETA", type=floats, help="comma list; defaults to 1/L")
+    t1.add_argument("--c", type=float, help="defaults to 2*sqrt(2)*G")
     t1.add_argument("--seed", type=int)
     t1.add_argument("--fading", choices=["none", "rayleigh"])
     t1.add_argument("--ideal", action="store_true", help="noiseless channel, classical bound")

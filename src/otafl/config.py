@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .stable_noise import _check_choice, _check_finite, _check_integer, _check_nonnegative, _check_positive
+from .stable_noise import _check_choice, _check_finite, _check_grid, _check_integer, _check_nonnegative, _check_positive
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides"]
 
@@ -108,8 +108,7 @@ def validate(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"field {name!r} must be a string, got {value!r}")
     for method in cfg.methods:
         _field(_check_choice, "methods", method, _METHODS)
-    if not cfg.methods or len(set(cfg.methods)) < len(cfg.methods):
-        raise ConfigError(f"field 'methods' must list one or more methods, each once, got {list(cfg.methods)}")
+    _field(_check_grid, "methods", cfg.methods)
     for name, choices in (("model", _MODELS), ("partition", _PARTITIONS), ("fading", _FADINGS),
                           ("activation", _ACTIVATIONS), ("mlp_loss", _MLP_LOSSES)):
         _field(_check_choice, name, getattr(cfg, name), choices)
@@ -120,7 +119,6 @@ def validate(raw: dict) -> ExperimentConfig:
     if cfg.projection_radius is not None:  # null means no projection
         positives += ("projection_radius",)
     for name in positives:
-        _field(_check_finite, name, getattr(cfg, name))
         _field(_check_positive, name, getattr(cfg, name))
     _field(_check_nonnegative, "class_separation", cfg.class_separation)
     _field(_check_finite, "alpha", cfg.alpha)
@@ -136,13 +134,12 @@ def validate(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"field 'c_grid' must be a list of thresholds or a mapping of method to list, got {grid!r}"
             )
-        entries = [v for vs in lists for v in vs]
-        for v in entries:
-            _field(_check_finite, "c_grid", v)
-            _field(_check_positive, "c_grid", v)
-        if not lists or any(not vs or len(set(vs)) < len(vs) for vs in lists):
-            raise ConfigError(f"field 'c_grid' must list one or more thresholds, each once per method, got {grid!r}")
+        for vs in lists:
+            for v in vs:
+                _field(_check_positive, "c_grid", v)
+            _field(_check_grid, "c_grid", vs)
         if isinstance(grid, dict):
+            _field(_check_grid, "c_grid", grid)
             for key in grid:
                 _field(_check_choice, "c_grid", key, ("mac", "gnc"))
     return cfg

@@ -574,11 +574,7 @@ def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[
     """The one matched-seed loop. Every seed s, in order before any run,
     builds its task at base seed + s and runs every variant on it at that
     seed as the rows of one call (see _run_calls). One result list per variant."""
-    if not variants:
-        raise ValueError("nothing to run: no method or threshold given")
     stable_noise._check_integer("n_seeds", n_seeds, 1)
-    if len(set(variants)) < len(variants):
-        raise ValueError("methods, and thresholds per method, must be distinct: two runs would repeat each other")
     calls = [([replace(cfg, seed=seed) for cfg in variants], *task_factory(seed), None)
              for seed in range(variants[0].seed, variants[0].seed + n_seeds)]
     return [list(results) for results in zip(*_run_calls(calls))]
@@ -640,6 +636,7 @@ def compare_methods(
     before the first task is built. Seeds, or blocks of one seed's methods,
     run on the usable cores (see _run_calls): wall_time is per block, in no CSV."""
     variants = [method_variant(base_cfg, m, mac_threshold, gnc_threshold) for m in methods]
+    stable_noise._check_grid("methods", methods)
     return dict(zip(methods, _matched_runs(task_factory, variants, n_seeds)))
 
 
@@ -676,12 +673,13 @@ def run_threshold_sweep(
     seeds; the best row per method (highest median accuracy, ties to lower
     loss, then to the earlier row) is marked. The whole grid is resolved,
     and so checked, before the first run."""
-    if not c_grid or any(len(v) == 0 for v in c_grid.values()):
-        raise ValueError("sweep needs a non-empty threshold grid per method")
     for method in c_grid:
         stable_noise._check_choice("method", method, ("mac", "gnc"))
     plan = [(method, c) for method, thresholds in c_grid.items() for c in thresholds]
-    runs = _matched_runs(task_factory, [method_variant(base_cfg, m, c, c) for m, c in plan], n_seeds)
+    variants = [method_variant(base_cfg, m, c, c) for m, c in plan]
+    for grid in (c_grid, *c_grid.values()):
+        stable_noise._check_grid("c_grid", grid)
+    runs = _matched_runs(task_factory, variants, n_seeds)
     rows = [_sweep_row(m, c, results) for (m, c), results in zip(plan, runs)]
     best: dict[str, tuple] = {}
     for i, row in enumerate(rows):

@@ -63,13 +63,11 @@ class StableParams:
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         _check_positive("tau", self.tau)
-        _check_finite("tau", self.tau)
 
 
-def _check_not_bool(*named) -> None:
-    for name, value in named:  # True as a rate, scale or threshold is a slip, not a 1.0
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+def _check_not_bool(name: str, value) -> None:
+    if isinstance(value, (bool, np.bool_)):  # True as a rate, scale or threshold is a slip, not a 1.0
+        raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
 
 
 def _check_integer(name: str, value, low: int) -> None:
@@ -81,14 +79,15 @@ def _check_integer(name: str, value, low: int) -> None:
 
 
 def _check_positive(name: str, value) -> None:
-    if type(value) is not float or not value > 0.0:  # a positive float, as at every round's clip, skips the rest
-        _check_not_bool((name, value))
-        if not (isinstance(value, numbers.Real) and value > 0.0):  # nan and None fail here
+    # a finite positive float, as at every round's clip, skips the rest
+    if type(value) is not float or not 0.0 < value <= sys.float_info.max:
+        _check_finite(name, value)
+        if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_finite(name: str, value) -> None:
-    _check_not_bool((name, value))
+    _check_not_bool(name, value)
     if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):  # nan, inf, 10**400 fail
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 

@@ -244,7 +244,10 @@ def test_survival_report_defaults_are_the_criterion_3_check():
     }
     assert type(defaults["g"]) is float  # the header reads g=0.0
     report = clip_survival_report(n_samples=100)
-    assert report.config_summary == "alphas=1.1,1.5,1.9 tau=0.1 g=0.0 samples=100 seed=0 difference_law=exact"
+    assert report.config_summary == (
+        "alphas=1.1,1.5,1.9 tau=0.1 c_grid=1.0,1.5848931924611136,2.51188643150958,3.981071705534973,"
+        "6.309573444801933,10.0 g=0.0 samples=100 seed=0 difference_law=exact"
+    )
     assert list(report.slopes) == [1.1, 1.5, 1.9]
 
 

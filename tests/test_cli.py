@@ -293,6 +293,35 @@ def test_theorem1_overflowing_eta_exits_2_naming_it(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def _exit_code(argv) -> int:
+    """main's exit code, or argparse's for a flag it cannot parse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# What a rejected flag value prints: the library names the parameter of a
+# value it checks, and argparse the flag of a value that is no number.
+_REJECTIONS = {
+    "--g nan": "error: g must be a finite number, got nan",
+    "--c inf": "error: c must be a finite number, got inf",
+    "--tau inf": "error: tau must be a finite number, got inf",
+    "--c-grid 1,nan": "error: c_grid must be a finite number, got nan",
+    "--alpha abc": "argument --alpha: invalid float value: 'abc'",
+    "--alphas 1.5,1.5": "error: alphas must be distinct and non-empty, got [1.5, 1.5]",
+    "--c-grid 1,1,2": "error: c_grid must be distinct and non-empty, got [1.0, 1.0, 2.0]",
+    "--eta 0.05,0.05": "error: eta_grid must be distinct and non-empty, got [0.05, 0.05]",
+    "--k-grid 20,5,5": "error: k_grid must be distinct and non-empty, got [20, 5, 5]",
+    "--k-grid 5,x": "argument --k-grid: invalid ints value: '5,x'",
+}
+
+
+def _rejection(argv, flag) -> str:
+    last = max(i for i, word in enumerate(argv) if word == flag)  # argparse keeps a repeated flag's last value
+    return _REJECTIONS[f"{flag} {argv[last + 1]}"]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (_LEMMA1_SMALL + ["--g", "nan"], "--g"),  # was a StopIteration traceback
     (_THEOREM1_SMALL + ["--c", "inf"], "--c"),  # was exit 0 with nan bounds
@@ -302,10 +331,8 @@ def test_theorem1_overflowing_eta_exits_2_naming_it(tmp_path, capsys, mode):
 ])
 def test_nonfinite_float_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
-    assert exc.value.code == 2
-    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert _rejection(argv, flag) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -483,10 +510,8 @@ def test_theorem1_degenerate_size_exits_2_naming_it(tmp_path, capsys, argv, flag
 def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
     # was exit 0 and a CSV without data
     out = tmp_path / "l1.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["lemma1", flag, ",", "--samples", "1000", "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"argument {flag}: expected comma-separated numbers" in capsys.readouterr().err
+    assert main(["lemma1", flag, ",", "--samples", "1000", "--out", str(out)]) == 2
+    assert f"error: {flag[2:].replace('-', '_')} must be distinct and non-empty, got []" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -505,11 +530,8 @@ def test_lemma1_empty_list_exits_2_naming_it(tmp_path, capsys, flag):
 ])
 def test_repeated_list_value_exits_2_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
-    assert exc.value.code == 2
-    kind = "integers" if flag == "--k-grid" else "numbers"
-    assert f"argument {flag}: expected comma-separated {kind}, none repeated" in capsys.readouterr().err
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert _rejection(argv, flag) in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -521,7 +543,7 @@ def test_repeated_list_value_exits_2_naming_it(tmp_path, capsys, argv, flag):
 def test_duplicate_methods_and_thresholds_exit_2_naming_the_field(tmp_path, capsys, command, extra, field):
     cfg = minimal_config(tmp_path, **extra)
     assert main([command, str(cfg)]) == 2
-    assert f"field {field!r} must list one or more" in capsys.readouterr().err
+    assert f"field {field!r} must be distinct and non-empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -738,17 +760,20 @@ def test_validate_fuzz_yields_finite_config_or_config_error():
     assert time.perf_counter() - t0 < 2.0
 
 
-# Scalars a check flag may be given: zero, negative, extreme and ordinary.
-_CHECK_FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "0.01", "1e-5", "0.5", "1", "2", "3")
+# Scalars a check flag may be given: zero, negative, extreme, non-finite
+# (1e400 reads as inf) and ordinary; a list flag may repeat its value.
+_CHECK_FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "0.01", "1e-5", "0.5", "1", "2", "3", "nan", "inf", "-inf", "1e400")
 _CHECK_FUZZ_FLAGS = {
     "theorem1": ("--alpha", "--tau", "--eta", "--c"),
     "lemma1": ("--alphas", "--tau", "--c-grid", "--g"),
 }
+_CHECK_FUZZ_LISTS = ("--eta", "--alphas", "--c-grid")
 
 
 def test_check_commands_fuzz_exit_0_or_2(tmp_path, capsys):
     # seeded: theorem1 and lemma1 on tiny shapes with one or two scalar flags
-    # set from _CHECK_FUZZ_VALUES; each run exits 0 or 2, never a traceback.
+    # set from _CHECK_FUZZ_VALUES; each run returns 0 or 2, never a traceback
+    # and never argparse's exit: the library checks every number and list.
     # --ideal --eta 0 once raised ZeroDivisionError, and
     # --alpha 1e-300 --tau 0.01 a RuntimeError from a diverged run.
     t0 = time.perf_counter()
@@ -766,7 +791,10 @@ def test_check_commands_fuzz_exit_0_or_2(tmp_path, capsys):
             argv += ["--difference-law", "sqrt2"] if fuzz.random() < 0.5 else []
         flags = _CHECK_FUZZ_FLAGS[command]
         for flag in fuzz.choice(flags, size=fuzz.integers(1, 3), replace=False):
-            argv += [str(flag), _CHECK_FUZZ_VALUES[int(fuzz.integers(len(_CHECK_FUZZ_VALUES)))]]
+            value = _CHECK_FUZZ_VALUES[int(fuzz.integers(len(_CHECK_FUZZ_VALUES)))]
+            if flag in _CHECK_FUZZ_LISTS and fuzz.random() < 0.2:
+                value = f"{value},{value}"
+            argv.append(f"{flag}={value}")  # one word, so that argparse reads -inf as a value
         code = main(argv + ["--out", str(tmp_path / "out.csv")])
         assert code in outcomes, argv
         outcomes[code] += 1
@@ -893,12 +921,13 @@ def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monk
 # loop (the mlp4 files: before the server step clipped and counted its
 # blocks in one pass; the t1 files: when theorem1 wrote its (K, eta) points
 # as one table, with an eta column and every rate in the provenance line,
-# each float as before). Any change to the engine must leave them
-# byte-identical.
+# each float as before; the l1 files: when lemma1's provenance line gained
+# its thresholds, every row as before). Any change to the engine must leave
+# them byte-identical.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
-    "l1.csv": "c6348299eb2ce09666b09457995df6c727db3817b38829f988dec9d586f895aa",
-    "l1_chunks.csv": "9b520f58e93a24c0fd902e5373fb9585dd831b6d28d0de0fddd1196ac5acb4ef",
+    "l1.csv": "c6294395d074dbbdf3e5a2cba6d931d7f09675ad6ce92d60e852eadc9c527708",
+    "l1_chunks.csv": "7b25f3ab1f7083e3a944064aaa014af5d43aecd588021eb33a5fdaae0286bfe0",
     "lfull_sweep.csv": "f8ba53647423051c3026e60cebf6d38db9d72142cbb2b73d6d580cf12b5c9608",
     "mini_gnc.csv": "d8ede1df6cae5fe7b929f26e3ccf6616137ffd7ba6c8ba4ca1b0500e7da153a1",
     "mini_ideal.csv": "36c59c37e260ef8fb7664ac3fa290a1e77c0d1829fb412df40b98ac090dc9b18",

@@ -6,7 +6,8 @@ A name left in a module's ``__all__`` after its function is deleted makes
 is a stale name of another kind, and a private helper whose last caller was
 deleted a third. The package root publishes exactly its library modules'
 ``__all__``, and each rule for a count, a positive, finite or non-negative
-number, a choice or Lemma 1's clip window has one implementation.
+number, a choice, a distinct list or Lemma 1's clip window has one
+implementation.
 """
 
 import ast
@@ -141,16 +142,37 @@ _NUMBER_RULES = (
 # a rule's message, and the one helper of stable_noise that builds it
 _RULE_MESSAGES = {
     "must be positive": "_check_positive", "must exceed sqrt(2)*G": "_check_window",
-    "must be one of": "_check_choice", "must be a finite number": "_check_finite", "must be >= 0": "_check_nonnegative",
+    "must be one of": "_check_choice", "finite number": "_check_finite", "must be >= 0": "_check_nonnegative",
     "must be distinct and non-empty": "_check_grid",
 }
+# where ``len(set(X))`` may be compared with ``len(X)``: the grid rule, and a
+# CSV header's rule, whose message names the file and the repeated column
+_DISTINCT_TESTS = ("stable_noise._check_grid", "data.load_csv_dataset")
+
+
+def _one_arg_of(node, function: str):
+    """x of a call ``function(x)``, else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == function and len(node.args) == 1:
+        return node.args[0]
+    return None
+
+
+def _is_distinct_test(node) -> bool:
+    """Whether ``node`` compares ``len(set(X))`` with ``len(X)``, in either order."""
+    if not isinstance(node, ast.Compare):
+        return False
+    counted = [_one_arg_of(side, "len") for side in (node.left, *node.comparators)]
+    plain = {ast.dump(x) for x in counted if x is not None}
+    deduplicated = [_one_arg_of(x, "set") for x in counted]
+    return any(ast.dump(x) in plain for x in deduplicated if x is not None)
 
 
 def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
     """Where a module of ``sources`` ({module: source}) defines a number rule
-    helper other than in stable_noise, or builds a rule's message other than
-    in the stable_noise helper that owns it, as the qualified name of the
-    enclosing definition."""
+    helper other than in stable_noise, builds a rule's message other than in
+    the stable_noise helper that owns it, or tests a list for repeats other
+    than in _DISTINCT_TESTS, as the qualified name of the enclosing
+    definition."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -161,6 +183,8 @@ def _hand_written_number_rules(sources: dict[str, str]) -> list[str]:
                 inner = f"{inner}.{node.name}"
                 if node.name in _NUMBER_RULES and inner != f"stable_noise.{node.name}":
                     found.append(inner)
+            if _is_distinct_test(node) and inner not in _DISTINCT_TESTS:
+                found.append(inner)
             for child in ast.iter_child_nodes(node):
                 scope[child] = inner
                 # a docstring or other bare string statement builds no message
@@ -175,12 +199,17 @@ def test_hand_written_number_rule_finder_finds_them():
     sources = {
         "stable_noise": "def _check_positive(name, value):\n    raise ValueError(f'{name} must be positive, got {value}')\n"
                         "def _check_integer(name, value, low):\n    pass\n"
-                        "def _check_choice(name, value, choices):\n    raise ValueError(f'{name} must be one of {choices}')\n",
+                        "def _check_choice(name, value, choices):\n    raise ValueError(f'{name} must be one of {choices}')\n"
+                        "def _check_grid(name, grid):\n    if len(grid) == 0 or len(set(grid)) < len(grid):\n"
+                        "        raise ValueError(f'{name} must be distinct and non-empty')\n"
+                        "def _check_finite(name, value):\n    raise ValueError(f'{name} must be a finite number')\n",
         "a": "class A:\n    '''rate must be positive.'''\n    def f(self, x):\n        if not x > 0:\n"
              "            raise ValueError(f'x must be positive when set, got {x}')\n",
         "b": "MESSAGE = 'rate must be positive'\ndef _check_integer(name, value, low):\n    pass\n",
-        # config once kept its own rules; it raises the shared ones now
-        "config": "def check(v):\n    raise ValueError('field v must be positive')\n",
+        # config once kept its own rules, its methods list's among them; it raises the shared ones now
+        "config": "def check(v):\n    raise ValueError('field v must be positive')\n"
+                  "def validate(cfg):\n    if not cfg.methods or len(set(cfg.methods)) < len(cfg.methods):\n"
+                  "        raise ValueError('each once')\n",
         "c": "def pick(kind):\n    if kind not in ('a', 'b'):\n        raise ValueError(f'kind must be one of (a, b), got {kind!r}')\n",
         "d": "class D:\n    def __post_init__(self):\n        raise ValueError(f'tau must be a finite number, got {self.tau}')\n",
         "e": "def _check_finite(name, value):\n    pass\ndef sep(s):\n    if s < 0:\n"
@@ -188,10 +217,18 @@ def test_hand_written_number_rule_finder_finds_them():
         # each grid once kept its own distinct rule
         "f": "def report(alphas):\n    if len(set(alphas)) < len(alphas):\n"
              "        raise ValueError(f'alphas must be distinct and non-empty, got {alphas}')\n",
+        # the CLI once checked its numbers and lists, and the matched-seed loop its variants
+        "cli": "def _finite_float(text):\n    raise TypeError(f'expected a finite number, got {text!r}')\n"
+               "def _float_list(text):\n    values = [float(v) for v in text.split(',')]\n"
+               "    if not values or len(set(values)) < len(values):\n        raise TypeError('none repeated')\n",
+        "fl_core": "def _matched_runs(variants):\n    if len(variants) != len(set(variants)):\n        raise ValueError('x')\n"
+                   "def prepare_task(seeds):\n    if len(set(seeds)) > 1:\n        raise ValueError('one seed')\n",
+        # a CSV header's repeat names the file and the column: the one exemption
+        "data": "def load_csv_dataset(header):\n    if len(set(header)) < len(header):\n        raise ValueError('column')\n",
     }
     assert _hand_written_number_rules(sources) == [
-        "a.A.f", "b", "b._check_integer", "c.pick", "config.check", "d.D.__post_init__", "e._check_finite", "e.sep",
-        "f.report",
+        "a.A.f", "b", "b._check_integer", "c.pick", "cli._finite_float", "cli._float_list", "config.check",
+        "config.validate", "d.D.__post_init__", "e._check_finite", "e.sep", "f.report", "fl_core._matched_runs",
     ]
 
 

@@ -586,7 +586,7 @@ def test_forbid_runs_reaches_the_engine_on_valid_plans(monkeypatch):
         ({"mac": [0.2, 0.4], "sgd": [1.0]}, 2, "'sgd'"),
         ({"mac": [0.2, 0.4], "none": [1.0]}, 2, "'none'"),
         ({"mac": [0.2, 0.4], "gnc": [-1.0]}, 2, "positive"),
-        ({"gnc": [1.0], "mac": [np.nan]}, 2, "positive"),
+        ({"gnc": [1.0], "mac": [np.nan]}, 2, "finite"),
         ({"mac": [0.2], "gnc": [0.0]}, 2, "positive"),
         ({}, 2, "non-empty"),
         ({"mac": [0.2], "gnc": []}, 2, "non-empty"),
@@ -609,9 +609,9 @@ def test_sweep_checks_the_whole_plan_before_any_run(monkeypatch, grid, n_seeds, 
     "methods, mac_threshold, gnc_threshold, n_seeds, match",
     [
         (["mac", "sgd"], 0.5, 5.0, 2, "'sgd'"),
-        (["none", "mac"], np.nan, 5.0, 2, "positive"),
+        (["none", "mac"], np.nan, 5.0, 2, "finite"),
         (["mac", "gnc"], 0.5, -1.0, 2, "positive"),
-        ([], 0.5, 5.0, 2, "no method"),
+        ([], 0.5, 5.0, 2, "methods must be distinct and non-empty"),
         (["mac"], 0.5, 5.0, 0, "n_seeds"),
         (["mac"], 0.5, 5.0, -1, "n_seeds"),
         (["mac", "none", "mac"], 0.5, 5.0, 2, "distinct"),

@@ -452,11 +452,11 @@ def test_number_fields_fuzz_bad_values():
     # Seeded fuzz: each count, number or choice field of the table in turn
     # takes a bad value, the others valid. A bool is no count, number or
     # choice (True once ran as 1), a fraction is no count (a seed of 2.5 once
-    # ran seed 2's streams), nan, zero, a negative or None is no positive
-    # number, nan or +-inf is no finite number, a negative is not >= 0, and
-    # a misspelling or None is no choice. Each must raise ValueError whose
-    # message starts with the field's name; a valid value, numpy's scalars
-    # included, must still construct.
+    # ran seed 2's streams), nan, +-inf, zero, a negative or None is no
+    # positive number, nan or +-inf is no finite number, a negative is not
+    # >= 0, and a misspelling or None is no choice. Each must raise
+    # ValueError whose message starts with the field's name; a valid value,
+    # numpy's scalars included, must still construct.
     fuzz = np.random.default_rng(2525)
     for _ in range(3):
         for call, valid, counts, positives, finites, nonnegatives, choices, numbers in _NUMBER_FIELDS:
@@ -470,7 +470,8 @@ def test_number_fields_fuzz_bad_values():
                 if name in positives:
                     unset = [None] if name == "projection_radius" else []  # None leaves the projection off
                     goods = [np.float64(valid[name]), float(10.0 ** fuzz.uniform(-3.0, 0.0)), *unset]
-                    bads = [math.nan, 0, 0.0, -1, -float(10.0 ** fuzz.uniform(-3.0, 3.0)), *([] if unset else [None])]
+                    bads = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -float(10.0 ** fuzz.uniform(-3.0, 3.0)),
+                            *([] if unset else [None])]
                 if name in finites | nonnegatives | numbers:
                     goods = goods or [np.float64(valid[name])]
                 if name in finites | nonnegatives:
