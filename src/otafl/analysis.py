@@ -227,31 +227,25 @@ def clip_survival_report(
     _check_choice("difference_law", difference_law, _DIFFERENCE_LAWS)
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
-    sqrt2_g = math.sqrt(2.0) * g
-    estimated = [float(c) for c in c_grid if c > sqrt2_g]
+    window = [float(c) for c in c_grid if c > math.sqrt(2.0) * g]  # Lemma 1's regime; only these are drawn
     for ai, (alpha, params) in enumerate(zip(alphas, laws)):
-        fit_c: list[float] = []
-        fit_p: list[float] = []
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3, ai]))
-        p_hats = estimate_unclipped_prob(params, estimated, g, n_samples, rng, difference_law) if estimated else []
+        drawn = estimate_unclipped_prob(params, window, g, n_samples, rng, difference_law) if window else []
+        p_hats = dict(zip(window, map(float, drawn)))
+        own: list[SurvivalRow] = []
         for c in c_grid:
             asymptote = tail_prob_simplified(params, c)
-            if c <= sqrt2_g:
-                rows.append(
-                    SurvivalRow(alpha, float(c), math.nan, asymptote, None, "regime_violation")
-                )
+            if float(c) not in p_hats:
+                own.append(SurvivalRow(alpha, float(c), math.nan, asymptote, None, "regime_violation"))
                 continue
-            p_hat = float(p_hats[estimated.index(c)])
-            clip_prob = 1.0 - p_hat
-            oracle_err = None
-            if alpha == 2.0:
-                oracle_err = abs(p_hat - gaussian_unclipped_prob(tau, c, g))
+            p_hat = p_hats[float(c)]
+            oracle_err = abs(p_hat - gaussian_unclipped_prob(tau, c, g)) if alpha == 2.0 else None
             note = "outside_asymptotic_regime" if asymptote > _ASYMPTOTE_LIMIT else ""
-            if note == "" and clip_prob > 0.0:
-                fit_c.append(float(c))
-                fit_p.append(clip_prob)
-            rows.append(SurvivalRow(alpha, float(c), clip_prob, asymptote, oracle_err, note))
-        slopes[float(alpha)] = float(np.polyfit(np.log(fit_c), np.log(fit_p), 1)[0]) if len(fit_c) >= 2 else math.nan
+            own.append(SurvivalRow(alpha, float(c), 1.0 - p_hat, asymptote, oracle_err, note))
+        fit = [r for r in own if r.note == "" and r.empirical_clip_prob > 0.0]
+        log_c, log_p = np.log([r.threshold for r in fit]), np.log([r.empirical_clip_prob for r in fit])
+        slopes[float(alpha)] = float(np.polyfit(log_c, log_p, 1)[0]) if len(fit) >= 2 else math.nan
+        rows += own
     summary = (
         f"alphas={','.join(map(str, alphas))} tau={tau} c_grid={','.join(map(str, c_grid))} g={g} "
         f"samples={n_samples} seed={seed} difference_law={difference_law}"
@@ -344,9 +338,10 @@ def verify_convergence_bound(
     """Monte Carlo check that the running average of ||grad f||^2 stays below
     the closed-form bound on a quadratic testbed with certified constants.
 
-    Every (K, eta) of k_grid x eta_grid (default: 1/L) is one row, K inner.
-    One run of max(k_grid) rounds per (rate, seed) gives every K by prefix
-    averages over matched noise streams; these runs are the rows of one
+    Every (K, eta) of k_grid x eta_grid (default: 1/L) is one BoundParams,
+    which alone checks the rate, and one row, K inner. One run of max(k_grid)
+    rounds per (rate, seed) gives every K by prefix averages over matched
+    noise streams; these runs are the rows of one
     run_replicas call, cut into blocks on the usable cores, each bit for bit
     its run alone (its wall_time is its block's and reaches no file).
     p_unclipped_empirical is measured on the first rate's rows. The default
@@ -358,40 +353,35 @@ def verify_convergence_bound(
     for name, value in (("n_seeds", n_seeds), *(("k_grid", k) for k in k_grid)):
         _check_integer(name, value, 1)
     _check_grid("k_grid", k_grid)
-    if eta_grid is not None:
-        for e in eta_grid:
-            _check_positive("eta", e)
-        _check_grid("eta_grid", eta_grid)
-    _check_not_bool("c", c)
+    if c is not None:
+        _check_finite("c", c)
     fading_model = FadingModel(fading)
     noise = StableParams(alpha, tau)
     k_grid = sorted(int(k) for k in k_grid)
     testbed = make_quadratic_testbed(dim=dim, n_clients=n_clients, seed=seed)
     info = testbed.info
-    etas = [1.0 / info.l] if eta_grid is None else list(map(float, eta_grid))
-    f0 = global_loss(testbed.model, testbed.w0, testbed.client_datas)
-    k_max = k_grid[-1]
     if ideal:
         if c is not None:
             raise ValueError(f"the ideal channel is not clipped, so it takes no threshold; got c={c}")
         if fading != "none":
             raise ValueError(f"the ideal channel is not faded, so it takes no fading; got fading={fading!r}")
     else:
-        if c is None:
-            c = 2.0 * math.sqrt(2.0) * info.g
+        c = 2.0 * math.sqrt(2.0) * info.g if c is None else c
         _check_window(c, info.g)
-    params = BoundParams(
-        l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=etas[0],
-        c=c, k=k_max, d=dim, noise=None if ideal else noise,
-    )
+    etas = [1.0 / info.l] if eta_grid is None else eta_grid
+    f0 = global_loss(testbed.model, testbed.w0, testbed.client_datas)
 
-    # Every bound is evaluated before the first round, so a learning rate at
-    # or beyond 2/L fails before any run starts.
-    points = [(k, e) for e in etas for k in k_grid]
-    rhs = [convergence_bound(replace(params, k=k, eta=e)) for k, e in points]
+    # Every point is checked and its bound evaluated before the first round,
+    # so a learning rate at or beyond 2/L fails before any run starts.
+    points = [
+        BoundParams(l=info.l, g=info.g, f0=f0, f_star=info.f_star, eta=e, c=c, k=k, d=dim, noise=None if ideal else noise)
+        for e in etas for k in k_grid
+    ]
+    _check_grid("eta_grid", etas)
+    rhs = [convergence_bound(p) for p in points]
 
     base = FLConfig(
-        n_clients=n_clients, rounds=k_max, learning_rate=etas[0], clip=ClipMethod.none(),
+        n_clients=n_clients, rounds=k_grid[-1], learning_rate=etas[0], clip=ClipMethod.none(),
         channel=ChannelConfig(fading_model, noise), seed=seed, projection_radius=info.radius,
     )
     cfg = method_variant(base, "ideal" if ideal else "mac", c, c)  # the ideal channel takes no threshold
@@ -404,11 +394,11 @@ def verify_convergence_bound(
                 f"update should stay bounded"
             )
     gns, clipped = (
-        np.stack([result.columns[name] for result in results]).reshape(len(etas), n_seeds, k_max, *block)
+        np.stack([result.columns[name] for result in results]).reshape(len(etas), n_seeds, k_grid[-1], *block)
         for name, block in (("grad_norm_sq", ()), ("clipped_fraction", (-1,)))
     )
     avgs = [float(np.mean(gn[:, :k])) for gn in gns for k in k_grid]  # in the order of points
-    rows = [BoundCheckRow(k, e, avg, bound, avg / bound) for (k, e), avg, bound in zip(points, avgs, rhs)]
+    rows = [BoundCheckRow(p.k, p.eta, avg, bound, avg / bound) for p, avg, bound in zip(points, avgs, rhs)]
     unclipped = np.mean(1.0 - clipped[0].mean(axis=-1), axis=-1)
 
     summary = (
@@ -422,7 +412,7 @@ def verify_convergence_bound(
         dim=dim,
         n_seeds=n_seeds,
         ideal=ideal,
-        p_unclipped_used=params.simplified_p_unclipped(),
+        p_unclipped_used=points[0].simplified_p_unclipped(),
         p_unclipped_empirical=float(np.mean(unclipped)),
         config_summary=summary,
     )

@@ -8,6 +8,7 @@ errors surface with the parser's line/column marker.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -23,6 +24,14 @@ _PARTITIONS = ("iid", "dirichlet")
 _FADINGS = ("rayleigh", "none", "deterministic")
 _ACTIVATIONS = ("relu", "tanh")
 _MLP_LOSSES = ("cross_entropy", "squared_error")
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2's exponent floats (1e-3, 1E5, 5e+2) as numbers, not strings."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+                              list("-+.0123456789"))  # on a copy of the inherited lists: yaml.SafeLoader is unchanged
 
 
 class ConfigError(ValueError):
@@ -153,7 +162,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, _Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from None
     if raw is None:
@@ -177,7 +186,7 @@ def parse_overrides(pairs: list[str]) -> dict:
         if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown config key(s): {key}")
         try:
-            out[key] = yaml.safe_load(value)
+            out[key] = yaml.load(value, _Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {pair!r}: {exc}") from None
     return out

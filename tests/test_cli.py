@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from otafl import cli, fl_core, stable_noise
 from otafl.analysis import clip_survival_report, verify_convergence_bound
@@ -220,6 +221,17 @@ def test_override_validation():
     assert parse_overrides(["rounds=7", "methods=[mac]"]) == {"rounds": 7, "methods": ["mac"]}
 
 
+def test_yaml_exponent_floats_are_numbers(tmp_path):
+    # YAML 1.1 reads 1e-3, 1E5 and 5e+2 as strings: each exited 2 with
+    # "field 'learning_rate' must be a finite number, got '1e-3'"
+    cfg = minimal_config(tmp_path, learning_rate="1e-3", mac_threshold="1E5", gnc_threshold="5e+2")
+    loaded = load_config(cfg)
+    assert (loaded.learning_rate, loaded.mac_threshold, loaded.gnc_threshold) == (0.001, 100000.0, 500.0)
+    assert parse_overrides(["tau=1e-2", "c_grid=[1e-1, 1.0]"]) == {"tau": 0.01, "c_grid": [0.1, 1.0]}
+    assert main(["train", str(cfg), "--set", "tau=1e-2", "--set", "c_grid=[1e-1, 1.0]"]) == 0
+    assert yaml.safe_load("1e-3") == "1e-3"  # yaml.SafeLoader itself is left as it is
+
+
 def test_lemma1_rows_and_slope_row(tmp_path):
     out = tmp_path / "l1.csv"
     code = main([
@@ -306,6 +318,8 @@ def _exit_code(argv) -> int:
 _REJECTIONS = {
     "--g nan": "error: g must be a finite number, got nan",
     "--c inf": "error: c must be a finite number, got inf",
+    "--c nan": "error: c must be a finite number, got nan",
+    "--c -inf": "error: c must be a finite number, got -inf",
     "--tau inf": "error: tau must be a finite number, got inf",
     "--c-grid 1,nan": "error: c_grid must be a finite number, got nan",
     "--alpha abc": "argument --alpha: invalid float value: 'abc'",
@@ -318,8 +332,9 @@ _REJECTIONS = {
 
 
 def _rejection(argv, flag) -> str:
-    last = max(i for i, word in enumerate(argv) if word == flag)  # argparse keeps a repeated flag's last value
-    return _REJECTIONS[f"{flag} {argv[last + 1]}"]
+    words = " ".join(argv).replace(f"{flag}=", f"{flag} ").split()  # --flag=value as --flag value
+    last = max(i for i, word in enumerate(words) if word == flag)  # argparse keeps a repeated flag's last value
+    return _REJECTIONS[f"{flag} {words[last + 1]}"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -328,6 +343,8 @@ def _rejection(argv, flag) -> str:
     (_LEMMA1_SMALL + ["--tau", "inf"], "--tau"),  # was exit 0, every clip probability 1
     (["lemma1", "--alphas", "1.5", "--c-grid", "1,nan", "--samples", "1000"], "--c-grid"),
     (_THEOREM1_SMALL + ["--alpha", "abc"], "--alpha"),
+    (_THEOREM1_SMALL + ["--c", "nan"], "--c"),  # these two were named by the sqrt(2)*G window
+    (_THEOREM1_SMALL + ["--c=-inf"], "--c"),  # a spaced -inf reads as a flag
 ])
 def test_nonfinite_float_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.csv"
@@ -601,6 +618,7 @@ def test_load_config_validation(tmp_path):
     ("c_grid", "{mac: 3}"),
     ("methods", "3"),
     ("name", "[a, b]"),
+    ("name", "1e5"),  # a number since YAML 1.2 floats are read, as 1.0e5 always was
     ("output_dir", "[a]"),
     ("dataset_csv", "5"),
     ("label_column", "[a]"),
@@ -922,12 +940,16 @@ def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monk
 # blocks in one pass; the t1 files: when theorem1 wrote its (K, eta) points
 # as one table, with an eta column and every rate in the provenance line,
 # each float as before; the l1 files: when lemma1's provenance line gained
-# its thresholds, every row as before). Any change to the engine must leave
-# them byte-identical.
+# its thresholds, every row as before; l1_regime.csv: before Lemma 1's report
+# fitted each slope from its own rows, at g > 0, so it holds a regime
+# violation, a row outside the asymptotic regime, Gaussian oracle errors and
+# zero clip probabilities, which the fit skips). Any change to the engine
+# must leave them byte-identical.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
     "l1.csv": "c6294395d074dbbdf3e5a2cba6d931d7f09675ad6ce92d60e852eadc9c527708",
     "l1_chunks.csv": "7b25f3ab1f7083e3a944064aaa014af5d43aecd588021eb33a5fdaae0286bfe0",
+    "l1_regime.csv": "21400e08bc2aec776c1e48be5e8d04dcc9e0cc3ce898b2cad04191a23597d9d7",
     "lfull_sweep.csv": "f8ba53647423051c3026e60cebf6d38db9d72142cbb2b73d6d580cf12b5c9608",
     "mini_gnc.csv": "d8ede1df6cae5fe7b929f26e3ccf6616137ffd7ba6c8ba4ca1b0500e7da153a1",
     "mini_ideal.csv": "36c59c37e260ef8fb7664ac3fa290a1e77c0d1829fb412df40b98ac090dc9b18",
@@ -954,7 +976,8 @@ _PINNED_DIGESTS = {
 def _pinned_csvs(tmp_path):
     """train and sweep on a small shuffling logistic config whose unclipped
     run diverges, theorem1 at two learning rates on the noisy and on the
-    ideal channel and at the default one, lemma1 within one and across two sample chunks,
+    ideal channel and at the default one, lemma1 within one and across two sample chunks
+    and with thresholds on both sides of its window,
     train on a small shuffling MLP config, and train (MLP) and sweep
     (3-class logistic) on full-batch configs whose clients differ in size:
     {file: sha256}."""
@@ -975,6 +998,9 @@ def _pinned_csvs(tmp_path):
     # more than one chunk, so many transform blocks, at the tangent, generic and Gaussian tail indices
     assert main(["lemma1", "--alphas", "1,1.5,2", "--c-grid", "1,2", "--samples", "1100000",
                  "--out", str(out / "l1_chunks.csv")]) == 0
+    # Lemma 1's window at g > 0: every row kind, and a fit that skips zero clip probabilities
+    assert main(["lemma1", "--g", "0.3", "--alphas", "1.5,2", "--c-grid", "0.2,0.45,1,2,5", "--samples", "2000",
+                 "--out", str(out / "l1_regime.csv")]) == 0
     # the MLP's four parameter blocks, each clipped and counted on its own
     mlp = minimal_config(
         tmp_path, name="mlp4", model="mlp", hidden_units=3, mlp_loss="squared_error",
