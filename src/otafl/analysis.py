@@ -19,7 +19,7 @@ from .fl_core import FLConfig, _run_calls, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
 from .stable_noise import _DIFFERENCE_LAWS, _check_choice, _check_finite, _check_grid, _check_integer, _check_law
-from .stable_noise import _check_nonnegative, _check_not_bool, _check_positive, _check_window
+from .stable_noise import _check_nonnegative, _check_positive, _check_window
 
 __all__ = [
     "BoundParams",
@@ -170,7 +170,7 @@ def gaussian_unclipped_prob(tau: float, c: float, g: float) -> float:
     2*tau^2 each, i.e. N(0, 4*tau^2); the survival window is c - sqrt(2)*g.
     """
     _check_positive("tau", tau)
-    _check_not_bool("c", c)
+    _check_finite("c", c)
     _check_nonnegative("g", g)
     _check_window(c, g)
     return math.erf((c - math.sqrt(2.0) * g) / (2.0 * tau * math.sqrt(2.0)))

@@ -633,10 +633,15 @@ def compare_methods(
 ) -> dict[str, list[TrainResult]]:
     """Run every method under matched seeds: seed s uses base seed + s for
     model init, data, channel and batching alike. Every method is checked
-    before the first task is built. Seeds, or blocks of one seed's methods,
-    run on the usable cores (see _run_calls): wall_time is per block, in no CSV."""
+    before the first task is built, and two methods that run the same config
+    (none and ideal on an ideal base channel) are rejected. Seeds, or blocks
+    of one seed's methods, run on the usable cores (see _run_calls):
+    wall_time is per block, in no CSV."""
     variants = [method_variant(base_cfg, m, mac_threshold, gnc_threshold) for m in methods]
     stable_noise._check_grid("methods", methods)
+    for j, cfg in enumerate(variants):
+        if cfg in variants[:j]:
+            raise ValueError(f"methods {methods[variants.index(cfg)]!r} and {methods[j]!r} run the same configuration")
     return dict(zip(methods, _matched_runs(task_factory, variants, n_seeds)))
 
 

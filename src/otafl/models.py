@@ -110,10 +110,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _class_reduce(ufunc, z: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(z, axis=-1, keepdims=True) for np.maximum or np.add on a
+    C-contiguous z, bit for bit (a nan's sign aside). Below 8 entries numpy
+    folds that axis left to right, a sum from +0.0: folding the columns skips
+    its reduction machinery. From 8 on numpy sums pairwise and its max breaks
+    +-0 ties in another order, so its reduce runs."""
+    if not 1 < z.shape[-1] < 8:
+        return ufunc.reduce(z, axis=-1, keepdims=True)
+    acc = ufunc(z[..., :1], z[..., 1:2])
+    for j in range(2, z.shape[-1]):
+        ufunc(acc, z[..., j : j + 1], out=acc)
+    return np.add(acc, 0.0, out=acc) if ufunc is np.add else acc  # a row of -0.0 sums to +0.0
+
+
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis, computed in place in z."""
-    z -= np.max(z, axis=-1, keepdims=True)
-    z -= np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z -= _class_reduce(np.maximum, z)
+    z -= np.log(_class_reduce(np.add, np.exp(z)))
     return z
 
 
@@ -268,7 +282,7 @@ class MlpModel:
         _, logits = self._forward(w, x)
         if self.loss_kind == "squared_error":
             resid = logits - (y[..., None] == np.arange(self.n_classes))
-            per_sample = 0.5 * np.sum(resid**2, axis=-1)
+            per_sample = 0.5 * _class_reduce(np.add, resid**2)[..., 0]
         else:
             per_sample = -_label_log_prob(_log_softmax(logits), y)
         return np.sum(per_sample * wn, axis=-1)

@@ -173,8 +173,14 @@ def test_gaussian_unclipped_prob_closed_form():
         gaussian_unclipped_prob(0.1, 3.0, -1.0)
     with pytest.raises(ValueError, match="^g must be a finite number, got nan"):
         gaussian_unclipped_prob(0.1, 3.0, math.nan)
-    with pytest.raises(RegimeError, match="must exceed sqrt"):
-        gaussian_unclipped_prob(0.1, math.nan, 0.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, "x"])
+def test_gaussian_unclipped_prob_rejects_a_nonfinite_c(c):
+    # nan was once reported by the window rule, inf returned 1.0 and "x"
+    # raised a TypeError from the window's comparison
+    with pytest.raises(ValueError, match=f"^c must be a finite number, got {c!r}$"):
+        gaussian_unclipped_prob(0.1, c, 0.0)
 
 
 @pytest.mark.parametrize("b_scale", [math.nan, math.inf, -math.inf])

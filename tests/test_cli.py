@@ -943,11 +943,13 @@ def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monk
 # its thresholds, every row as before; l1_regime.csv: before Lemma 1's report
 # fitted each slope from its own rows, at g > 0, so it holds a regime
 # violation, a row outside the asymptotic regime, Gaussian oracle errors and
-# zero clip probabilities, which the fit skips). Any change to the engine
-# must leave them byte-identical.
+# zero clip probabilities, which the fit skips; the mlpce and l10 files:
+# before the softmax heads folded their class axis column by column). Any
+# change to the engine must leave them byte-identical.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
     "l1.csv": "c6294395d074dbbdf3e5a2cba6d931d7f09675ad6ce92d60e852eadc9c527708",
+    "l10_sweep.csv": "7b3710f2bff0f74a3e870f60d58b4dd68c611c7e25aa4923d325497630e44bf0",
     "l1_chunks.csv": "7b25f3ab1f7083e3a944064aaa014af5d43aecd588021eb33a5fdaae0286bfe0",
     "l1_regime.csv": "21400e08bc2aec776c1e48be5e8d04dcc9e0cc3ce898b2cad04191a23597d9d7",
     "lfull_sweep.csv": "f8ba53647423051c3026e60cebf6d38db9d72142cbb2b73d6d580cf12b5c9608",
@@ -962,6 +964,9 @@ _PINNED_DIGESTS = {
     "mlp4_mac.csv": "a2c63e4ba979c78a52023477d59d170dd88021a31a0823f17777fd4bbef7cb88",
     "mlp4_none.csv": "8b61e4e0643f5bbdaba67efa970977edca250995a8798459acfdebfead86a80b",
     "mlp4_summary.csv": "ec45bb0eb20ea2580213bbebd392ec01048f42eb0c297f05c7054187fca8f2d5",
+    "mlpce_mac.csv": "1648e3186bfd0bfff03b94cca01c51a9d23b5148bd66d670bc252ba5baa51df1",
+    "mlpce_none.csv": "3588db90fad62a4593a1636a472a4cb8041d33b44e246fc234335102e743b56c",
+    "mlpce_summary.csv": "94fabe1d198612d16372b75b5123e19a281250d017a7a526a860d3135fa97fd8",
     "mlpfull_gnc.csv": "76b8b5471a18c508f1f46a2f24f430d7c55ea4a75dc632b5fc9b6e1edea996d8",
     "mlpfull_ideal.csv": "b54e3e13e3f19cefb4734fd60727b2f7195f157cfd035953da54437b0bca590a",
     "mlpfull_mac.csv": "42e3629c745757f51c5df31bac746f95a45eddceaf3a562087d35a584eced371",
@@ -978,8 +983,9 @@ def _pinned_csvs(tmp_path):
     run diverges, theorem1 at two learning rates on the noisy and on the
     ideal channel and at the default one, lemma1 within one and across two sample chunks
     and with thresholds on both sides of its window,
-    train on a small shuffling MLP config, and train (MLP) and sweep
-    (3-class logistic) on full-batch configs whose clients differ in size:
+    train on a small shuffling MLP config, train (MLP) and sweep
+    (3-class logistic) on full-batch configs whose clients differ in size,
+    train on a cross-entropy MLP and sweep a 10-class logistic config:
     {file: sha256}."""
     cfg = minimal_config(
         tmp_path, model="logistic", methods="[ideal, mac, gnc, none]", n_clients=3, n_samples=60,
@@ -1023,6 +1029,21 @@ def _pinned_csvs(tmp_path):
         alpha=1.2, tau=0.5, learning_rate=0.3, c_grid="{mac: [0.3, 1.0], gnc: [2.0]}", n_seeds=2, seed=6,
     )
     assert main(["sweep", str(logistic_full)]) == 0
+    # the MLP's softmax cross-entropy head, at 3 classes
+    mlp_ce = minimal_config(
+        tmp_path, name="mlpce", model="mlp", hidden_units=3, mlp_loss="cross_entropy", n_classes=3,
+        methods="[mac, none]", n_clients=3, n_samples=60, feature_dim=3, rounds=5, batch_size=5,
+        local_epochs=2, fading="rayleigh", alpha=1.5, tau=0.5, learning_rate=0.3, mac_threshold=0.5,
+        n_seeds=2, eval_every=2, seed=8,
+    )
+    assert main(["train", str(mlp_ce)]) == 0
+    # a 10-class softmax: class axes of 8 and more reduce in numpy's pairwise order
+    logistic_10 = minimal_config(
+        tmp_path, name="l10", model="logistic", n_classes=10, n_clients=3, n_samples=150, feature_dim=10,
+        rounds=4, batch_size=5, local_epochs=2, fading="rayleigh", alpha=1.5, tau=0.5, learning_rate=0.3,
+        c_grid="{mac: [0.3, 1.0], gnc: [2.0]}", n_seeds=2, eval_every=2, seed=9,
+    )
+    assert main(["sweep", str(logistic_10)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
 
 

@@ -629,6 +629,16 @@ def test_compare_methods_checks_the_whole_plan_before_any_run(
     assert built == []
 
 
+def test_compare_methods_rejects_methods_that_coincide(monkeypatch):
+    # on the ideal base channel none and ideal are one config: they once ran
+    # as two identical rows
+    built = []
+    _forbid_runs(monkeypatch)
+    with pytest.raises(ValueError, match="^methods 'none' and 'ideal' run the same configuration$"):
+        compare_methods(lambda seed: built.append(seed), base_config(4, 2), ["mac", "none", "ideal"], 1, 1.0, 1.0)
+    assert built == []
+
+
 def _padded_shuffling_task(seed):
     # Dirichlet clients of unequal sizes, batch 4: clients are padded and shuffle
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))

@@ -11,7 +11,7 @@ from otafl import (
     QuadraticModel,
     compute_smoothness,
 )
-from otafl.models import _label_log_prob, _normalized_weights, global_loss
+from otafl.models import _class_reduce, _label_log_prob, _log_softmax, _normalized_weights, global_loss
 
 
 def make_logistic_data(rng, n=30, p=4, classes=2):
@@ -349,20 +349,38 @@ def reference_mlp_gradient(model, w, x, y, sample_weight=None):
     return np.concatenate([gw1.reshape(*lead, p * h), gb1, gw2.reshape(*lead, h * c), gb2], axis=-1)
 
 
+def reference_logistic_softmax(model, w, x, y, sample_weight=None):
+    """Loss and gradient of LogisticModel's softmax head, out of place, with
+    np.max and np.sum over the class axis."""
+    wn = _normalized_weights(y.shape, sample_weight)
+    p, c = model.feature_dim, model.n_classes
+    logits = x @ w[..., : p * c].reshape(*w.shape[:-1], p, c) + w[..., p * c :][..., None, :]
+    logp = reference_log_softmax(logits)
+    loss = np.sum(-_label_log_prob(logp, y) * wn, axis=-1)
+    resid = (np.exp(logp) - (y[..., None] == np.arange(c))) * wn[..., None]
+    gw = np.swapaxes(x, -1, -2) @ resid
+    gb = np.sum(resid, axis=-2)
+    return loss, np.concatenate([gw.reshape(*gb.shape[:-1], p * c), gb], axis=-1)
+
+
 def fuzz_payload(fuzz, head, lead):
     """A model of the given head and a payload for parameters with leading
-    axes `lead`: the payload carries the client axis, never the replica axis."""
+    axes `lead`: the payload carries the client axis, never the replica axis.
+    The softmax heads draw their class count from both sides of 8, where
+    numpy's class-axis sum changes order."""
     p, m = int(fuzz.integers(1, 6)), int(fuzz.integers(1, 9))
     payload_lead = lead[-1:]
     if head == "quadratic":
         model = QuadraticModel(p)
         a = fuzz.normal(size=payload_lead + (m, p, p))
         return model, a @ np.swapaxes(a, -1, -2), fuzz.normal(size=payload_lead + (m, p))
-    if head.startswith("logistic"):
-        model = LogisticModel(p, int(head[-1]))
+    if head == "logistic/sigmoid":
+        model = LogisticModel(p, 2)
+    elif head == "logistic/softmax":
+        model = LogisticModel(p, int(fuzz.integers(3, 13)))
     else:
         activation, loss_kind = head.split("/")[1:]
-        model = MlpModel(p, int(fuzz.integers(1, 7)), int(fuzz.integers(2, 4)), activation, loss_kind)
+        model = MlpModel(p, int(fuzz.integers(1, 7)), int(fuzz.integers(2, 13)), activation, loss_kind)
     x = fuzz.normal(scale=fuzz.choice([0.1, 1.0, 10.0]), size=payload_lead + (m, p))
     return model, x, fuzz.integers(model.n_classes, size=payload_lead + (m,))
 
@@ -371,7 +389,7 @@ def test_gradient_out_fuzz_is_bit_identical():
     # 420 seeded draws, 20 for each (head, leading shape); every second draw
     # pads its clients' batches with zero sample weights, whole rows
     # included. ~0.2 s on a 2-core VM.
-    heads = ["quadratic", "logistic2", "logistic3", "mlp/relu/cross_entropy", "mlp/relu/squared_error",
+    heads = ["quadratic", "logistic/sigmoid", "logistic/softmax", "mlp/relu/cross_entropy", "mlp/relu/squared_error",
              "mlp/tanh/cross_entropy", "mlp/tanh/squared_error"]
     leads = [(), (3,), (2, 3)]
     fuzz = np.random.default_rng(20261)
@@ -399,4 +417,46 @@ def test_gradient_out_fuzz_is_bit_identical():
             assert loss.tobytes() == reference_mlp_loss(model, w, x, y, sample_weight=weight).tobytes()
             logits = reference_mlp_forward(model, w, x)[2]
             assert model.predict(w, x).tobytes() == np.argmax(logits, axis=-1).tobytes()
+        if head == "logistic/softmax":
+            loss, reference = reference_logistic_softmax(model, w, x, y, sample_weight=weight)
+            assert expected.tobytes() == reference.tobytes(), (case, head, lead)
+            assert np.asarray(model.loss(w, x, y, sample_weight=weight)).tobytes() == loss.tobytes()
     assert time.perf_counter() - t0 < 2.0
+
+
+def same_bits(got, want):
+    """Equal shapes, nan at the same entries, and every other entry the same
+    bytes: a nan's sign and payload bits are numpy's own choice."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes())
+
+
+def test_class_axis_folds_match_numpy_on_special_logits():
+    # the folded class-axis max and sum against np.max and np.sum, and the
+    # in-place log-softmax against reference_log_softmax, at 2-12 classes
+    # (both sides of numpy's switch to pairwise summation at 8) and leading
+    # shapes up to sweep_logistic_iid's (R, N, b); rows mix +-0 ties, +-inf and nan
+    # into normal logits. A nan may carry other sign bits than numpy's:
+    # np.max answers a row that starts with nan with the canonical nan, while
+    # np.maximum keeps that nan's bits. No CSV can show it (a nan prints as
+    # "nan"), and one nan logit makes the whole loss and gradient nan.
+    fuzz = np.random.default_rng(20262)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    leads = [(), (5,), (3, 4), (6, 50, 10)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for case in range(440):
+            c, lead = 2 + case % 11, leads[case // 11 % 4]
+            z = fuzz.normal(scale=fuzz.choice([0.1, 1.0, 30.0]), size=lead + (c,))
+            mask = fuzz.random(z.shape) < fuzz.choice([0.2, 0.6, 1.0])
+            # a third of the draws tie only at +-0, with no inf or nan
+            z[mask] = fuzz.choice(special[:2] if case % 3 == 0 else special, size=int(mask.sum()))
+            for got, want in (
+                (_class_reduce(np.maximum, z), np.max(z, axis=-1, keepdims=True)),
+                (_class_reduce(np.add, z), np.sum(z, axis=-1, keepdims=True)),
+                (_class_reduce(np.add, np.exp(z)), np.sum(np.exp(z), axis=-1, keepdims=True)),
+                (_log_softmax(z.copy()), reference_log_softmax(z)),
+            ):
+                assert same_bits(got, want), (case, c, lead)
+                if case % 3 == 0:  # no nan anywhere: every byte
+                    assert got.tobytes() == want.tobytes(), (case, c, lead)
