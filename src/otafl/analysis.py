@@ -15,11 +15,11 @@ import numpy as np
 
 from .channel import ChannelConfig, FadingModel
 from .clipping import ClipMethod, vector_median
-from .fl_core import FLConfig, _run_calls, method_variant
+from .fl_core import FLConfig, _fork_map, _run_calls, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
-from .stable_noise import _DIFFERENCE_LAWS, _check_choice, _check_finite, _check_grid, _check_integer, _check_law
-from .stable_noise import _check_nonnegative, _check_positive, _check_window
+from .stable_noise import _check_finite, _check_grid, _check_integer, _check_law, _check_nonnegative, _check_positive
+from .stable_noise import _check_window, _drawn_law
 
 __all__ = [
     "BoundParams",
@@ -214,7 +214,8 @@ def clip_survival_report(
     ``outside_asymptotic_regime`` and excluded from the slope fit. At
     alpha = 2 each row also carries the absolute gap to the closed-form
     Gaussian value. All thresholds of one tail index are scored on one
-    shared draw, so its clip probability never rises with C.
+    shared draw, so its clip probability never rises with C. Each tail index
+    then draws from its own stream as one unit of fl_core._fork_map.
     """
     laws = [StableParams(alpha, tau) for alpha in alphas]
     _check_grid("alphas", alphas)
@@ -224,13 +225,16 @@ def clip_survival_report(
     _check_nonnegative("g", g)
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
-    _check_choice("difference_law", difference_law, _DIFFERENCE_LAWS)
+    _drawn_law(laws[0], difference_law)  # the laws share tau: at sqrt2, sqrt(2)*tau must be finite
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
     window = [float(c) for c in c_grid if c > math.sqrt(2.0) * g]  # Lemma 1's regime; only these are drawn
-    for ai, (alpha, params) in enumerate(zip(alphas, laws)):
+
+    def draw(ai):  # one tail index, from its own stream: the same bits on any worker
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3, ai]))
-        drawn = estimate_unclipped_prob(params, window, g, n_samples, rng, difference_law) if window else []
+        return estimate_unclipped_prob(laws[ai], window, g, n_samples, rng, difference_law)
+
+    for alpha, params, drawn in zip(alphas, laws, _fork_map(draw, len(laws)) if window else [[]] * len(laws)):
         p_hats = dict(zip(window, map(float, drawn)))
         own: list[SurvivalRow] = []
         for c in c_grid:

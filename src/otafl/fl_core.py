@@ -52,6 +52,9 @@ _STREAM_INIT, _STREAM_CLIENT, _STREAM_CHANNEL = 0, 1, 2
 # initial loss (with an absolute floor of 1) or stops being finite.
 _DIVERGENCE_FACTOR = 1e6
 
+# Usable cores, read once at import: the one fact that sizes every worker pool (_fork_map).
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 def client_rng(seed: int, round_idx: int, client: int) -> np.random.Generator:
     return np.random.default_rng(
@@ -582,12 +585,9 @@ def _matched_runs(task_factory, variants: list[FLConfig], n_seeds: int) -> list[
 
 def _run_calls(calls: list[tuple]) -> list[list[TrainResult]]:
     """run_replicas(*call) per (cfgs, model, client_datas, eval_data, w0) of
-    `calls`, as units on min(units, usable cores) forked workers, or in the
-    caller if that is one or without os.fork. A unit is a call or, with fewer
-    calls than cores, a block of its rows, each row bit for bit its run alone.
-    A unit starts only on a free worker, none after a failure, and the error
-    raised is the lowest failing unit's, in row order."""
-    cores = stable_noise._CORES if hasattr(os, "fork") else 1
+    `calls`, as the units of one _fork_map: a call or, with fewer calls than
+    cores, a block of its rows, each row bit for bit its run alone."""
+    cores = _usable_cores()
     units = []
     for i, (cfgs, model, client_datas, eval_data, _) in enumerate(calls):
         n_blocks = min(len(cfgs), -(-cores // len(calls)))
@@ -599,27 +599,37 @@ def _run_calls(calls: list[tuple]) -> list[list[TrainResult]]:
         i, rows = units[u]
         return run_replicas(calls[i][0][rows], *calls[i][1:])  # the module's name, which tests may patch
 
-    workers = min(len(units), cores)
-    if workers == 1:
-        per_unit = [run(u) for u in range(len(units))]
-    else:
-        import multiprocessing
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        # a forked worker inherits `run` and the calls: only unit numbers and results are pickled
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), setattr, (_run_unit, "run", run)) as pool:
-            futures, running = [], set()
-            for u in range(len(units)):
-                if len(running) == workers:  # a unit starts only on a free worker, and none after a failure
-                    done, running = wait(running, return_when=FIRST_COMPLETED)
-                    if any(f.exception() is not None for f in done):
-                        break
-                futures.append(pool.submit(_run_unit, u))
-                running.add(futures[-1])
-            per_unit = [f.result() for f in futures]  # in row order: the lowest failing unit's error
+    per_unit = _fork_map(run, len(units))
     return [[r for (i, _), results in zip(units, per_unit) if i == call for r in results] for call in range(len(calls))]
 
 
-def _run_unit(u: int) -> list[TrainResult]:
+def _usable_cores() -> int:
+    return _CORES if hasattr(os, "fork") else 1  # without fork every unit runs in the caller
+
+
+def _fork_map(run, n: int) -> list:
+    """[run(u) for u in range(n)] on min(n, usable cores) forked workers, or in the caller at
+    one core, at one unit, or without os.fork. A unit starts only on a free worker, none after
+    a failure, and the error raised is the lowest failing unit's."""
+    workers = min(n, _usable_cores())
+    if workers <= 1:
+        return [run(u) for u in range(n)]
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    # a forked worker inherits `run` and what it reads: only unit numbers and results are pickled
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), setattr, (_run_unit, "run", run)) as pool:
+        futures, running = [], set()
+        for u in range(n):
+            if len(running) == workers:  # a unit starts only on a free worker, and none after a failure
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.exception() is not None for f in done):
+                    break
+            futures.append(pool.submit(_run_unit, u))
+            running.add(futures[-1])
+        return [f.result() for f in futures]  # in unit order: the lowest failing unit's error
+
+
+def _run_unit(u: int):
     return _run_unit.run(u)  # the runner that a forked worker's pool initializer set
 
 

@@ -8,11 +8,8 @@ survival function P(|X| > x) decays like x**(-alpha).
 
 from __future__ import annotations
 
-import contextvars
-import functools
 import math
 import numbers
-import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -30,21 +27,9 @@ __all__ = [
 
 # Samples drawn per pass of estimate_unclipped_prob: enough that per-chunk overhead is
 # negligible. sample_sas transforms in place, so a pass peaks near three chunk arrays
-# (25 MB), two at alpha = 1, plus two blocks (256 KB) of scratch per transform thread.
+# (25 MB), two at alpha = 1, plus two blocks (256 KB) of transform scratch.
 _CHUNK = 2**20
 _BLOCK = 2**14  # samples per slice of the CMS transform: its temporaries stay in cache
-_DIFFERENCE_LAWS = ("exact", "sqrt2")
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@functools.cache  # made on the first multi-span draw, and again in a forked child, which has none of its threads
-def _thread_pool():
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(_CORES)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_thread_pool.cache_clear)
 
 
 class RegimeError(ValueError):
@@ -127,26 +112,15 @@ def sample_sas(params: StableParams, dim: int, rng: np.random.Generator) -> np.n
     are exactly c times the samples at scale tau under the same generator
     state. alpha = 1 short-circuits to the Cauchy tangent form and never
     touches the exponential draw. All of u is drawn, then all of w; the
-    transform runs over ``_BLOCK``-sample slices and overwrites u with x, in
-    spans of whole slices, one per usable core, on a thread pool under the
-    caller's ``np.errstate``. The bits do not depend on the core count.
+    transform runs on the calling thread over ``_BLOCK``-sample slices and
+    overwrites u with x.
     """
     _check_integer("dim", dim, 1)
-    alpha = params.alpha
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=dim)
-    if alpha == 1.0:
+    if params.alpha == 1.0:
         return np.multiply(np.tan(u, out=u), params.tau, out=u)
-    x, w, tau = u.reshape(-1), rng.standard_exponential(dim).reshape(-1), params.tau
-    span = _BLOCK * -(-x.size // (_BLOCK * _CORES))  # whole slices, one span per core
-    if span >= x.size:  # one span: no thread hop
-        _transform(x, w, alpha, tau)
-    else:  # each span runs in a copy of the caller's context, which holds its np.errstate
-        spans = [(x[s : s + span], w[s : s + span], alpha, tau) for s in range(0, x.size, span)]
-        futures = [_thread_pool().submit(contextvars.copy_context().run, _transform, *args) for args in spans]
-        for error in [done.exception() for done in futures]:  # every span ends before any error is raised
-            if error is not None:
-                raise error
-    return x.reshape(u.shape)
+    _transform(u.reshape(-1), rng.standard_exponential(dim).reshape(-1), params.alpha, params.tau)  # a view of u
+    return u
 
 
 def _transform(x: np.ndarray, w: np.ndarray, alpha: float, tau: float) -> None:
@@ -195,8 +169,8 @@ def estimate_unclipped_prob(
 
     * ``"exact"``: the difference of two independent SaS(alpha, tau) draws,
       which by the stability property has scale 2**(1/alpha) * tau;
-    * ``"sqrt2"``: a single draw at scale sqrt(2) * tau. The two agree only
-      at alpha = 2.
+    * ``"sqrt2"``: a single draw at scale sqrt(2) * tau, which must be
+      finite. The two agree only at alpha = 2.
 
     At small alpha part of the law's mass lies beyond the float maximum
     (about 1e-3 at alpha = 0.01): such draws are +-inf, and the deviation
@@ -210,17 +184,24 @@ def estimate_unclipped_prob(
     for threshold in thresholds:
         _check_window(threshold, g)
     _check_integer("n_samples", n_samples, 1)
-    _check_choice("difference_law", difference_law, _DIFFERENCE_LAWS)
+    law = _drawn_law(params, difference_law)
     margins = thresholds - math.sqrt(2.0) * g
     inside = np.zeros(margins.size, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n_samples, _CHUNK):
             size = min(_CHUNK, n_samples - start)
+            deviation = sample_sas(law, size, rng)
             if difference_law == "exact":
-                deviation = sample_sas(params, size, rng)
                 deviation -= sample_sas(params, size, rng)
-            else:
-                deviation = sample_sas(StableParams(params.alpha, math.sqrt(2.0) * params.tau), size, rng)
             np.abs(deviation, out=deviation)
             inside += [np.count_nonzero(deviation <= m) for m in margins]
     return inside / n_samples
+
+
+def _drawn_law(params: StableParams, difference_law: str) -> StableParams:
+    # the law of estimate_unclipped_prob's first draw ("exact" subtracts a second of params)
+    _check_choice("difference_law", difference_law, ("exact", "sqrt2"))
+    if difference_law == "sqrt2":  # a finite tau can have an infinite sqrt(2)*tau
+        _check_finite("sqrt(2)*tau", math.sqrt(2.0) * params.tau)
+        params = StableParams(params.alpha, math.sqrt(2.0) * params.tau)
+    return params

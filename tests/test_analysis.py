@@ -19,7 +19,7 @@ from otafl import (
     make_quadratic_testbed,
     verify_convergence_bound,
 )
-from otafl import analysis, fl_core, stable_noise
+from otafl import analysis, fl_core
 from otafl.analysis import BoundCheckRow
 from otafl.models import global_loss
 from otafl.stable_noise import StableParams, sample_sas
@@ -350,7 +350,7 @@ def test_bound_check_runs_every_rate_in_one_call(monkeypatch):
         return run_replicas(cfgs, *args, **kw)
 
     # one usable core keeps the rows in one call in this process, where they are counted
-    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    monkeypatch.setattr(fl_core, "_CORES", 1)
     monkeypatch.setattr(fl_core, "run_replicas", counting)
     report = verify_convergence_bound(**kwargs, eta_grid=(0.05, 0.1))
     assert n_rows == [2 * 2]
@@ -370,7 +370,7 @@ def test_bound_check_batches_its_seeds(monkeypatch):
 
     monkeypatch.setattr(fl_core, "run_round", counting)
     # on one usable core, so that no row runs in a worker, where its calls would be counted
-    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    monkeypatch.setattr(fl_core, "_CORES", 1)
     verify_convergence_bound(dim=3, n_clients=2, k_grid=(7,), n_seeds=4, eta_grid=(0.1, 0.05))
     assert calls == list(range(7))
 
@@ -380,7 +380,7 @@ def test_bound_check_rows_on_workers_equal_one_loop(monkeypatch, fork):
     # the 9 rows (3 rates x 3 seeds) of one call run as blocks on 2 workers,
     # or without os.fork as one loop in this process, where rounds are counted
     kwargs = dict(dim=3, n_clients=2, k_grid=(4, 9), n_seeds=3, seed=3, fading="rayleigh", eta_grid=(0.1, 0.05, 0.02))
-    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    monkeypatch.setattr(fl_core, "_CORES", 1)
     want = verify_convergence_bound(**kwargs)
     calls = []
     run_round = fl_core.run_round
@@ -390,7 +390,7 @@ def test_bound_check_rows_on_workers_equal_one_loop(monkeypatch, fork):
         return run_round(*args, **kwargs)
 
     monkeypatch.setattr(fl_core, "run_round", counting)
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
     if not fork:
         monkeypatch.delattr(os, "fork")
     got = verify_convergence_bound(**kwargs)
@@ -398,6 +398,35 @@ def test_bound_check_rows_on_workers_equal_one_loop(monkeypatch, fork):
     assert calls == ([] if fork else list(range(9)))
     # repr compares the floats bit for bit
     for name in ("rows", "p_unclipped_empirical", "config_summary"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name))
+
+
+@pytest.mark.parametrize("cores, fork", [(2, True), (3, True), (3, False)])
+def test_survival_report_tail_indices_on_workers_equal_one_loop(monkeypatch, cores, fork):
+    # the 3 tail indices are 3 units: on fewer workers, as many, or without
+    # os.fork none, when they run in this process, where their draws are counted
+    kwargs = dict(alphas=(1.1, 1.5, 2.0), tau=0.1, c_grid=(0.1, 1.0, 2.0), g=0.2, n_samples=5000, seed=4)
+    calls = []
+    estimate = analysis.estimate_unclipped_prob
+
+    def counting(params, *args):
+        calls.append(params.alpha)
+        return estimate(params, *args)
+
+    monkeypatch.setattr(analysis, "estimate_unclipped_prob", counting)
+    monkeypatch.setattr(fl_core, "_CORES", 1)
+    want = clip_survival_report(**kwargs)
+    assert calls == [1.1, 1.5, 2.0]
+    calls.clear()
+    monkeypatch.setattr(fl_core, "_CORES", cores)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    got = clip_survival_report(**kwargs)
+    assert multiprocessing.active_children() == []
+    assert calls == ([] if fork else [1.1, 1.5, 2.0])
+    assert [r.note for r in got.rows[:3]] == ["regime_violation", "", ""]
+    # repr compares the floats bit for bit
+    for name in ("rows", "slopes", "config_summary"):
         assert repr(getattr(got, name)) == repr(getattr(want, name))
 
 
@@ -524,10 +553,12 @@ def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
     (lambda: clip_survival_report([1.5], 0.1, [1.0, 2.0], math.nan, 100), "g"),
     # was accepted
     (lambda: clip_survival_report([1.5], 0.1, [1.0], 1.0, 0), "n_samples"),
+    # was named as a tau of inf, a value never given
+    (lambda: clip_survival_report([1.5, 1.9], 1.5e308, [1.0, 2.0], 0.0, 100, difference_law="sqrt2"), "sqrt(2)*tau"),
 ])
 def test_bad_analysis_input_is_named_before_any_draw(monkeypatch, call, name):
     _forbid_draws(monkeypatch)
-    with pytest.raises(ValueError, match=rf"^{name} must be"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
         call()
 
 

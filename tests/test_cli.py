@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from otafl import cli, fl_core, stable_noise
+from otafl import analysis, cli, fl_core
 from otafl.analysis import clip_survival_report, verify_convergence_bound
 from otafl.cli import build_parser, main
 from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides, validate
@@ -839,11 +839,11 @@ def test_theorem1_rows_on_workers_exit_2_or_3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t1.csv"
     argv = ["theorem1", "--dim", "1", "--n-clients", "1", "--k-grid", "50", "--seeds", "4", "--seed", "1",
             "--alpha", "0.01", "--out", str(out)]
-    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    monkeypatch.setattr(fl_core, "_CORES", 1)
     assert main(argv) == 2
     one_loop = capsys.readouterr().err
     assert one_loop == "error: bound-check run diverged at seed 3; the clipped update should stay bounded\n"
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
     assert main(argv) == 2
     assert capsys.readouterr().err == one_loop
     assert multiprocessing.active_children() == []
@@ -862,6 +862,35 @@ def test_theorem1_rows_on_workers_exit_2_or_3(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_lemma1_tail_indices_on_workers_exit_3_if_one_dies(tmp_path, capsys, monkeypatch):
+    # each tail index runs as a unit on a worker; a worker that dies is an
+    # infrastructure failure, as for theorem1's rows
+    monkeypatch.setattr(fl_core, "_CORES", 2)
+    parent = os.getpid()
+
+    def dying(*args):
+        assert os.getpid() != parent  # never ends the test process
+        os._exit(1)
+
+    monkeypatch.setattr(analysis, "estimate_unclipped_prob", dying)
+    out = tmp_path / "l1.csv"
+    assert main(["lemma1", "--alphas", "1.1,1.5,1.9", "--samples", "100", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infrastructure error: A process in the process pool was terminated abruptly")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_lemma1_names_a_sqrt2_scale_beyond_the_float_range(tmp_path, capsys):
+    # tau is finite, but the sqrt2 law draws at sqrt(2)*tau, which is not: the
+    # message names that value, not a tau of inf that was never given
+    out = tmp_path / "l1.csv"
+    assert main(["lemma1", "--difference-law", "sqrt2", "--tau", "1.5e308", "--samples", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sqrt(2)*tau must be a finite number, got inf\n"
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_one_usable_core_runs_theorem1_in_one_loop_with_the_same_bytes(tmp_path, monkeypatch):
     # a child process that keeps one CPU before it imports otafl reads one
@@ -870,14 +899,14 @@ def test_one_usable_core_runs_theorem1_in_one_loop_with_the_same_bytes(tmp_path,
     args = ["theorem1", "--dim", "3", "--n-clients", "2", "--seeds", "3", "--k-grid", "4,9",
             "--fading", "rayleigh", "--eta", "0.1,0.05,0.02", "--seed", "3"]
     code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-            "from otafl import stable_noise; from otafl.cli import main; "
-            "print(stable_noise._CORES); sys.exit(main(sys.argv[1:]))")
+            "from otafl import fl_core; from otafl.cli import main; "
+            "print(fl_core._CORES); sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path / "one.csv")],
                            env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "1\n"
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
     assert main([*args, "--out", str(tmp_path / "two.csv")]) == 0
     assert multiprocessing.active_children() == []
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
@@ -898,7 +927,7 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
 def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monkeypatch):
     # seeds run in worker processes: an error of the run comes back as it
     # was raised, and a worker that dies is an infrastructure failure
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
     cfg = minimal_config(tmp_path, n_seeds=3, c_grid="[0.5, 1.0]", seed=0)
     parent, run_replicas = os.getpid(), fl_core.run_replicas
 

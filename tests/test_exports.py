@@ -7,7 +7,7 @@ is a stale name of another kind, and a private helper whose last caller was
 deleted a third. The package root publishes exactly its library modules'
 ``__all__``, and each rule for a count, a positive, finite or non-negative
 number, a choice, a distinct list or Lemma 1's clip window has one
-implementation.
+implementation. One module, fl_core, runs work on the cores.
 """
 
 import ast
@@ -252,3 +252,56 @@ def test_number_rules_have_one_implementation():
     # so that every type rejects a bool, a fraction or None alike
     sources = {p.stem: p.read_text(encoding="utf-8") for p in Path(otafl.__file__).parent.glob("*.py")}
     assert _hand_written_number_rules(sources) == []
+
+
+_CONCURRENCY = ("multiprocessing", "concurrent.futures", "threading", "contextvars")
+# the one such import outside fl_core: the CLI names a dead worker's error as an infrastructure failure
+_CONCURRENCY_EXEMPT = ("cli.main",)
+
+
+def _concurrency_imports(sources: dict[str, str]) -> list[str]:
+    """Where a module of ``sources`` ({module: source}) other than fl_core
+    imports one of _CONCURRENCY or a submodule of one, as the qualified name
+    of the enclosing definition, unless it is in _CONCURRENCY_EXEMPT."""
+    found = []
+    for module, source in sources.items():
+        if module == "fl_core":
+            continue
+        tree = ast.parse(source)
+        scope = {tree: module}
+        for node in ast.walk(tree):  # breadth first: a node's scope is set before its children's
+            inner = scope[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{inner}.{node.name}"
+            for child in ast.iter_child_nodes(node):
+                scope[child] = inner
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(n == m or n.startswith(f"{m}.") for n in names for m in _CONCURRENCY):
+                found.append(inner)
+    return sorted(set(found) - set(_CONCURRENCY_EXEMPT))
+
+
+def test_concurrency_import_finder_finds_them():
+    # a thread pool and a context copy outside fl_core, a pool module under another
+    # name, the CLI's exempt import beside one that is not, and a look-alike name
+    sources = {
+        "stable_noise": "import contextvars\nimport functools\n"
+                        "def _thread_pool():\n    from concurrent.futures import ThreadPoolExecutor\n",
+        "fl_core": "import os\ndef _fork_map(run, n):\n    import multiprocessing\n"
+                   "    from concurrent.futures import ProcessPoolExecutor\n",
+        "cli": "def main():\n    from concurrent.futures.process import BrokenProcessPool\n"
+               "def helper():\n    import threading\n",
+        "analysis": "import multiprocessing.pool as mp\nimport concurrent\nfrom .fl_core import _fork_map\n",
+        "data": "from threading import Lock\nimport threadingx\n",
+    }
+    assert _concurrency_imports(sources) == ["analysis", "cli.helper", "data", "stable_noise", "stable_noise._thread_pool"]
+
+
+def test_only_fl_core_uses_the_cores():
+    # the usable-core count and its one scheduler, _fork_map, live in
+    # fl_core; a pool, thread or context copy elsewhere is a second way
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in Path(otafl.__file__).parent.glob("*.py")}
+    assert _concurrency_imports(sources) == []

@@ -1,7 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
-import signal
+import threading
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -520,7 +520,7 @@ def test_compare_methods_matched_seeds(monkeypatch):
     monkeypatch.setattr(fl_core, "run_round", counting)
     # seeds run in this process only on one usable core: a worker's calls
     # would be counted in the worker
-    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    monkeypatch.setattr(fl_core, "_CORES", 1)
     cfg = base_config(
         4, 5, learning_rate=0.3,
         channel=ChannelConfig(FadingModel.rayleigh_unit_mean(), StableParams(1.5, 0.1)),
@@ -716,7 +716,7 @@ def test_seeds_on_worker_processes_equal_one_loop(monkeypatch, cores, fork):
         return run_round(*args, **kwargs)
 
     def both(n_cores):
-        monkeypatch.setattr(stable_noise, "_CORES", n_cores)
+        monkeypatch.setattr(fl_core, "_CORES", n_cores)
         methods = compare_methods(_padded_shuffling_task, _diverging_config(), ["ideal", "mac", "gnc", "none"], 3, 0.3, 1.0)
         rows = run_threshold_sweep(_padded_shuffling_task, _diverging_config(), {"mac": [0.3, 1.0], "gnc": [1.0]}, n_seeds=3)
         assert multiprocessing.active_children() == []
@@ -740,7 +740,7 @@ def test_the_lowest_failing_seed_raises_its_error(monkeypatch, tmp_path, cores):
     # 0 and 1 start, and seed 2 only once seed 0 ends. The seeds then
     # running both fail, so in every order of completion the next seed to
     # end is a failing one, and seed 3 never starts
-    monkeypatch.setattr(stable_noise, "_CORES", cores)
+    monkeypatch.setattr(fl_core, "_CORES", cores)
     run_replicas = fl_core.run_replicas
 
     def failing(cfgs, *args):
@@ -760,7 +760,7 @@ def test_the_lowest_failing_seed_raises_its_error(monkeypatch, tmp_path, cores):
 
 
 def test_a_dead_worker_fails_the_call_at_once(monkeypatch):
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
     parent = os.getpid()
 
     def dying(*args):
@@ -776,33 +776,22 @@ def test_a_dead_worker_fails_the_call_at_once(monkeypatch):
 
 
 def _wide_task(seed):
-    # 6001 parameters: the three noisy rows of a seed draw their noise in
-    # two spans, on the transform threads
+    # 6001 parameters: the three noisy rows of a seed draw their noise
+    # across two transform blocks
     return classification_task(seed, p=6000)
 
 
-def _compare_after_a_multi_span_draw(want):
-    os.setpgrp()  # its seed workers join its process group, so a hang is killed whole
-    sample_sas(StableParams(1.5, 0.3), 4 * stable_noise._BLOCK, np.random.default_rng(9))
-    assert stable_noise._thread_pool.cache_info().currsize == 1  # this process's transform threads are up
-    got = compare_methods(_wide_task, _noisy_config(), ["mac", "gnc", "none"], 2, 0.5, 5.0)
-    raise SystemExit(0 if _fingerprint(got) == want and not multiprocessing.active_children() else 1)
-
-
 def test_seed_workers_fork_from_a_process_with_transform_threads(monkeypatch):
-    # a seed worker forked while its parent's transform threads are up
-    # makes its own threads rather than wait on the parent's; the check
-    # runs in a child so that a hang times out
-    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    # a draw of many transform blocks runs on the calling thread and starts
+    # no thread, and seed workers forked after it give the one-core results
+    threads = threading.active_count()
+    sample_sas(StableParams(1.5, 0.3), 4 * stable_noise._BLOCK, np.random.default_rng(9))
+    assert threading.active_count() == threads
+    monkeypatch.setattr(fl_core, "_CORES", 1)
     want = _fingerprint(compare_methods(_wide_task, _noisy_config(), ["mac", "gnc", "none"], 2, 0.5, 5.0))
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
-    child = multiprocessing.get_context("fork").Process(target=_compare_after_a_multi_span_draw, args=(want,))
-    child.start()
-    child.join(timeout=30)
-    if child.is_alive():
-        os.killpg(child.pid, signal.SIGKILL)
-        child.join()
-    assert child.exitcode == 0
+    monkeypatch.setattr(fl_core, "_CORES", 2)
+    assert _fingerprint(compare_methods(_wide_task, _noisy_config(), ["mac", "gnc", "none"], 2, 0.5, 5.0)) == want
+    assert multiprocessing.active_children() == []
 
 
 _METHODS = ["ideal", "mac", "gnc", "none"]
@@ -814,7 +803,7 @@ def test_blocks_of_one_seed_equal_one_loop(monkeypatch, cores, fork):
     # of rows, two at 2 cores and one each at 4, where the block of the none
     # row, which diverges on round 3, stops early. Rounds counted here show
     # where the blocks ran: without os.fork, in this process as one loop
-    monkeypatch.setattr(stable_noise, "_CORES", 1)
+    monkeypatch.setattr(fl_core, "_CORES", 1)
     serial = compare_methods(_padded_shuffling_task, _diverging_config(), _METHODS, 1, 0.3, 1.0)
     rounds = []
     run_round = fl_core.run_round
@@ -824,7 +813,7 @@ def test_blocks_of_one_seed_equal_one_loop(monkeypatch, cores, fork):
         return run_round(*args, **kwargs)
 
     monkeypatch.setattr(fl_core, "run_round", counting)
-    monkeypatch.setattr(stable_noise, "_CORES", cores)
+    monkeypatch.setattr(fl_core, "_CORES", cores)
     if not fork:
         monkeypatch.delattr(os, "fork")
     split = compare_methods(_padded_shuffling_task, _diverging_config(), _METHODS, 1, 0.3, 1.0)
@@ -852,7 +841,7 @@ def test_a_split_call_checks_its_rows_whole(monkeypatch, rows, message):
         prepare_task(model, clients, block, test)
     with pytest.raises(ValueError, match=message) as one_loop:
         run_replicas(cfgs, model, clients, test)
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
     _forbid_runs(monkeypatch)
     with pytest.raises(ValueError) as split:
         fl_core._run_calls([(cfgs, model, clients, test, None)])
@@ -864,7 +853,7 @@ def test_the_lowest_failing_block_raises_its_error(monkeypatch):
     # one seed's 4 methods at 3 cores run as 3 blocks: [ideal], [mac] and
     # [gnc, none]. The last fails at once and mac's later; mac's error is
     # raised, with its type, as in one loop
-    monkeypatch.setattr(stable_noise, "_CORES", 3)
+    monkeypatch.setattr(fl_core, "_CORES", 3)
     run_replicas = fl_core.run_replicas
 
     def failing(cfgs, *args):
@@ -886,7 +875,7 @@ def test_no_block_starts_after_a_failure(monkeypatch, tmp_path):
     # share 3 workers. Blocks 0, 1 and 2 start; block 0 fails late and the
     # other two at once, so the first block to end is a failing one and
     # block 3 never starts. Block 0's error is raised
-    monkeypatch.setattr(stable_noise, "_CORES", 3)
+    monkeypatch.setattr(fl_core, "_CORES", 3)
 
     def failing(cfgs, *args):
         block = f"seed{cfgs[0].seed}-{cfgs[0].clip.kind}"
@@ -903,7 +892,7 @@ def test_no_block_starts_after_a_failure(monkeypatch, tmp_path):
 
 def test_a_dead_block_worker_fails_the_call_at_once(monkeypatch):
     # one seed's two methods, one block each
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
     parent = os.getpid()
 
     def dying(*args):

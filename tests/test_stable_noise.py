@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import time
 import tracemalloc
 import warnings
@@ -264,95 +263,35 @@ class _RowsRng:
         return self._rows(lambda rng: rng.standard_exponential(size))
 
 
-def _count_spans(monkeypatch):
-    """Record the size of every span sample_sas hands to the transform."""
-    sizes, transform = [], stable_noise._transform
-    monkeypatch.setattr(stable_noise, "_transform", lambda x, *rest: (sizes.append(x.size), transform(x, *rest)))
-    return sizes
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-def test_blocked_transform_is_bit_identical_to_one_pass(alpha, monkeypatch):
-    # sample_sas transforms in _BLOCK-sample slices of a flat view, in place,
-    # in spans of whole slices, one per core; every variate equals the
-    # one-pass expression's on both sides of each block and span edge and
-    # across the row edges of (R, dim) draws, whatever the core count
-    sizes = _count_spans(monkeypatch)
+def test_blocked_transform_is_bit_identical_to_one_pass(alpha):
+    # sample_sas transforms in _BLOCK-sample slices of a flat view, in place;
+    # every variate equals the one-pass expression's on both sides of each
+    # block edge and across the row edges of (R, dim) draws
     block = stable_noise._BLOCK
     params = StableParams(alpha, 0.3)
     source = np.array([0, 2, 1, 2])
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(stable_noise, "_CORES", cores)
-        for dim in (1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 7, 6 * block + 1):
-            sizes.clear()
-            got = sample_sas(params, dim, np.random.default_rng(dim))
-            assert got.shape == (dim,)
-            np.testing.assert_array_equal(got, cms_reference(params, dim, np.random.default_rng(dim)))
-            if alpha != 1.0:  # the tangent form has no transform
-                # spans finish in any order; all but the last hold whole blocks
-                assert sum(sizes) == dim and sum(k % block != 0 for k in sizes) <= 1
-                assert (len(sizes) > 1) == (cores > 1 and dim > block) and len(sizes) <= cores
-        for dim in (10, 738, block // 3 + 5, block + 3):
-            sizes.clear()
-            got = sample_sas(params, dim, _RowsRng([4, 5, 6], source))
-            assert got.shape == (4, dim)
-            np.testing.assert_array_equal(got, cms_reference(params, dim, _RowsRng([4, 5, 6], source)))
-            if alpha != 1.0 and cores > 1 and 4 * dim > block:
-                assert len(sizes) > 1
+    for dim in (1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 7, 6 * block + 1):
+        got = sample_sas(params, dim, np.random.default_rng(dim))
+        assert got.shape == (dim,)
+        np.testing.assert_array_equal(got, cms_reference(params, dim, np.random.default_rng(dim)))
+    for dim in (10, 738, block // 3 + 5, block + 3):
+        got = sample_sas(params, dim, _RowsRng([4, 5, 6], source))
+        assert got.shape == (4, dim)
+        np.testing.assert_array_equal(got, cms_reference(params, dim, _RowsRng([4, 5, 6], source)))
 
 
-def test_spans_keep_the_callers_error_state(monkeypatch):
-    # a transform thread starts with numpy's default error state: each span
-    # must run under the caller's, silenced or not, as the serial path does
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
-    sizes = _count_spans(monkeypatch)
+def test_spans_keep_the_callers_error_state():
+    # every block of the transform runs under the caller's numpy error
+    # state, silenced in estimate_unclipped_prob and not in a bare draw
     params, n = StableParams(0.01, 0.1), 4 * stable_noise._BLOCK
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # at alpha = 0.01 cos(u)**100 underflows to 0 and some draws are inf
         p = estimate_unclipped_prob(params, [1.0, 2.0], 0.0, n, np.random.default_rng(0))
-        assert len(sizes) == 4 and 0.0 < p[0] <= p[1] < 1.0
+        assert 0.0 < p[0] <= p[1] < 1.0
         with pytest.raises(RuntimeWarning, match="divide by zero"):
             sample_sas(params, n, np.random.default_rng(0))
-
-
-def test_a_failing_span_waits_for_the_others(monkeypatch):
-    # a span still running after sample_sas raised could warn, or write,
-    # after the caller has moved on: the first span fails at once, the
-    # second ends later, and the call returns only after it
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
-    ended, block = [], stable_noise._BLOCK
-
-    def transform(x, *rest):
-        if x.size == 2 * block:
-            raise FloatingPointError("first span")
-        time.sleep(0.2)
-        ended.append(x.size)
-
-    monkeypatch.setattr(stable_noise, "_transform", transform)
-    with pytest.raises(FloatingPointError, match="first span"):
-        sample_sas(StableParams(1.5, 0.3), 3 * block, np.random.default_rng(0))
-    assert ended == [block]
-
-
-def _draw_in_child(params, dim, want):
-    got = sample_sas(params, dim, np.random.default_rng(9))
-    raise SystemExit(0 if got.tobytes() == want else 1)
-
-
-def test_forked_child_draws_across_spans(monkeypatch):
-    # a pool used before a fork has no threads in the child: the child must
-    # make its own rather than wait on the parent's forever
-    monkeypatch.setattr(stable_noise, "_CORES", 2)
-    params, dim = StableParams(1.5, 0.3), 4 * stable_noise._BLOCK
-    want = sample_sas(params, dim, np.random.default_rng(9)).tobytes()
-    child = multiprocessing.get_context("fork").Process(target=_draw_in_child, args=(params, dim, want))
-    child.start()
-    child.join(timeout=30)
-    if child.is_alive():
-        child.kill()
-        child.join()
-    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("alpha, arrays", [(1.5, 3.25), (1.0, 2.25)])
