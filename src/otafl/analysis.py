@@ -19,7 +19,7 @@ from .fl_core import FLConfig, _fork_map, _run_calls, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
 from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
 from .stable_noise import _check_finite, _check_grid, _check_integer, _check_law, _check_nonnegative, _check_positive
-from .stable_noise import _check_window, _drawn_law
+from .stable_noise import _check_window
 
 __all__ = [
     "BoundParams",
@@ -203,7 +203,6 @@ def clip_survival_report(
     g: float = 0.0,
     n_samples: int = 10**6,
     seed: int = 0,
-    difference_law: str = "exact",
 ) -> SurvivalReport:
     """Empirical clip probability per threshold, with the power-law asymptote
     and a log-log slope fit per tail index. The defaults are the criterion-3
@@ -225,14 +224,13 @@ def clip_survival_report(
     _check_nonnegative("g", g)
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
-    _drawn_law(laws[0], difference_law)  # the laws share tau: at sqrt2, sqrt(2)*tau must be finite
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
     window = [float(c) for c in c_grid if c > math.sqrt(2.0) * g]  # Lemma 1's regime; only these are drawn
 
     def draw(ai):  # one tail index, from its own stream: the same bits on any worker
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3, ai]))
-        return estimate_unclipped_prob(laws[ai], window, g, n_samples, rng, difference_law)
+        return estimate_unclipped_prob(laws[ai], window, g, n_samples, rng)
 
     for alpha, params, drawn in zip(alphas, laws, _fork_map(draw, len(laws)) if window else [[]] * len(laws)):
         p_hats = dict(zip(window, map(float, drawn)))
@@ -252,7 +250,7 @@ def clip_survival_report(
         rows += own
     summary = (
         f"alphas={','.join(map(str, alphas))} tau={tau} c_grid={','.join(map(str, c_grid))} g={g} "
-        f"samples={n_samples} seed={seed} difference_law={difference_law}"
+        f"samples={n_samples} seed={seed}"
     )
     return SurvivalReport(rows=rows, slopes=slopes, config_summary=summary)
 

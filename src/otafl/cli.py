@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     l1.add_argument("--g", type=float, help="per-client gradient norm bound")
     l1.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int)
     l1.add_argument("--seed", type=int)
-    l1.add_argument("--difference-law", choices=["exact", "sqrt2"])
     l1.add_argument("--out", default="lemma1.csv")
     l1.set_defaults(func=cmd_lemma1)
 

@@ -154,7 +154,6 @@ def estimate_unclipped_prob(
     g: float,
     n_samples: int,
     rng: np.random.Generator,
-    difference_law: str = "exact",
 ) -> np.ndarray:
     """Monte Carlo probability that a noisy entry stays inside the clip window.
 
@@ -164,13 +163,9 @@ def estimate_unclipped_prob(
     one probability per threshold; every threshold is scored on the same
     draws, so the estimate never falls as C grows. The deviation is drawn
     from ``rng`` in chunks of ``_CHUNK`` samples, which bounds memory by the
-    chunk rather than by ``n_samples``.
-    ``difference_law`` selects how the deviation is modeled:
-
-    * ``"exact"``: the difference of two independent SaS(alpha, tau) draws,
-      which by the stability property has scale 2**(1/alpha) * tau;
-    * ``"sqrt2"``: a single draw at scale sqrt(2) * tau, which must be
-      finite. The two agree only at alpha = 2.
+    chunk rather than by ``n_samples``. The deviation is the difference of
+    two independent SaS(alpha, tau) draws, which by the stability property
+    has scale 2**(1/alpha) * tau.
 
     At small alpha part of the law's mass lies beyond the float maximum
     (about 1e-3 at alpha = 0.01): such draws are +-inf, and the deviation
@@ -178,30 +173,20 @@ def estimate_unclipped_prob(
     floating-point warnings they raise are silenced.
     """
     _check_nonnegative("g", g)
-    thresholds = np.asarray(c, dtype=float)
-    if thresholds.ndim != 1 or thresholds.size == 0:
+    if np.ndim(c) != 1 or len(c) == 0:
         raise ValueError(f"c must be a non-empty 1-D sequence of thresholds, got {c!r}")
-    for threshold in thresholds:
+    for threshold in c:
+        _check_finite("c", threshold)
         _check_window(threshold, g)
     _check_integer("n_samples", n_samples, 1)
-    law = _drawn_law(params, difference_law)
-    margins = thresholds - math.sqrt(2.0) * g
+    margins = np.asarray(c, dtype=float) - math.sqrt(2.0) * g
     inside = np.zeros(margins.size, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n_samples, _CHUNK):
             size = min(_CHUNK, n_samples - start)
-            deviation = sample_sas(law, size, rng)
-            if difference_law == "exact":
-                deviation -= sample_sas(params, size, rng)
+            deviation = sample_sas(params, size, rng)
+            deviation -= sample_sas(params, size, rng)
             np.abs(deviation, out=deviation)
             inside += [np.count_nonzero(deviation <= m) for m in margins]
     return inside / n_samples
 
-
-def _drawn_law(params: StableParams, difference_law: str) -> StableParams:
-    # the law of estimate_unclipped_prob's first draw ("exact" subtracts a second of params)
-    _check_choice("difference_law", difference_law, ("exact", "sqrt2"))
-    if difference_law == "sqrt2":  # a finite tau can have an infinite sqrt(2)*tau
-        _check_finite("sqrt(2)*tau", math.sqrt(2.0) * params.tau)
-        params = StableParams(params.alpha, math.sqrt(2.0) * params.tau)
-    return params

@@ -10,6 +10,11 @@ import pytest
 
 from otafl import (
     BoundParams,
+    ChannelConfig,
+    ClipMethod,
+    FadingModel,
+    FLConfig,
+    QuadraticClientData,
     RegimeError,
     clip_survival_report,
     convergence_bound,
@@ -17,6 +22,7 @@ from otafl import (
     gaussian_unclipped_prob,
     mac_clip,
     make_quadratic_testbed,
+    run_replicas,
     verify_convergence_bound,
 )
 from otafl import analysis, fl_core
@@ -246,13 +252,13 @@ def test_survival_report_defaults_are_the_criterion_3_check():
     }
     assert defaults == {
         "alphas": (1.1, 1.5, 1.9), "tau": 0.1, "c_grid": tuple(float(c) for c in np.logspace(0, 1, 6)),
-        "g": 0.0, "n_samples": 10**6, "seed": 0, "difference_law": "exact",
+        "g": 0.0, "n_samples": 10**6, "seed": 0,
     }
     assert type(defaults["g"]) is float  # the header reads g=0.0
     report = clip_survival_report(n_samples=100)
     assert report.config_summary == (
         "alphas=1.1,1.5,1.9 tau=0.1 c_grid=1.0,1.5848931924611136,2.51188643150958,3.981071705534973,"
-        "6.309573444801933,10.0 g=0.0 samples=100 seed=0 difference_law=exact"
+        "6.309573444801933,10.0 g=0.0 samples=100 seed=0"
     )
     assert list(report.slopes) == [1.1, 1.5, 1.9]
 
@@ -553,8 +559,6 @@ def test_repeated_grid_entries_are_rejected_before_any_draw(monkeypatch):
     (lambda: clip_survival_report([1.5], 0.1, [1.0, 2.0], math.nan, 100), "g"),
     # was accepted
     (lambda: clip_survival_report([1.5], 0.1, [1.0], 1.0, 0), "n_samples"),
-    # was named as a tau of inf, a value never given
-    (lambda: clip_survival_report([1.5, 1.9], 1.5e308, [1.0, 2.0], 0.0, 100, difference_law="sqrt2"), "sqrt(2)*tau"),
 ])
 def test_bad_analysis_input_is_named_before_any_draw(monkeypatch, call, name):
     _forbid_draws(monkeypatch)
@@ -586,7 +590,7 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
     # TypeError, or a ValueError of float() that named no argument.
     _forbid_draws(monkeypatch)
     bound = dict(dim=3, n_clients=2, k_grid=(5,), n_seeds=1, seed=4, alpha=1.5, tau=0.1, eta_grid=(0.05,), c=None, fading="rayleigh")
-    survival = dict(alphas=[1.5], tau=0.1, c_grid=[1.0, 2.0], g=0.0, n_samples=100, seed=0, difference_law="exact")
+    survival = dict(alphas=[1.5], tau=0.1, c_grid=[1.0, 2.0], g=0.0, n_samples=100, seed=0)
     # both reach their draws with nothing bad in them
     for entry, kwargs in ((verify_convergence_bound, bound), (clip_survival_report, survival)):
         with pytest.raises(_RunStarted):
@@ -612,3 +616,73 @@ def test_analysis_entry_points_fuzz_bad_scalars(monkeypatch):
                         entry(**{**kwargs, name: (bad,) if name in grids else bad})
                     word = named.get(name, name)
                     assert re.search(rf"\b{word}\b", str(exc.value), re.IGNORECASE), (name, bad, str(exc.value))
+
+
+# ---------------------------------------------------------------------------
+# scale and limit relations: each holds without reference values, and fails
+# for a formula that is right at one scale and wrong at the others
+
+
+@pytest.mark.parametrize("k", [10, -10])
+def test_survival_report_is_scale_covariant(k):
+    # tau, C and G scaled by a power of two scale every draw and margin
+    # exactly, so every row is bit for bit the same; only the slopes move,
+    # by the last ulps of log(C)
+    s = 2.0**k
+    alphas, c_grid, g = [1.1, 1.5, 1.9, 2.0], [0.2, 0.45, 1.0, 2.0, 5.0], 0.3
+    base = clip_survival_report(alphas, 0.1, c_grid, g, 20_000, seed=1)
+    scaled = clip_survival_report(alphas, 0.1 * s, [c * s for c in c_grid], g * s, 20_000, seed=1)
+    notes = {r.note for r in base.rows}
+    assert notes == {"regime_violation", "outside_asymptotic_regime", ""}
+    assert any(r.empirical_clip_prob == 0.0 for r in base.rows) and any(r.gaussian_oracle_err for r in base.rows)
+    for r, rs in zip(base.rows, scaled.rows, strict=True):
+        assert rs.threshold == r.threshold * s
+        same = [(x.empirical_clip_prob, x.asymptote, x.gaussian_oracle_err, x.note) for x in (r, rs)]
+        assert repr(same[0]) == repr(same[1])  # repr: a nan clip probability equals itself
+    assert list(scaled.slopes) == alphas
+    for alpha in alphas:
+        assert scaled.slopes[alpha] == pytest.approx(base.slopes[alpha], rel=1e-12)
+
+
+@pytest.mark.parametrize("fading", ["none", "rayleigh"])
+@pytest.mark.parametrize("b_scale", [0.0, 1.0])
+def test_engine_is_scale_covariant(fading, b_scale):
+    # A_n, b_n, tau and C scaled by s and eta by 1/s: every gradient, noise
+    # draw and clip scales by s, and every step eta*g is the same, so the
+    # iterates are bit-identical, losses scale by s and ||grad f||^2 by s^2.
+    # At tau = 1 both the clip and the projection act.
+    tb = make_quadratic_testbed(dim=6, n_clients=4, seed=2, b_scale=b_scale)
+    eta, c = 1.0 / tb.info.l, 2.0 * math.sqrt(2.0) * tb.info.g
+
+    def run(s):
+        datas = [QuadraticClientData(a=d.a * s, b=d.b * s) for d in tb.client_datas]
+        cfgs = [
+            FLConfig(n_clients=4, rounds=200, learning_rate=eta / s, clip=ClipMethod.mac(c * s),
+                     channel=ChannelConfig(FadingModel(fading), StableParams(1.5, s)), seed=seed,
+                     projection_radius=tb.info.radius)
+            for seed in range(8)
+        ]
+        return run_replicas(cfgs, tb.model, datas, w0=tb.w0)
+
+    base = run(1.0)
+    assert any(r.columns["clipped_fraction"].any() for r in base)
+    assert any(np.linalg.norm(r.final_w) == pytest.approx(tb.info.radius) for r in base)
+    for s in (2.0**10, 2.0**-10):
+        for r, rs in zip(base, run(s), strict=True):
+            assert not r.diverged and not rs.diverged
+            np.testing.assert_array_equal(rs.final_w, r.final_w)
+            np.testing.assert_array_equal(rs.columns["grad_norm_sq"], r.columns["grad_norm_sq"] * s**2)
+            np.testing.assert_array_equal(rs.columns["global_loss"], r.columns["global_loss"] * s)
+            for name in ("clipped_fraction", "update_norm"):
+                np.testing.assert_array_equal(rs.columns[name], r.columns[name])
+
+
+def test_bound_check_noiseless_limit_is_the_ideal_run():
+    # at tau = 1e-6 no entry leaves the mac window, and the running averages
+    # of ||grad f||^2 are the noiseless channel's to 5 digits
+    noisy = verify_convergence_bound(tau=1e-6, n_seeds=4)
+    ideal = verify_convergence_bound(tau=1e-6, n_seeds=4, ideal=True)
+    assert noisy.p_unclipped_empirical == 1.0
+    assert [r.rounds for r in noisy.rows] == [r.rounds for r in ideal.rows] == [10, 100, 1000]
+    for r, ri in zip(noisy.rows, ideal.rows):
+        assert r.empirical_avg == pytest.approx(ri.empirical_avg, rel=1e-5)

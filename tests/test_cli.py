@@ -806,7 +806,7 @@ def test_check_commands_fuzz_exit_0_or_2(tmp_path, capsys):
             argv += ["--fading", "rayleigh"] if fuzz.random() < 0.5 else []
         else:
             argv = [command, "--samples", str(fuzz.integers(1, 2000))]
-            argv += ["--difference-law", "sqrt2"] if fuzz.random() < 0.5 else []
+            fuzz.random()  # once the coin of a deleted flag; still drawn, so every later case is as before
         flags = _CHECK_FUZZ_FLAGS[command]
         for flag in fuzz.choice(flags, size=fuzz.integers(1, 3), replace=False):
             value = _CHECK_FUZZ_VALUES[int(fuzz.integers(len(_CHECK_FUZZ_VALUES)))]
@@ -882,12 +882,12 @@ def test_lemma1_tail_indices_on_workers_exit_3_if_one_dies(tmp_path, capsys, mon
     assert multiprocessing.active_children() == []
 
 
-def test_lemma1_names_a_sqrt2_scale_beyond_the_float_range(tmp_path, capsys):
-    # tau is finite, but the sqrt2 law draws at sqrt(2)*tau, which is not: the
-    # message names that value, not a tau of inf that was never given
-    out = tmp_path / "l1.csv"
-    assert main(["lemma1", "--difference-law", "sqrt2", "--tau", "1.5e308", "--samples", "10", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: sqrt(2)*tau must be a finite number, got inf\n"
+def test_lemma1_has_no_difference_law_flag(tmp_path, capsys):
+    # the deviation has one law, the difference of two draws; the flag that
+    # chose a second one is gone, and argparse rejects it before any draw
+    out = tmp_path / "x.csv"
+    assert _exit_code(["lemma1", "--difference-law", "exact", "--out", str(out)]) == 2
+    assert "error: unrecognized arguments: --difference-law exact" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -973,14 +973,16 @@ def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monk
 # fitted each slope from its own rows, at g > 0, so it holds a regime
 # violation, a row outside the asymptotic regime, Gaussian oracle errors and
 # zero clip probabilities, which the fit skips; the mlpce and l10 files:
-# before the softmax heads folded their class axis column by column). Any
-# change to the engine must leave them byte-identical.
+# before the softmax heads folded their class axis column by column; the
+# three l1 files again when lemma1's provenance line dropped its
+# difference_law=exact token with the second difference law, every other
+# line as before). Any change to the engine must leave them byte-identical.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
-    "l1.csv": "c6294395d074dbbdf3e5a2cba6d931d7f09675ad6ce92d60e852eadc9c527708",
+    "l1.csv": "0550e255d0150ee7f7fac14380e54004dbd85e4850c5d1e554419b4140ae2d48",
     "l10_sweep.csv": "7b3710f2bff0f74a3e870f60d58b4dd68c611c7e25aa4923d325497630e44bf0",
-    "l1_chunks.csv": "7b25f3ab1f7083e3a944064aaa014af5d43aecd588021eb33a5fdaae0286bfe0",
-    "l1_regime.csv": "21400e08bc2aec776c1e48be5e8d04dcc9e0cc3ce898b2cad04191a23597d9d7",
+    "l1_chunks.csv": "c84d44ff584d19cc6425fe035674d71029506f3a5408bafb0eeb0869e69faa99",
+    "l1_regime.csv": "d9ff99be7c3506a6f382b61518d74514a62e496e7d79db25fa9e7eb79bd7bce0",
     "lfull_sweep.csv": "f8ba53647423051c3026e60cebf6d38db9d72142cbb2b73d6d580cf12b5c9608",
     "mini_gnc.csv": "d8ede1df6cae5fe7b929f26e3ccf6616137ffd7ba6c8ba4ca1b0500e7da153a1",
     "mini_ideal.csv": "36c59c37e260ef8fb7664ac3fa290a1e77c0d1829fb412df40b98ac090dc9b18",

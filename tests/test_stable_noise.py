@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -154,9 +155,15 @@ def test_unclipped_prob_regime_violation():
     # a nan bound once scored every entry as clipped
     with pytest.raises(ValueError, match="g must be a finite number, got nan"):
         estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0, 2.0], math.nan, 1000, np.random.default_rng(0))
-    # so was a nan threshold
-    with pytest.raises(RegimeError, match="C=nan"):
-        estimate_unclipped_prob(StableParams(1.5, 0.1), [math.nan, 2.0], 0.0, 1000, np.random.default_rng(0))
+    # so was a nan threshold; True, inf and '1.5' were converted to float and scored
+    for bad, message in (
+        (math.nan, "c must be a finite number, got nan"),
+        (True, "c must be a number, not a bool, got True"),
+        (math.inf, "c must be a finite number, got inf"),
+        ("1.5", "c must be a finite number, got '1.5'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_unclipped_prob(StableParams(1.5, 0.1), [bad, 2.0], 0.0, 1000, np.random.default_rng(0))
     # one threshold at sqrt(2)*g fails the whole vector call
     with pytest.raises(RegimeError, match="C=1.414"):
         estimate_unclipped_prob(
@@ -176,14 +183,10 @@ def test_unclipped_prob_regime_violation():
 def test_unclipped_prob_vector_matches_scalar_calls():
     params = StableParams(1.5, 0.1)
     cs = [0.3, 0.5, 1.0, 2.0]
-    for law in ("exact", "sqrt2"):
-        vec = estimate_unclipped_prob(params, cs, 0.1, 10**5, np.random.default_rng(21), law)
-        single = [
-            estimate_unclipped_prob(params, [c], 0.1, 10**5, np.random.default_rng(21), law)[0]
-            for c in cs
-        ]
-        assert vec.tolist() == single
-        assert np.all(np.diff(vec) >= 0.0)
+    vec = estimate_unclipped_prob(params, cs, 0.1, 10**5, np.random.default_rng(21))
+    single = [estimate_unclipped_prob(params, [c], 0.1, 10**5, np.random.default_rng(21))[0] for c in cs]
+    assert vec.tolist() == single
+    assert np.all(np.diff(vec) >= 0.0)
 
 
 def _reference_unclipped_prob(params, c, g, chunk_sizes, rng):
@@ -205,20 +208,13 @@ def test_unclipped_prob_streams_chunks_like_reference():
     assert got.tolist() == want
 
 
-def test_difference_laws():
-    params = StableParams(1.5, 0.1)
-    # the exact two-draw difference has scale 2**(1/alpha)*tau, heavier than
-    # the sqrt(2)*tau single-draw variant, so more mass escapes the window
-    pe = estimate_unclipped_prob(params, [1.0], 0.0, 4 * 10**5, np.random.default_rng(3), "exact")[0]
-    ps = estimate_unclipped_prob(params, [1.0], 0.0, 4 * 10**5, np.random.default_rng(3), "sqrt2")[0]
-    assert (1.0 - pe) > (1.0 - ps)
-    # at alpha = 2 the two coincide in distribution
-    g2 = StableParams(2.0, 0.1)
-    pe2 = estimate_unclipped_prob(g2, [0.4], 0.0, 4 * 10**5, np.random.default_rng(4), "exact")[0]
-    ps2 = estimate_unclipped_prob(g2, [0.4], 0.0, 4 * 10**5, np.random.default_rng(5), "sqrt2")[0]
-    assert abs(pe2 - ps2) < 0.005
-    with pytest.raises(ValueError):
-        estimate_unclipped_prob(params, [1.0], 0.0, 100, np.random.default_rng(0), "bogus")
+def test_deviation_has_the_stable_scale():
+    # the deviation is the difference of two SaS(alpha, tau) draws, which by
+    # the stability property is one draw at scale 2**(1/alpha)*tau
+    for alpha in (1.1, 1.5, 2.0):
+        got = estimate_unclipped_prob(StableParams(alpha, 0.1), [0.2, 1.0], 0.0, 4 * 10**5, np.random.default_rng(3))
+        one = np.abs(sample_sas(StableParams(alpha, 2.0 ** (1.0 / alpha) * 0.1), 4 * 10**5, np.random.default_rng(4)))
+        assert got.tolist() == pytest.approx([np.mean(one <= 0.2), np.mean(one <= 1.0)], abs=0.005)
 
 
 def test_fit_tail_exponent_validation():
@@ -369,14 +365,12 @@ _NUMBER_FIELDS = [
           dict(n_clients=3), counts=dict(n_clients=1)),
     _case(lambda threshold: mac_clip(np.arange(4.0), threshold), dict(threshold=1.0), positive={"threshold"}),
     _case(lambda threshold: gnc_clip(np.arange(4.0), threshold), dict(threshold=1.0), positive={"threshold"}),
-    _case(lambda g, n_samples, difference_law: estimate_unclipped_prob(
-              StableParams(1.5, 0.1), [2.0], g, n_samples, np.random.default_rng(0), difference_law),
-          dict(g=0.5, n_samples=10, difference_law="exact"), counts=dict(n_samples=1), nonnegative={"g"},
-          choices=dict(difference_law=("exact", "sqrt2"))),
+    _case(lambda g, n_samples: estimate_unclipped_prob(
+              StableParams(1.5, 0.1), [2.0], g, n_samples, np.random.default_rng(0)),
+          dict(g=0.5, n_samples=10), counts=dict(n_samples=1), nonnegative={"g"}),
     _case(lambda c_grid, **kw: clip_survival_report(alphas=(1.5,), tau=0.1, c_grid=(c_grid,), **kw),
-          dict(c_grid=2.0, g=0.5, n_samples=10, seed=0, difference_law="exact"),
-          counts=dict(n_samples=1, seed=0), positive={"c_grid"}, finite={"c_grid"}, nonnegative={"g"},
-          choices=dict(difference_law=("exact", "sqrt2"))),
+          dict(c_grid=2.0, g=0.5, n_samples=10, seed=0),
+          counts=dict(n_samples=1, seed=0), positive={"c_grid"}, finite={"c_grid"}, nonnegative={"g"}),
     _case(lambda threshold: tail_prob_simplified(StableParams(1.5, 0.1), threshold),
           dict(threshold=1.0), positive={"threshold"}),
     _case(StableParams, dict(alpha=1.5, tau=0.1), positive={"tau"}, finite={"alpha", "tau"}),
