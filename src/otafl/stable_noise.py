@@ -26,8 +26,8 @@ __all__ = [
 
 
 # Samples drawn per pass of estimate_unclipped_prob: enough that per-chunk overhead is
-# negligible. sample_sas transforms in place, so a pass peaks near three chunk arrays
-# (25 MB), two at alpha = 1, plus two blocks (256 KB) of transform scratch.
+# negligible. sample_sas transforms in place, so a pass peaks near two chunk arrays
+# (17 MB: u and w, plus two blocks of transform scratch), one and a mask at alpha = 1.
 _CHUNK = 2**20
 _BLOCK = 2**14  # samples per slice of the CMS transform: its temporaries stay in cache
 
@@ -161,16 +161,17 @@ def estimate_unclipped_prob(
     compared against the worst-case margin c - sqrt(2)*g, where g bounds the
     per-client gradient norms. ``c`` is a 1-D sequence of thresholds, giving
     one probability per threshold; every threshold is scored on the same
-    draws, so the estimate never falls as C grows. The deviation is drawn
-    from ``rng`` in chunks of ``_CHUNK`` samples, which bounds memory by the
-    chunk rather than by ``n_samples``. The deviation is the difference of
-    two independent SaS(alpha, tau) draws, which by the stability property
-    has scale 2**(1/alpha) * tau.
+    draws, so the estimate never falls as C grows. The deviation, a
+    difference of two SaS(alpha, tau) draws, is by the stability property one
+    draw at scale 2**(1/alpha) * tau. So each sample is one SaS(alpha, tau)
+    variate, scored against the margin over 2**(1/alpha): the scale never
+    grows, so it stays finite. Samples are drawn from ``rng`` in chunks of
+    ``_CHUNK``, which bounds memory by the chunk, not by ``n_samples``.
 
     At small alpha part of the law's mass lies beyond the float maximum
-    (about 1e-3 at alpha = 0.01): such draws are +-inf, and the deviation
-    inf - inf of two draws of one sign is nan, which counts as clipped. The
-    floating-point warnings they raise are silenced.
+    (about 1e-3 at alpha = 0.01): such a draw is +-inf and counts as clipped.
+    Below alpha = 1/1024 every margin is 0, as 2**(1/alpha) saturates to inf,
+    and only draws that underflowed to 0 are inside. Warnings are silenced.
     """
     _check_nonnegative("g", g)
     if np.ndim(c) != 1 or len(c) == 0:
@@ -179,14 +180,13 @@ def estimate_unclipped_prob(
         _check_finite("c", threshold)
         _check_window(threshold, g)
     _check_integer("n_samples", n_samples, 1)
-    margins = np.asarray(c, dtype=float) - math.sqrt(2.0) * g
-    inside = np.zeros(margins.size, dtype=np.int64)
+    inside = np.zeros(len(c), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        margins = (np.asarray(c, dtype=float) - math.sqrt(2.0) * g) / np.float64(2.0) ** (1.0 / params.alpha)
         for start in range(0, n_samples, _CHUNK):
-            size = min(_CHUNK, n_samples - start)
-            deviation = sample_sas(params, size, rng)
-            deviation -= sample_sas(params, size, rng)
-            np.abs(deviation, out=deviation)
-            inside += [np.count_nonzero(deviation <= m) for m in margins]
+            x = sample_sas(params, min(_CHUNK, n_samples - start), rng)
+            np.abs(x, out=x)
+            inside += [np.count_nonzero(x <= m) for m in margins]
+            del x  # before the next chunk's draw, which would otherwise peak at three arrays
     return inside / n_samples
 

@@ -19,6 +19,7 @@ from otafl import (
     clip_survival_report,
     convergence_bound,
     decompose_clip_event,
+    estimate_unclipped_prob,
     gaussian_unclipped_prob,
     mac_clip,
     make_quadratic_testbed,
@@ -642,6 +643,19 @@ def test_survival_report_is_scale_covariant(k):
     assert list(scaled.slopes) == alphas
     for alpha in alphas:
         assert scaled.slopes[alpha] == pytest.approx(base.slopes[alpha], rel=1e-12)
+
+
+def test_unclipped_prob_is_scale_covariant_to_the_float_maximum():
+    # the same relation up to tau = 2**1021: a draw that overflows is clipped,
+    # as it is at every smaller scale (a difference of two would be inf - inf)
+    def estimate(k):
+        s = 2.0**k
+        return estimate_unclipped_prob(StableParams(1.5, 0.5 * s), [c * s for c in (0.25, 0.5, 1.0)], 0.0,
+                                       200_000, np.random.default_rng(0)).tolist()
+
+    base = estimate(0)
+    for k in (10, 1000, 1020, 1022):
+        assert estimate(k) == base, k
 
 
 @pytest.mark.parametrize("fading", ["none", "rayleigh"])

@@ -384,9 +384,10 @@ def test_theorem1_ideal_refuses_fading(tmp_path, capsys):
 def test_huge_finite_flag_ends_without_a_traceback(tmp_path, capsys):
     # both once raised OverflowError from a float ** and exited 1
     out = tmp_path / "l1.csv"
-    assert main(_LEMMA1_SMALL + ["--tau", "1e200", "--out", str(out)]) == 0
-    _, columns, rows = read_csv(out)
-    assert [r[columns.index("asymptote")] for r in rows if r[1]] == ["1.0", "1.0"]
+    for tau in ("1e200", "1e308"):
+        assert main(_LEMMA1_SMALL + ["--tau", tau, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        assert [r[columns.index("asymptote")] for r in rows if r[1]] == ["1.0", "1.0"]
     out = tmp_path / "t1.csv"
     assert main(_THEOREM1_SMALL + ["--c", "1e155", "--out", str(out)]) == 2
     assert "error: the bound is not finite at c = 1e+155" in capsys.readouterr().err
@@ -976,13 +977,15 @@ def test_a_failing_seed_exits_2_and_a_dead_worker_exits_3(tmp_path, capsys, monk
 # before the softmax heads folded their class axis column by column; the
 # three l1 files again when lemma1's provenance line dropped its
 # difference_law=exact token with the second difference law, every other
-# line as before). Any change to the engine must leave them byte-identical.
+# line as before, and when Lemma 1 drew each deviation as one SaS variate
+# against a margin shrunk by 2**(1/alpha), the same law from half the
+# variates). Any change to the engine must leave them byte-identical.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_DIGESTS = {
-    "l1.csv": "0550e255d0150ee7f7fac14380e54004dbd85e4850c5d1e554419b4140ae2d48",
+    "l1.csv": "e19654d5197265c12f20d8ead5fbf548ec30ced43d0bbed52ddbc36272d1dc48",
     "l10_sweep.csv": "7b3710f2bff0f74a3e870f60d58b4dd68c611c7e25aa4923d325497630e44bf0",
-    "l1_chunks.csv": "c84d44ff584d19cc6425fe035674d71029506f3a5408bafb0eeb0869e69faa99",
-    "l1_regime.csv": "d9ff99be7c3506a6f382b61518d74514a62e496e7d79db25fa9e7eb79bd7bce0",
+    "l1_chunks.csv": "61d4eda068ad0a8731d484934237f1c89733d755498e797d0643cdd832f18b58",
+    "l1_regime.csv": "e6cde534658ce6ac66a774a9a9c38c3a020385740035d791ed5d62c1f601c6e7",
     "lfull_sweep.csv": "f8ba53647423051c3026e60cebf6d38db9d72142cbb2b73d6d580cf12b5c9608",
     "mini_gnc.csv": "d8ede1df6cae5fe7b929f26e3ccf6616137ffd7ba6c8ba4ca1b0500e7da153a1",
     "mini_ideal.csv": "36c59c37e260ef8fb7664ac3fa290a1e77c0d1829fb412df40b98ac090dc9b18",

@@ -191,10 +191,8 @@ def test_unclipped_prob_vector_matches_scalar_calls():
 
 def _reference_unclipped_prob(params, c, g, chunk_sizes, rng):
     """Draw the chunks estimate_unclipped_prob draws, keep them all, take the mean."""
-    deviation = np.concatenate(
-        [sample_sas(params, k, rng) - sample_sas(params, k, rng) for k in chunk_sizes]
-    )
-    return float(np.mean(np.abs(deviation) <= c - math.sqrt(2.0) * g))
+    x = np.concatenate([sample_sas(params, k, rng) for k in chunk_sizes])
+    return float(np.mean(np.abs(x) <= (c - math.sqrt(2.0) * g) / 2.0 ** (1.0 / params.alpha)))
 
 
 def test_unclipped_prob_streams_chunks_like_reference():
@@ -208,13 +206,44 @@ def test_unclipped_prob_streams_chunks_like_reference():
     assert got.tolist() == want
 
 
+def test_unclipped_prob_draws_each_deviation_once(monkeypatch):
+    # one sample_sas call per chunk: a second draw per deviation, subtracted,
+    # would double the calls and the variates for the same law
+    sizes = []
+
+    def counting(params, dim, rng):
+        sizes.append(dim)
+        return sample_sas(params, dim, rng)
+
+    monkeypatch.setattr(stable_noise, "sample_sas", counting)
+    monkeypatch.setattr(stable_noise, "_CHUNK", 1000)
+    for n in (1, 999, 1000, 1001, 3500):
+        sizes.clear()
+        estimate_unclipped_prob(StableParams(1.5, 0.1), [1.0, 2.0], 0.0, n, np.random.default_rng(0))
+        assert len(sizes) == math.ceil(n / stable_noise._CHUNK)
+        assert sum(sizes) == n
+
+
 def test_deviation_has_the_stable_scale():
-    # the deviation is the difference of two SaS(alpha, tau) draws, which by
-    # the stability property is one draw at scale 2**(1/alpha)*tau
+    # one SaS(alpha, tau) draw against the margin over 2**(1/alpha) has the
+    # law of the difference of two draws against the margin itself
     for alpha in (1.1, 1.5, 2.0):
-        got = estimate_unclipped_prob(StableParams(alpha, 0.1), [0.2, 1.0], 0.0, 4 * 10**5, np.random.default_rng(3))
-        one = np.abs(sample_sas(StableParams(alpha, 2.0 ** (1.0 / alpha) * 0.1), 4 * 10**5, np.random.default_rng(4)))
-        assert got.tolist() == pytest.approx([np.mean(one <= 0.2), np.mean(one <= 1.0)], abs=0.005)
+        params, n = StableParams(alpha, 0.1), 4 * 10**5
+        got = estimate_unclipped_prob(params, [0.2, 1.0], 0.0, n, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        diff = np.abs(sample_sas(params, n, rng) - sample_sas(params, n, rng))
+        assert got.tolist() == pytest.approx([np.mean(diff <= 0.2), np.mean(diff <= 1.0)], abs=0.005)
+
+
+def test_unclipped_prob_at_a_tiny_tail_index():
+    # below alpha = 1/1024 the factor 2**(1/alpha) saturates to inf, silently:
+    # every margin is 0, not an OverflowError, and the estimate stays a probability
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in ([0.5, 1.0, 2.0, 1e300], [1e-300, 1.0]):
+            p = estimate_unclipped_prob(StableParams(1e-4, 0.1), c, 0.0, 10**4, np.random.default_rng(0))
+            assert np.all((0.0 <= p) & (p <= 1.0))
+            assert np.all(np.diff(p) >= 0.0)
 
 
 def test_fit_tail_exponent_validation():
@@ -290,16 +319,17 @@ def test_spans_keep_the_callers_error_state():
             sample_sas(params, n, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("alpha, arrays", [(1.5, 3.25), (1.0, 2.25)])
-def test_one_chunk_peaks_near_three_chunk_arrays(alpha, arrays):
-    # the transform writes into the uniform draw and the second draw is
-    # subtracted in place: one chunk holds the first deviation plus the
-    # second call's u and w (no w at alpha = 1), and two cache-sized blocks
+@pytest.mark.parametrize("alpha, arrays", [(1.5, 2.125), (1.0, 1.25)])
+def test_one_chunk_peaks_near_two_chunk_arrays(alpha, arrays):
+    # the transform writes into the uniform draw, and its absolute value is
+    # taken in place: one chunk holds u and w (no w at alpha = 1), two
+    # cache-sized blocks, and one threshold's boolean mask after w is freed;
+    # a chunk is dropped before the next one is drawn
     params, chunk = StableParams(alpha, 0.1), stable_noise._CHUNK
     estimate_unclipped_prob(params, [1.0, 2.0], 0.0, 1000, np.random.default_rng(0))
     tracemalloc.start()
     try:
-        estimate_unclipped_prob(params, [1.0, 2.0], 0.0, chunk, np.random.default_rng(0))
+        estimate_unclipped_prob(params, [1.0, 2.0], 0.0, 2 * chunk, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
