@@ -13,11 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import stable_noise
 from .channel import ChannelConfig, FadingModel
 from .clipping import ClipMethod, vector_median
-from .fl_core import FLConfig, _fork_map, _run_calls, method_variant
+from .fl_core import FLConfig, _fork_map, _run_calls, _usable_cores, method_variant
 from .models import QuadraticClientData, QuadraticModel, SmoothnessInfo, compute_smoothness, global_loss
-from .stable_noise import RegimeError, StableParams, estimate_unclipped_prob, tail_prob_simplified
+from .stable_noise import RegimeError, StableParams, tail_prob_simplified
 from .stable_noise import _check_finite, _check_grid, _check_integer, _check_law, _check_nonnegative, _check_positive
 from .stable_noise import _check_window
 
@@ -213,8 +214,8 @@ def clip_survival_report(
     ``outside_asymptotic_regime`` and excluded from the slope fit. At
     alpha = 2 each row also carries the absolute gap to the closed-form
     Gaussian value. All thresholds of one tail index are scored on one
-    shared draw, so its clip probability never rises with C. Each tail index
-    then draws from its own stream as one unit of fl_core._fork_map.
+    shared draw, so its clip probability never rises with C. A tail index's
+    chunks, from its own stream, run in spans, the units of fl_core._fork_map.
     """
     laws = [StableParams(alpha, tau) for alpha in alphas]
     _check_grid("alphas", alphas)
@@ -227,12 +228,18 @@ def clip_survival_report(
     rows: list[SurvivalRow] = []
     slopes: dict[float, float] = {}
     window = [float(c) for c in c_grid if c > math.sqrt(2.0) * g]  # Lemma 1's regime; only these are drawn
+    n_chunks, cores = -(-n_samples // stable_noise._CHUNK), _usable_cores()
+    spans = min(n_chunks, cores // math.gcd(cores, len(laws))) if window else 0  # the fewest giving workers equal units
 
-    def draw(ai):  # one tail index, from its own stream: the same bits on any worker
+    def count(u):  # span b of tail index ai, from its own stream: the same bits on any worker
+        ai, b = divmod(u, spans)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3, ai]))
-        return estimate_unclipped_prob(laws[ai], window, g, n_samples, rng)
+        return stable_noise._count_inside(laws[ai], window, g, n_samples, rng, range(n_chunks * b // spans, n_chunks * (b + 1) // spans))
 
-    for alpha, params, drawn in zip(alphas, laws, _fork_map(draw, len(laws)) if window else [[]] * len(laws)):
+    tiny = len(laws) * n_samples <= stable_noise._CHUNK  # one chunk in all: a pool costs more than it saves
+    counts = [count(u) for u in range(len(laws) * spans)] if tiny else _fork_map(count, len(laws) * spans)
+    for ai, (alpha, params) in enumerate(zip(alphas, laws)):
+        drawn = sum(counts[ai * spans : (ai + 1) * spans], np.zeros(len(window), np.int64)) / n_samples
         p_hats = dict(zip(window, map(float, drawn)))
         own: list[SurvivalRow] = []
         for c in c_grid:

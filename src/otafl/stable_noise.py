@@ -25,9 +25,9 @@ __all__ = [
 ]
 
 
-# Samples drawn per pass of estimate_unclipped_prob: enough that per-chunk overhead is
-# negligible. sample_sas transforms in place, so a pass peaks near two chunk arrays
-# (17 MB: u and w, plus two blocks of transform scratch), one and a mask at alpha = 1.
+# Samples per pass of estimate_unclipped_prob, and the unit of clip_survival_report's spans.
+# sample_sas transforms in place, so a pass peaks near two chunk arrays (17 MB: u and w, plus
+# two blocks of transform scratch), one and a mask at alpha = 1; replaying one holds w alone.
 _CHUNK = 2**20
 _BLOCK = 2**14  # samples per slice of the CMS transform: its temporaries stay in cache
 
@@ -180,13 +180,21 @@ def estimate_unclipped_prob(
         _check_finite("c", threshold)
         _check_window(threshold, g)
     _check_integer("n_samples", n_samples, 1)
+    return _count_inside(params, c, g, n_samples, rng, range(-(-n_samples // _CHUNK))) / n_samples
+
+
+def _count_inside(params: StableParams, c, g: float, n_samples: int, rng: np.random.Generator, chunks: range) -> np.ndarray:
+    """Per threshold, how many samples of ``chunks`` of estimate_unclipped_prob's draw stay inside."""
     inside = np.zeros(len(c), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         margins = (np.asarray(c, dtype=float) - math.sqrt(2.0) * g) / np.float64(2.0) ** (1.0 / params.alpha)
-        for start in range(0, n_samples, _CHUNK):
+        for _ in range(chunks.start):  # replayed: a uniform is one generator step, an exponential is drawn
+            rng.bit_generator.advance(_CHUNK)
+            if params.alpha != 1.0:  # sample_sas draws no exponentials at alpha = 1
+                rng.standard_exponential(_CHUNK)
+        for start in range(chunks.start * _CHUNK, min(chunks.stop * _CHUNK, n_samples), _CHUNK):
             x = sample_sas(params, min(_CHUNK, n_samples - start), rng)
             np.abs(x, out=x)
             inside += [np.count_nonzero(x <= m) for m in margins]
             del x  # before the next chunk's draw, which would otherwise peak at three arrays
-    return inside / n_samples
-
+    return inside

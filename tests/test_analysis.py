@@ -26,7 +26,7 @@ from otafl import (
     run_replicas,
     verify_convergence_bound,
 )
-from otafl import analysis, fl_core
+from otafl import analysis, fl_core, stable_noise
 from otafl.analysis import BoundCheckRow
 from otafl.models import global_loss
 from otafl.stable_noise import StableParams, sample_sas
@@ -236,6 +236,17 @@ def test_survival_report_regime_violation_rows():
     assert rows[1].note == "" and not math.isnan(rows[1].empirical_clip_prob)
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_survival_report_draws_nothing_below_the_regime(monkeypatch, cores):
+    # every threshold at or below sqrt(2)*G: no span, in this process or on a worker
+    monkeypatch.setattr(fl_core, "_CORES", cores)
+    monkeypatch.setattr(analysis, "_fork_map", lambda run, n: [] if n == 0 else pytest.fail(f"{n} units"))
+    monkeypatch.setattr(stable_noise, "_count_inside", lambda *args: pytest.fail("a span was drawn"))
+    report = clip_survival_report([1.5, 1.1], 0.1, [0.5, 1.0], 1.0, 5 * 10**6)
+    assert {r.note for r in report.rows} == {"regime_violation"}
+    assert all(math.isnan(s) for s in report.slopes.values())
+
+
 def test_survival_report_gaussian_oracle_column():
     report = clip_survival_report([2.0], 0.1, [0.3, 0.5], 0.0, 10**5, seed=0)
     for row in report.rows_for(2.0):
@@ -408,33 +419,94 @@ def test_bound_check_rows_on_workers_equal_one_loop(monkeypatch, fork):
         assert repr(getattr(got, name)) == repr(getattr(want, name))
 
 
-@pytest.mark.parametrize("cores, fork", [(2, True), (3, True), (3, False)])
+@pytest.mark.parametrize("cores, fork", [(1, True), (2, True), (3, True), (4, True), (3, False)])
 def test_survival_report_tail_indices_on_workers_equal_one_loop(monkeypatch, cores, fork):
-    # the 3 tail indices are 3 units: on fewer workers, as many, or without
-    # os.fork none, when they run in this process, where their draws are counted
-    kwargs = dict(alphas=(1.1, 1.5, 2.0), tau=0.1, c_grid=(0.1, 1.0, 2.0), g=0.2, n_samples=5000, seed=4)
-    calls = []
-    estimate = analysis.estimate_unclipped_prob
+    # each tail index's chunks run as spans, the units of _fork_map: on workers
+    # when it forks, or at one core or without os.fork one span per tail index in this process,
+    # where the spans are counted; at 1000-sample chunks the draws end on a
+    # chunk edge or one sample either side, and alpha = 1 replays no exponentials
+    monkeypatch.setattr(stable_noise, "_CHUNK", 1000)
+    spans = []
+    count = stable_noise._count_inside
 
-    def counting(params, *args):
-        calls.append(params.alpha)
-        return estimate(params, *args)
+    def counting(params, c, g, n_samples, rng, chunks):
+        spans.append((params.alpha, chunks))
+        return count(params, c, g, n_samples, rng, chunks)
 
-    monkeypatch.setattr(analysis, "estimate_unclipped_prob", counting)
+    monkeypatch.setattr(stable_noise, "_count_inside", counting)
+    for alphas in ((1.0, 1.5, 2.0), (1.0,)):
+        for n in (2999, 3000, 3001):
+            kwargs = dict(alphas=alphas, tau=0.1, c_grid=(0.1, 1.0, 2.0, 5.0), g=0.2, n_samples=n, seed=4)
+            monkeypatch.setattr(fl_core, "_CORES", 1)
+            want = clip_survival_report(**kwargs)
+            # one unit per tail index, no replay: the estimator's own loop, bit for bit
+            whole = range(math.ceil(n / 1000))
+            assert spans == [(a, whole) for a in alphas]
+            for ai, a in enumerate(alphas):
+                rng = np.random.default_rng(np.random.SeedSequence([4, 3, ai]))
+                p = estimate_unclipped_prob(StableParams(a, 0.1), [1.0, 2.0, 5.0], 0.2, n, rng)
+                assert [r.empirical_clip_prob for r in want.rows if r.alpha == a][1:] == (1.0 - p).tolist()
+            spans.clear()
+            monkeypatch.setattr(fl_core, "_CORES", cores)
+            with monkeypatch.context() as m:
+                if not fork:
+                    m.delattr(os, "fork")
+                got = clip_survival_report(**kwargs)
+            assert multiprocessing.active_children() == []
+            assert spans == ([] if fork and cores > 1 else [(a, whole) for a in alphas])
+            spans.clear()
+            assert [r.note for r in got.rows[:3]] == ["regime_violation", "", ""]
+            # repr compares the floats bit for bit
+            for name in ("rows", "slopes", "config_summary"):
+                assert repr(getattr(got, name)) == repr(getattr(want, name))
+
+
+@pytest.mark.parametrize("cores, n_alphas, spans", [(2, 3, 2), (2, 1, 2), (2, 2, 1), (4, 3, 4), (4, 2, 2), (1, 3, 1)])
+def test_survival_report_spans_transform_each_chunk_once(monkeypatch, cores, n_alphas, spans):
+    # the fewest spans per tail index that give every worker as many units, run
+    # here in order: each tail index's transformed variates sum to n_samples,
+    # chunk by chunk the same draws as one loop, none of them twice
+    monkeypatch.setattr(stable_noise, "_CHUNK", 1000)
+    monkeypatch.setattr(analysis, "_fork_map", lambda run, n: [run(u) for u in range(n)])
+    drawn = []
+
+    def recording(params, dim, rng):
+        drawn.append((params.alpha, dim, rng.bit_generator.state["state"]["state"]))
+        return sample_sas(params, dim, rng)
+
+    monkeypatch.setattr(stable_noise, "sample_sas", recording)
+    counted = []
+    count = stable_noise._count_inside
+    monkeypatch.setattr(stable_noise, "_count_inside", lambda *args: counted.append(args[-1]) or count(*args))
+    kwargs = dict(alphas=(1.0, 1.5, 2.0)[:n_alphas], tau=0.1, c_grid=(0.5, 1.0), g=0.0, n_samples=4500, seed=2)
     monkeypatch.setattr(fl_core, "_CORES", 1)
-    want = clip_survival_report(**kwargs)
-    assert calls == [1.1, 1.5, 2.0]
-    calls.clear()
+    want, one_loop = clip_survival_report(**kwargs), list(drawn)
+    drawn.clear()
+    counted.clear()
     monkeypatch.setattr(fl_core, "_CORES", cores)
-    if not fork:
-        monkeypatch.delattr(os, "fork")
     got = clip_survival_report(**kwargs)
+    assert len(counted) == n_alphas * spans
+    assert [list(r) for r in counted] == n_alphas * [list(range(5 * b // spans, 5 * (b + 1) // spans)) for b in range(spans)]
+    assert drawn == one_loop
+    for a in kwargs["alphas"]:
+        assert sum(dim for alpha, dim, _ in drawn if alpha == a) == 4500
+    assert len({state for _, _, state in drawn}) == len(drawn)
+    assert repr(got.rows) == repr(want.rows)
+
+
+@pytest.mark.parametrize("n_alphas, n, pool", [(3, 333, False), (2, 500, False), (2, 501, True), (1, 1001, True)])
+def test_survival_report_draws_one_chunk_in_all_in_the_caller(monkeypatch, n_alphas, n, pool):
+    # forking a pool costs more than a draw of one chunk in all: such a report
+    # runs in this process at any core count
+    monkeypatch.setattr(stable_noise, "_CHUNK", 1000)
+    monkeypatch.setattr(fl_core, "_CORES", 2)
+    units = []
+    fork_map = analysis._fork_map
+    monkeypatch.setattr(analysis, "_fork_map", lambda run, k: units.append(k) or fork_map(run, k))
+    report = clip_survival_report((1.1, 1.5, 1.9)[:n_alphas], 0.1, (0.5, 1.0), 0.0, n, 0)
+    assert units == ([n_alphas * min(math.ceil(n / 1000), 2 // math.gcd(2, n_alphas))] if pool else [])
     assert multiprocessing.active_children() == []
-    assert calls == ([] if fork else [1.1, 1.5, 2.0])
-    assert [r.note for r in got.rows[:3]] == ["regime_violation", "", ""]
-    # repr compares the floats bit for bit
-    for name in ("rows", "slopes", "config_summary"):
-        assert repr(getattr(got, name)) == repr(getattr(want, name))
+    assert len(report.rows) == 2 * n_alphas
 
 
 def test_bound_check_builds_no_round_records(monkeypatch):
@@ -523,11 +595,12 @@ def test_verify_bound_rejects_bad_eta():
 
 
 def _forbid_draws(monkeypatch):
-    # the survival report's Monte Carlo draw, and the bound check's runs
+    # the survival report's Monte Carlo counter, which every span of its draw
+    # reaches, and the bound check's runs
     def draw(*args, **kwargs):
         raise _RunStarted("a draw started before the argument check")
 
-    monkeypatch.setattr(analysis, "estimate_unclipped_prob", draw)
+    monkeypatch.setattr(stable_noise, "_count_inside", draw)
     _forbid_runs(monkeypatch)
 
 

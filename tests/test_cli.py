@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from otafl import analysis, cli, fl_core
+from otafl import cli, fl_core, stable_noise
 from otafl.analysis import clip_survival_report, verify_convergence_bound
 from otafl.cli import build_parser, main
 from otafl.config import ConfigError, ExperimentConfig, load_config, parse_overrides, validate
@@ -864,16 +864,18 @@ def test_theorem1_rows_on_workers_exit_2_or_3(tmp_path, capsys, monkeypatch):
 
 
 def test_lemma1_tail_indices_on_workers_exit_3_if_one_dies(tmp_path, capsys, monkeypatch):
-    # each tail index runs as a unit on a worker; a worker that dies is an
-    # infrastructure failure, as for theorem1's rows
+    # each span of a tail index's chunks runs as a unit on a worker; a worker
+    # that dies is an infrastructure failure, as for theorem1's rows. At
+    # 10-sample chunks the 300 samples are more than one chunk, so they fork
     monkeypatch.setattr(fl_core, "_CORES", 2)
+    monkeypatch.setattr(stable_noise, "_CHUNK", 10)
     parent = os.getpid()
 
     def dying(*args):
         assert os.getpid() != parent  # never ends the test process
         os._exit(1)
 
-    monkeypatch.setattr(analysis, "estimate_unclipped_prob", dying)
+    monkeypatch.setattr(stable_noise, "_count_inside", dying)
     out = tmp_path / "l1.csv"
     assert main(["lemma1", "--alphas", "1.1,1.5,1.9", "--samples", "100", "--out", str(out)]) == 3
     err = capsys.readouterr().err

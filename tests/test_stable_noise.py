@@ -224,6 +224,26 @@ def test_unclipped_prob_draws_each_deviation_once(monkeypatch):
         assert sum(sizes) == n
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_span_replays_the_chunks_before_it(monkeypatch, alpha):
+    # a span that starts at chunk j leaves the generator where drawing chunks
+    # 0..j-1 through sample_sas leaves it, having transformed none of them; the
+    # counts of contiguous spans sum to the whole draw's
+    monkeypatch.setattr(stable_noise, "_CHUNK", 1000)
+    params, cs, n = StableParams(alpha, 0.1), [0.2, 1.0], 3500
+    for j in (1, 2, 3):
+        rng, drawn = np.random.default_rng(5), np.random.default_rng(5)
+        assert stable_noise._count_inside(params, cs, 0.0, n, rng, range(j, j)).tolist() == [0, 0]
+        for _ in range(j):
+            sample_sas(params, 1000, drawn)
+        assert rng.bit_generator.state == drawn.bit_generator.state
+    for cut in ([0, 4], [0, 1, 4], [0, 2, 3, 4], [0, 1, 2, 3, 4]):
+        spans = [stable_noise._count_inside(params, cs, 0.0, n, np.random.default_rng(5), range(a, b))
+                 for a, b in zip(cut, cut[1:])]
+        whole = estimate_unclipped_prob(params, cs, 0.0, n, np.random.default_rng(5))
+        assert (sum(spans) / n).tolist() == whole.tolist()
+
+
 def test_deviation_has_the_stable_scale():
     # one SaS(alpha, tau) draw against the margin over 2**(1/alpha) has the
     # law of the difference of two draws against the margin itself
@@ -324,17 +344,21 @@ def test_one_chunk_peaks_near_two_chunk_arrays(alpha, arrays):
     # the transform writes into the uniform draw, and its absolute value is
     # taken in place: one chunk holds u and w (no w at alpha = 1), two
     # cache-sized blocks, and one threshold's boolean mask after w is freed;
-    # a chunk is dropped before the next one is drawn
+    # a chunk is dropped before the next one is drawn. A span that starts at
+    # chunk 2 replays chunks 0 and 1 through one exponential array at a time.
     params, chunk = StableParams(alpha, 0.1), stable_noise._CHUNK
     estimate_unclipped_prob(params, [1.0, 2.0], 0.0, 1000, np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        estimate_unclipped_prob(params, [1.0, 2.0], 0.0, 2 * chunk, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    array_bytes = chunk * 8
-    assert peak <= arrays * array_bytes, f"peak {peak} B is {peak / array_bytes:.2f} chunk arrays"
+    for count in (lambda: estimate_unclipped_prob(params, [1.0, 2.0], 0.0, 2 * chunk, np.random.default_rng(0)),
+                  lambda: stable_noise._count_inside(params, [1.0, 2.0], 0.0, 4 * chunk, np.random.default_rng(0),
+                                                     range(2, 4))):
+        tracemalloc.start()
+        try:
+            count()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array_bytes = chunk * 8
+        assert peak <= arrays * array_bytes, f"peak {peak} B is {peak / array_bytes:.2f} chunk arrays"
 
 
 _FL = dict(n_clients=2, rounds=3, learning_rate=0.1, clip=ClipMethod.none(), channel=ChannelConfig.ideal(),
